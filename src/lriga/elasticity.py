@@ -36,7 +36,7 @@ from .tucker import (
     tucker_add,
     tucker_inner,
     tucker_matvec,
-    tucker_norm,
+    tucker_norm_qr,
     tucker_scale,
     tucker_zero,
 )
@@ -530,6 +530,7 @@ def block_tpcg(op, rhs, precond, cfg, x0=None):
 
 def _block_finalize(report, op, rhs, x, t0):
     exact = block_add(rhs, block_scale(block_matvec(op, x), -1.0))
-    report.final_residual = block_norm(exact)
+    report.final_residual = np.sqrt(
+        sum(tucker_norm_qr(c) ** 2 for c in exact.components))
     report.memory_compression = block_memory_compression(x)
     report.wall_time = time.perf_counter() - t0

@@ -5,15 +5,16 @@ the eigenvalue sums directly; it serves as the oracle path and as the
 preconditioner at trivially small sizes.  The low-rank version replaces
 1/(lam1+lam2+lam3) by an exponential sum, which turns the inverse into a
 short sum of Kronecker products: applied to a Tucker tensor it multiplies
-each factor by a block row of eigenvector transforms and scales the core,
-growing each rank by exactly the number of exponential terms.
+each factor by a block row of eigenvector transforms and sums the diagonal
+core's terms into an exact image with orthonormal factors, whose rank is
+min(n_k, R r_k) for R exponential terms.
 """
 
 import numpy as np
 
 from .eigen import exact_eigen
 from .expsum import build_exp_sum
-from .tucker import TuckerTensor3, mode_product, from_dense, to_dense
+from .tucker import TuckerTensor3, _kron_image, from_dense, mode_product, to_dense
 
 # refuse to densify anything beyond this many entries in the oracle path
 _EXACT_GUARD = 2 ** 24
@@ -134,9 +135,14 @@ def build_lowrank_fd(eigs, eps_rel, weights=None, r_cap=128):
 def apply_lowrank_fd(P, s):
     """Preconditioner applied to a Tucker tensor.
 
-    Output rank is exactly (R * r1, R * r2, R * r3): each factor becomes the
-    R scaled eigenvector transforms side by side (term index slow), and the
-    core is the Kronecker product of the diagonal core with the input core.
+    Each factor becomes the R scaled eigenvector transforms side by side
+    (term index slow); the image of the diagonal core is summed term by
+    term without forming its Kronecker product with the input core.  The
+    result is exact, has orthonormal factors and rank
+    (min(n1, R r1), min(n2, R r2), min(n3, R r3)).
+
+    Raises:
+        MemoryGuardError: if the image core would exceed ``tucker.DENSE_GUARD``.
     """
     if not isinstance(s, TuckerTensor3):
         raise TypeError("expected a TuckerTensor3")
@@ -147,5 +153,4 @@ def apply_lowrank_fd(P, s):
         Z = np.asarray(e.apply(s.factors[i], transpose=True))
         blocks = [P.diag[i][j][:, None] * Z for j in range(P.R)]
         factors.append(np.asarray(e.apply(np.hstack(blocks))))
-    core = np.kron(P.core, s.core)
-    return TuckerTensor3(core, tuple(factors))
+    return _kron_image(P.core, factors, s.core)

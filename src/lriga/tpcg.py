@@ -10,7 +10,7 @@ loose enough to keep multilinear ranks comparable to the solution's.
 The residual is recomputed from the right-hand side every iteration
 instead of being updated recursively, which keeps truncation errors from
 accumulating in the stopping test.  Also provides the solution-quality
-metrics (memory compression, L2/H1 errors against a known solution).
+metric of L2/H1 errors against a known solution.
 """
 
 import time
@@ -28,6 +28,7 @@ from .tucker import (
     tucker_inner,
     tucker_matvec,
     tucker_norm,
+    tucker_norm_qr,
     tucker_scale,
     tucker_zero,
 )
@@ -124,11 +125,6 @@ class SolveReport:
         }
 
 
-def memory_compression(x):
-    """Storage of the Tucker representation relative to dense, in percent."""
-    return compression_percent(x)
-
-
 def tpcg(op, rhs, precond, cfg, x0=None):
     """Solve op @ x = rhs with preconditioner precond; returns (x, SolveReport).
 
@@ -202,7 +198,7 @@ def tpcg(op, rhs, precond, cfg, x0=None):
 
 def _finalize(report, op, rhs, x, t0, eta):
     exact = tucker_add(rhs, tucker_scale(tucker_matvec(op, x), -1.0))
-    report.final_residual = tucker_norm(exact)
+    report.final_residual = tucker_norm_qr(exact)
     report.memory_compression = compression_percent(x)
     report.wall_time = time.perf_counter() - t0
     report.eta_final = eta

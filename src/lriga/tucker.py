@@ -15,6 +15,7 @@ Conventions used throughout the package:
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -167,6 +168,18 @@ def tucker_norm(x):
     return x.norm()
 
 
+def tucker_norm_qr(x):
+    """Frobenius norm taken from the QR-reduced core, ``|core xk Rk|_F``
+    with ``Rk`` the triangular factor of the k-th factor matrix.
+
+    The Gram form of :func:`tucker_norm` loses all relative accuracy on a
+    difference of nearly equal tensors (a residual ``f - A x`` near
+    convergence); this form keeps it.
+    """
+    Rs = [np.linalg.qr(U, mode="r") for U in x.factors]
+    return float(np.linalg.norm(multi_mode_product(x.core, Rs)))
+
+
 @dataclass(frozen=True)
 class TuckerOperator3:
     """A linear operator in Tucker-matrix (Kronecker-structured) format.
@@ -204,16 +217,59 @@ class TuckerOperator3:
 def tucker_matvec(op, x):
     """Apply a Tucker-format operator to a Tucker tensor.
 
-    The result has factor matrices ``[Ck_1 Xk, ..., Ck_Rk Xk]`` (operator
-    slot slowest) and core ``kron(op.core, x.core)``, so its multilinear
-    rank is ``(R1 r1, R2 r2, R3 r3)``.
+    The image is exact and has orthonormal factors spanning the columns of
+    ``[Ck_1 Xk, ..., Ck_Rk Xk]``, so its multilinear rank is
+    ``(min(n1, R1 r1), min(n2, R2 r2), min(n3, R3 r3))``.  The Kronecker
+    core ``kron(op.core, x.core)`` is never formed; see :func:`_kron_image`.
     """
     factors = []
     for k in range(3):
         blocks = [np.asarray(C @ x.factors[k]) for C in op.factors[k]]
         factors.append(np.hstack(blocks))
-    core = np.kron(op.core, x.core)
-    return TuckerTensor3(core, tuple(factors))
+    return _kron_image(op.core, factors, x.core)
+
+
+def _kron_image(G, factors, C):
+    """Exact Tucker form of the tensor with core ``kron(G, C)`` and
+    stacked factors ``Fk = [Fk_1 ... Fk_Ak]`` (slot of ``G`` slowest).
+
+    With the thin QR ``Fk = Qk Rk`` and ``Rk_a`` the columns of ``Rk``
+    belonging to slot ``a``, the reduced core is
+
+        Z = sum over G[a,b,c] != 0 of G[a,b,c] * C x1 R1_a x2 R2_b x3 R3_c,
+
+    so only the nonzero entries of ``G`` cost work and no core exceeds
+    ``n1 n2 n3`` entries.  The nonzeros are visited grouped by ``(a, b)``:
+    ``C x1 R1_a`` is computed once per ``a`` and the ``c``-sum folds into
+    one mode-3 matrix per pair.
+
+    Raises:
+        MemoryGuardError: if the reduced core would exceed ``DENSE_GUARD``
+            entries.
+    """
+    r = C.shape
+    m = [min(F.shape[0], F.shape[1]) for F in factors]
+    if m[0] * m[1] * m[2] > DENSE_GUARD:
+        raise MemoryGuardError(
+            "operator image core %d x %d x %d exceeds guard %d"
+            % (m[0], m[1], m[2], DENSE_GUARD)
+        )
+    Qs, blocks = [], []
+    for k in range(3):
+        Q, R = np.linalg.qr(factors[k])
+        Qs.append(Q)
+        blocks.append([R[:, a * r[k] : (a + 1) * r[k]] for a in range(G.shape[k])])
+
+    Z = np.zeros((m[0] * m[1], m[2]))
+    a_cached = None
+    # argwhere is lexicographic, so each (a, b) pair is one contiguous run
+    for (a, b), entries in groupby(np.argwhere(G).tolist(), key=lambda e: e[:2]):
+        if a != a_cached:
+            T, a_cached = mode_product(C, 0, blocks[0][a]), a
+        M3 = sum(G[a, b, c] * blocks[2][c] for _, _, c in entries)
+        W = mode_product(T, 1, blocks[1][b]).reshape(m[0] * m[1], r[2])
+        Z += W @ M3.T
+    return TuckerTensor3(Z.reshape(m), tuple(Qs))
 
 
 def operator_sum(ops):

@@ -7,8 +7,16 @@ from lriga.bsplines import BC_DIRICHLET, SplineSpace1D, assemble_pencil
 from lriga.eigen import approx_eigen
 from lriga.expsum import ExpSumError
 from lriga.fastdiag import ExactFD, apply_lowrank_fd, build_lowrank_fd, exact_fd
+from lriga import tucker
 from lriga.oracle import kron3
-from lriga.tucker import from_dense, to_dense, tucker_norm, tucker_zero, vec
+from lriga.tucker import (
+    TuckerOperator3,
+    from_dense,
+    to_dense,
+    tucker_norm,
+    tucker_zero,
+    vec,
+)
 
 from util import random_tucker
 
@@ -159,7 +167,33 @@ def test_apply_rank_is_product():
     rng = np.random.default_rng(3)
     t = random_tucker(rng, (space.n,) * 3, (2, 3, 1))
     out = apply_lowrank_fd(P, t)
-    assert out.rank == (2 * P.R, 3 * P.R, 1 * P.R)
+    # exact image, QR-reduced: rank min(n_k, R r_k), orthonormal factors
+    n = space.n
+    assert out.rank == (min(n, 2 * P.R), min(n, 3 * P.R), min(n, 1 * P.R))
+    for U in out.factors:
+        assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
+
+
+def test_image_core_guard(monkeypatch):
+    # the guard sees the reduced image core, prod_k min(n_k, R_k r_k), and
+    # refuses it before anything of that size is allocated
+    space, pencil = _cube(2, 4)
+    n = space.n
+    P = build_lowrank_fd(_eigs(space, pencil), 1e-1)
+    t = random_tucker(np.random.default_rng(7), (n,) * 3, (1, 1, 1))
+    op = TuckerOperator3(np.ones((2, 1, 1)),
+                         tuple((pencil.K,) * r for r in (2, 1, 1)))
+    pc_core = min(n, P.R) ** 3
+    monkeypatch.setattr(tucker, "DENSE_GUARD", pc_core)
+    assert apply_lowrank_fd(P, t).core.size == pc_core
+    monkeypatch.setattr(tucker, "DENSE_GUARD", pc_core - 1)
+    with pytest.raises(tucker.MemoryGuardError):
+        apply_lowrank_fd(P, t)
+    monkeypatch.setattr(tucker, "DENSE_GUARD", 2 * 1 * 1)
+    assert tucker.tucker_matvec(op, t).core.size == 2
+    monkeypatch.setattr(tucker, "DENSE_GUARD", 1)
+    with pytest.raises(tucker.MemoryGuardError):
+        tucker.tucker_matvec(op, t)
 
 
 def test_apply_linear():

@@ -20,12 +20,12 @@ from lriga.tpcg import (
     SolveReport,
     TpcgConfig,
     error_norms,
-    memory_compression,
     tpcg,
 )
 from lriga.truncation import truncate_rel
 from lriga.tucker import (
     TuckerTensor3,
+    compression_percent,
     to_dense,
     tucker_add,
     tucker_norm,
@@ -137,6 +137,18 @@ def test_final_residual_retruncation_contract():
     assert moved <= eta * tucker_norm(r) * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("tol_rel", [1e-8, 1e-10])
+def test_final_residual_matches_dense(tol_rel):
+    # near convergence f - A x is a difference of nearly equal tensors; the
+    # reported norm must still agree with the dense residual
+    system, x, report, cfg = solve_poisson("quarter_annulus", 2, 8, tol_rel)
+    assert report.converged
+    A = dense_operator(system.op)
+    dense = np.linalg.norm(vec(to_dense(system.rhs)) - A @ vec(to_dense(x)))
+    assert abs(report.final_residual - dense) <= 1e-2 * dense
+    assert report.final_residual <= cfg.tol
+
+
 def test_residual_jump_flag():
     rep = SolveReport(tol=1e-6, rhs_norm=1.0)
     rep.res_norms = [1.0, 0.5, 6.0]
@@ -173,17 +185,17 @@ def test_memory_compression_examples():
         rng.standard_normal((5, 5, 5)),
         tuple(rng.standard_normal((100, 5)) for _ in range(3)),
     )
-    assert memory_compression(x) == 0.1625
+    assert compression_percent(x) == 0.1625
     full = TuckerTensor3(
         rng.standard_normal((4, 4, 4)),
         tuple(rng.standard_normal((4, 4)) for _ in range(3)),
     )
-    assert memory_compression(full) == 175.0
+    assert compression_percent(full) == 175.0
     tiny = TuckerTensor3(
         np.ones((1, 1, 1)),
         tuple(np.ones((1024, 1)) for _ in range(3)),
     )
-    assert abs(memory_compression(tiny) - 2.86e-4) <= 1e-6
+    assert abs(compression_percent(tiny) - 2.86e-4) <= 1e-6
 
 
 def test_error_norms_reproduces_space_member():

@@ -129,8 +129,26 @@ def test_matvec_rank_multiplies():
     x = random_tucker(rng, (5, 6, 7), (2, 3, 2))
     op = random_operator(rng, (5, 6, 7), (3, 1, 2))
     y = tucker_matvec(op, x)
-    assert y.rank == (6, 3, 4)
+    # exact image, QR-reduced: rank min(n_k, R_k r_k), orthonormal factors
+    assert y.rank == (min(5, 3 * 2), min(6, 1 * 3), min(7, 2 * 2)) == (5, 3, 4)
     assert y.dims == (5, 6, 7)
+    for U in y.factors:
+        assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
+
+
+def test_matvec_sparse_core_vs_dense_operator():
+    # block-diagonal core (operator_sum) with extra zeros: only the nonzero
+    # core entries contribute, the image must still be exact
+    rng = np.random.default_rng(9)
+    dims = (5, 4, 6)
+    ops = [random_operator(rng, dims, (2, 3, 2)) for _ in range(2)]
+    total = operator_sum(ops)
+    total.core[0, 1, :] = 0.0
+    total.core[3, :, 2] = 0.0
+    x = random_tucker(rng, dims, (2, 1, 3))
+    y = tucker_matvec(total, x)
+    ref = dense_operator(total) @ vec(to_dense(x))
+    assert np.linalg.norm(vec(to_dense(y)) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_operator_sum_vs_dense():
