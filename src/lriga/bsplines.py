@@ -24,26 +24,31 @@ def open_uniform_knots(p, n_el):
 
 
 def find_span(p, n_el, eta):
-    """Index of the knot span containing ``eta`` (clamped at the right end)."""
-    return min(int(eta * n_el), n_el - 1) + p
+    """Index of the knot span containing each ``eta`` (clamped at the right end)."""
+    return np.minimum((np.asarray(eta) * n_el).astype(np.intp), n_el - 1) + p
 
 
-def basis_funs_all_ders(knots, p, eta, span, n_ders):
-    """Values and derivatives of the p+1 basis functions active on a span.
+def basis_funs_all_ders(knots, p, etas, spans, n_ders):
+    """Values and derivatives of the p+1 basis functions active at each point.
 
-    Standard triangular-table algorithm; returns an array of shape
-    ``(n_ders+1, p+1)`` whose row k holds the k-th derivatives.
+    Standard triangular-table algorithm (Piegl & Tiller, A2.3) run on arrays:
+    ``etas`` and ``spans`` have shape ``(N,)`` and every table entry holds
+    one value per point, computed by the same operations in the same order
+    as the one-point recurrence.  Returns an array of shape
+    ``(n_ders+1, p+1, N)`` whose entry ``[k, i]`` holds the k-th derivatives
+    of the i-th active function.
     """
-    left = np.empty(p)
-    right = np.empty(p)
-    ndu = np.empty((p + 1, p + 1))
-    a = np.empty((2, p + 1))
-    ders = np.zeros((n_ders + 1, p + 1))
+    N = len(etas)
+    left = np.empty((p, N))
+    right = np.empty((p, N))
+    ndu = np.empty((p + 1, p + 1, N))
+    a = np.empty((2, p + 1, N))
+    ders = np.zeros((n_ders + 1, p + 1, N))
 
     ndu[0, 0] = 1.0
     for j in range(p):
-        left[j] = eta - knots[span - j]
-        right[j] = knots[span + 1 + j] - eta
+        left[j] = etas - knots[spans - j]
+        right[j] = knots[spans + 1 + j] - etas
         saved = 0.0
         for r in range(j + 1):
             ndu[j + 1, r] = right[r] + left[j - r]
@@ -52,7 +57,7 @@ def basis_funs_all_ders(knots, p, eta, span, n_ders):
             saved = left[j - r] * temp
         ndu[j + 1, j + 1] = saved
 
-    ders[0, :] = ndu[:, p]
+    ders[0] = ndu[:, p]
     ne = min(n_ders, p)
     for r in range(p + 1):
         s1, s2 = 0, 1
@@ -77,7 +82,7 @@ def basis_funs_all_ders(knots, p, eta, span, n_ders):
 
     fac = float(p)
     for k in range(1, ne + 1):
-        ders[k, :] *= fac
+        ders[k] *= fac
         fac *= p - k
     return ders
 
@@ -116,6 +121,24 @@ class SplineSpace1D:
         b = self.breakpoints()
         return 0.5 * (b[:-1] + b[1:])
 
+    def _active(self, etas, deriv, reduced):
+        """Indices and values of the p+1 functions active at each point.
+
+        Returns:
+            (idx, vals, keep): arrays of shape (N, p+1); ``idx`` in reduced
+            numbering when ``reduced``, and ``keep`` masks the entries of
+            functions that the boundary conditions keep.
+        """
+        bad = ~((etas >= 0.0) & (etas <= 1.0))
+        if bad.any():
+            raise ValueError("evaluation point %g outside [0, 1]" % etas[bad][0])
+        spans = find_span(self.p, self.n_el, etas)
+        vals = basis_funs_all_ders(self.knots, self.p, etas, spans, deriv)[deriv].T
+        idx = spans[:, None] + np.arange(-self.p, 1)
+        t0, t1 = self.trim if reduced else (0, 0)
+        keep = (idx >= t0) & (idx < self.full_dim - t1)
+        return idx - t0, vals, keep
+
     def eval_basis(self, eta, deriv=0, reduced=True):
         """Nonzero basis values at a point.
 
@@ -124,30 +147,17 @@ class SplineSpace1D:
             ``reduced``) and the corresponding basis values; at most p+1
             entries, fewer when constrained functions are dropped.
         """
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError("evaluation point %g outside [0, 1]" % eta)
-        span = find_span(self.p, self.n_el, eta)
-        ders = basis_funs_all_ders(self.knots, self.p, eta, span, deriv)
-        first = span - self.p
-        idx = np.arange(first, first + self.p + 1)
-        vals = ders[deriv]
-        if reduced:
-            keep = (idx >= self.trim[0]) & (idx < self.full_dim - self.trim[1])
-            idx, vals = idx[keep] - self.trim[0], vals[keep]
-        return idx, vals
+        idx, vals, keep = self._active(np.array([eta], dtype=float), deriv, reduced)
+        return idx[0][keep[0]], vals[0][keep[0]]
 
     def collocation_matrix(self, etas, deriv=0, reduced=True):
         """Sparse matrix of basis (derivative) values at many points."""
         etas = np.atleast_1d(np.asarray(etas, dtype=float))
-        rows, cols, vals = [], [], []
-        for i, eta in enumerate(etas):
-            idx, v = self.eval_basis(eta, deriv=deriv, reduced=reduced)
-            rows.extend([i] * len(idx))
-            cols.extend(idx.tolist())
-            vals.extend(v.tolist())
+        idx, vals, keep = self._active(etas, deriv, reduced)
+        rows = np.broadcast_to(np.arange(len(etas))[:, None], idx.shape)
         ncols = self.n if reduced else self.full_dim
         return sp.csr_matrix(
-            (vals, (rows, cols)), shape=(len(etas), ncols)
+            (vals[keep], (rows[keep], idx[keep])), shape=(len(etas), ncols)
         )
 
     def element_basis(self, rule, deriv):
@@ -163,14 +173,11 @@ class SplineSpace1D:
         cached = self._basis_cache.get(key)
         if cached is not None:
             return cached
-        out = np.empty((n_el, q, self.p + 1))
-        for e in range(n_el):
-            span = e + self.p
-            for j in range(q):
-                ders = basis_funs_all_ders(
-                    self.knots, self.p, rule.points[e, j], span, deriv
-                )
-                out[e, j] = ders[deriv]
+        spans = np.repeat(np.arange(self.p, self.p + n_el), q)
+        ders = basis_funs_all_ders(
+            self.knots, self.p, rule.points.ravel(), spans, deriv
+        )
+        out = np.ascontiguousarray(ders[deriv].T).reshape(n_el, q, self.p + 1)
         self._basis_cache[key] = out
         return out
 
@@ -263,8 +270,7 @@ def assemble_weighted_rhs(space, w_cheb=None, reduced=True):
     wv = _weight_values(rule, w_cheb)
     local = np.einsum("eqi,eq,eq->ei", B, wv, rule.weights)
     f = np.zeros(space.full_dim)
-    for e in range(n_el):
-        f[e : e + p + 1] += local[e]
+    np.add.at(f, np.arange(n_el)[:, None] + np.arange(p + 1), local)
     if reduced:
         f = f[space.trim[0] : space.full_dim - space.trim[1]]
     return f

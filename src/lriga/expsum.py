@@ -15,8 +15,13 @@ fitted weight is exactly zero are dropped.  For each candidate rank the
 node interval is tuned by a small deterministic grid search, and the rank
 is accepted once the measured sup-error meets the target; the final
 instance is re-verified on a finer grid.
+
+The fit depends only on M and the tolerance, so it is memoized per process
+on (M, eps_rel, r_cap); preconditioners with the same spectral ratio share
+one read-only :class:`ExpSum`.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +123,24 @@ def build_exp_sum(lam_min, lam_max, eps_rel, r_cap=128):
             sum approximates 1/lambda on [1, M] with M = lam_max/lam_min.
         eps_rel: relative tolerance; the absolute target is eps_rel / M.
         r_cap: largest admissible number of terms.
+
+    Returns:
+        A shared :class:`ExpSum` whose arrays are read-only.
     """
     assert 0 < lam_min <= lam_max
-    M = lam_max / lam_min
+    return _exp_sum(lam_max / lam_min, eps_rel, r_cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_sum(M, eps_rel, r_cap):
+    """Memoized fit on [1, M]; raised errors are not cached."""
+    es = _fit(M, eps_rel, r_cap)
+    es.weights.setflags(write=False)
+    es.exponents.setflags(write=False)
+    return es
+
+
+def _fit(M, eps_rel, r_cap):
     if M == 1.0:
         # single-point interval: omega e^{-alpha} = 1 exactly
         es = ExpSum(np.array([np.e]), np.array([1.0]), 1.0, 0.0)

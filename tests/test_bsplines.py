@@ -1,8 +1,11 @@
 """Univariate spline spaces, quadrature, and Galerkin matrices."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from numpy.polynomial.chebyshev import chebval
 
 from lriga.bsplines import (
     BC_DIRICHLET,
@@ -11,9 +14,13 @@ from lriga.bsplines import (
     assemble_pencil,
     assemble_weighted_matrix,
     assemble_weighted_rhs,
+    basis_funs_all_ders,
+    find_span,
     gauss_rule,
     open_uniform_knots,
 )
+
+import util
 
 NN = (BC_NEUMANN, BC_NEUMANN)
 DD = (BC_DIRICHLET, BC_DIRICHLET)
@@ -190,3 +197,83 @@ def test_mixed_bc_weighted_matrix_shape():
         row, col, 0, 0, reduced_row=False, reduced_col=False
     ).toarray()
     assert np.allclose(A.toarray(), F[1:-1, :], atol=0)
+
+
+def _kernel_points(p, n_el):
+    """Both ends, the interior breakpoints and the Gauss points of p+1 per span."""
+    breaks = np.linspace(0.0, 1.0, n_el + 1)[1:-1]
+    gauss = gauss_rule(n_el, p + 1).points.ravel()
+    return np.concatenate([[0.0, 1.0], breaks, gauss])
+
+
+@pytest.mark.parametrize("n_el", [1, 2, 7, 64])
+def test_array_kernel_equals_scalar_oracle(n_el):
+    for p in range(1, 6):
+        knots = open_uniform_knots(p, n_el)
+        etas = _kernel_points(p, n_el)
+        spans = [util.oracle_span(p, n_el, eta) for eta in etas]
+        assert find_span(p, n_el, etas).tolist() == spans
+        for n_ders in range(p + 2):
+            ours = basis_funs_all_ders(knots, p, etas, np.array(spans), n_ders)
+            ref = np.stack(
+                [util.basis_funs_all_ders(knots, p, eta, span, n_ders)
+                 for eta, span in zip(etas, spans)],
+                axis=-1,
+            )
+            assert np.array_equal(ours, ref), (p, n_ders)
+
+
+@pytest.mark.parametrize("n_el", [1, 2, 7, 64])
+def test_element_basis_and_collocation_equal_oracle(n_el):
+    for p in range(1, 6):
+        space = SplineSpace1D(p, n_el)
+        rule = gauss_rule(n_el, p + 2)
+        etas = _kernel_points(p, n_el)
+        for deriv in range(p + 2):
+            ref = np.array([
+                [util.basis_funs_all_ders(space.knots, p, eta, e + p, deriv)[deriv]
+                 for eta in rule.points[e]]
+                for e in range(n_el)
+            ])
+            assert np.array_equal(space.element_basis(rule, deriv), ref)
+
+            full = np.zeros((len(etas), space.full_dim))
+            for i, eta in enumerate(etas):
+                span = util.oracle_span(p, n_el, eta)
+                full[i, span - p : span + 1] = util.basis_funs_all_ders(
+                    space.knots, p, eta, span, deriv
+                )[deriv]
+            C = space.collocation_matrix(etas, deriv=deriv, reduced=False)
+            assert np.array_equal(C.toarray(), full), (p, deriv)
+            C = space.collocation_matrix(etas, deriv=deriv)
+            assert np.array_equal(C.toarray(), full[:, 1:-1]), (p, deriv)
+
+
+def test_collocation_matrix_rejects_one_bad_point():
+    space = SplineSpace1D(3, 8)
+    etas = np.linspace(0.0, 1.0, 1000)
+    assert space.collocation_matrix(etas).shape == (1000, space.n)
+    for bad in (1.0 + 1e-12, -1e-300, np.nan):
+        x = etas.copy()
+        x[537] = bad
+        with pytest.raises(ValueError):
+            space.collocation_matrix(x)
+
+
+@pytest.mark.parametrize(
+    "p,n_el,w_cheb", [(1, 1, None), (3, 7, [0.3, -0.2, 0.7]), (4, 64, [1.0, 0.5])]
+)
+def test_weighted_rhs_equals_loop_accumulation(p, n_el, w_cheb):
+    space = SplineSpace1D(p, n_el)
+    t_max = 0 if w_cheb is None else len(w_cheb) - 1
+    rule = gauss_rule(n_el, p + 1 + math.ceil(t_max / 2))
+    wv = np.ones_like(rule.points) if w_cheb is None else chebval(
+        2.0 * rule.points - 1.0, w_cheb
+    )
+    local = np.einsum("eqi,eq,eq->ei", space.element_basis(rule, 0), wv, rule.weights)
+    ref = np.zeros(space.full_dim)
+    for e in range(n_el):
+        ref[e : e + p + 1] += local[e]
+    f = assemble_weighted_rhs(space, w_cheb=w_cheb, reduced=False)
+    assert np.array_equal(f, ref)
+    assert np.array_equal(assemble_weighted_rhs(space, w_cheb=w_cheb), ref[1:-1])

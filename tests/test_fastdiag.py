@@ -261,3 +261,18 @@ def test_cube_preconditioned_spectrum_tight(p):
     ev = ev.real
     assert np.min(ev) > 0
     assert np.max(ev) / np.min(ev) <= (2.0 if p == 2 else 5.0)
+
+
+def test_equal_ratio_preconditioners_share_the_sum_and_scale():
+    space, pencil = _cube(3, 8)
+    eigs = _eigs(space, pencil)
+    P1 = build_lowrank_fd(eigs, 1e-1)
+    P2 = build_lowrank_fd(eigs, 1e-1, weights=(2.0, 2.0, 2.0))
+    assert P2.expsum is P1.expsum
+    assert P2.lam_min == 2.0 * P1.lam_min
+    assert np.array_equal(2.0 * P2.core, P1.core)
+    for d1, d2 in zip(P1.diag, P2.diag):
+        assert np.array_equal(d1, d2)
+    x = random_tucker(np.random.default_rng(5), P1.dims, (2, 3, 2))
+    y1, y2 = to_dense(P1.apply(x)), to_dense(P2.apply(x))
+    assert np.allclose(2.0 * y2, y1, rtol=1e-12, atol=1e-12 * np.abs(y1).max())

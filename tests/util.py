@@ -1,4 +1,4 @@
-"""Shared helpers for building random low-rank test instances."""
+"""Shared helpers: random low-rank test instances and one-point oracles."""
 
 import numpy as np
 
@@ -56,3 +56,64 @@ def dense_kron_sum(spaces, weights):
         mats = [K[t] if t == d else M[t] for t in range(3)]
         D = D + w * kron3(*mats)
     return D
+
+
+def basis_funs_all_ders(knots, p, eta, span, n_ders):
+    """One-point oracle for ``lriga.bsplines.basis_funs_all_ders``.
+
+    Values and derivatives of the p+1 basis functions active on a span, by
+    the scalar triangular-table algorithm (Piegl & Tiller, A2.3); returns an
+    array of shape ``(n_ders+1, p+1)`` whose row k holds the k-th
+    derivatives.
+    """
+    left = np.empty(p)
+    right = np.empty(p)
+    ndu = np.empty((p + 1, p + 1))
+    a = np.empty((2, p + 1))
+    ders = np.zeros((n_ders + 1, p + 1))
+
+    ndu[0, 0] = 1.0
+    for j in range(p):
+        left[j] = eta - knots[span - j]
+        right[j] = knots[span + 1 + j] - eta
+        saved = 0.0
+        for r in range(j + 1):
+            ndu[j + 1, r] = right[r] + left[j - r]
+            temp = ndu[r, j] / ndu[j + 1, r]
+            ndu[r, j + 1] = saved + right[r] * temp
+            saved = left[j - r] * temp
+        ndu[j + 1, j + 1] = saved
+
+    ders[0, :] = ndu[:, p]
+    ne = min(n_ders, p)
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, ne + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+
+    fac = float(p)
+    for k in range(1, ne + 1):
+        ders[k, :] *= fac
+        fac *= p - k
+    return ders
+
+
+def oracle_span(p, n_el, eta):
+    """Knot span of one point (clamped at the right end)."""
+    return min(int(eta * n_el), n_el - 1) + p
