@@ -19,14 +19,7 @@ import numpy as np
 from .bsplines import assemble_weighted_matrix, assemble_weighted_rhs
 from .chebfit import approximate_function, halton_sample
 from .geometry import metric_data
-from .tucker import (
-    TuckerOperator3,
-    TuckerTensor3,
-    operator_sum,
-    tucker_add,
-    tucker_matvec,
-    tucker_scale,
-)
+from .tucker import TuckerOperator3, TuckerTensor3, operator_sum
 
 #: (k, l) pairs of the six distinct metric entries (upper triangle).
 _UPPER = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -186,6 +179,31 @@ def boundary_coefficient_vector(space, side, value):
     return e
 
 
+def face_extension(spaces, direction, side, value):
+    """Rank-1 Tucker tensor of full coefficients extending the constant
+    Dirichlet value on face ``(direction, side)`` into the cube.
+
+    The extension is constant along the transversal directions, forced to
+    zero at their Dirichlet ends so homogeneous data there stays intact.
+    """
+    space = spaces[direction]
+    assert space.trim[1 if side else 0] == 1, (
+        "face (%d, %d) does not carry a Dirichlet condition" % (direction, side)
+    )
+    factors = []
+    for t in range(3):
+        if t == direction:
+            factors.append(boundary_coefficient_vector(space, side, value))
+        else:
+            ones = np.ones((spaces[t].full_dim, 1))
+            if spaces[t].trim[0]:
+                ones[0, 0] = 0.0
+            if spaces[t].trim[1]:
+                ones[-1, 0] = 0.0
+            factors.append(ones)
+    return TuckerTensor3(np.ones((1, 1, 1)), tuple(factors))
+
+
 def dirichlet_lift(system, faces):
     """Correct the rhs for inhomogeneous Dirichlet data on cube faces.
 
@@ -199,40 +217,20 @@ def dirichlet_lift(system, faces):
     Returns:
         TuckerTensor3: f - A_boundary g in Tucker format (exact ranks).
     """
+    faces = [face for face in faces if face[2] != 0.0]
     corrected = system.rhs
-    for direction, side, value in faces:
-        if value == 0.0:
-            continue
-        space = system.spaces[direction]
-        assert space.trim[1 if side else 0] == 1, (
-            "face (%d, %d) does not carry a Dirichlet condition" % (direction, side)
-        )
-        factors = []
-        for t in range(3):
-            if t == direction:
-                factors.append(boundary_coefficient_vector(space, side, value))
-            else:
-                # constant extension; forced to zero at Dirichlet ends of the
-                # transversal directions so homogeneous data stays intact
-                ones = np.ones((system.spaces[t].full_dim, 1))
-                if system.spaces[t].trim[0]:
-                    ones[0, 0] = 0.0
-                if system.spaces[t].trim[1]:
-                    ones[-1, 0] = 0.0
-                factors.append(ones)
-        g_t = TuckerTensor3(np.ones((1, 1, 1)), tuple(factors))
-
-        blocks = []
-        for k in range(3):
-            for l in range(3):
-                sf = _entry(system.q_entries, k, l)
-                if sf is None:
-                    continue
+    if not faces:
+        return corrected
+    blocks = []
+    for k in range(3):
+        for l in range(3):
+            sf = _entry(system.q_entries, k, l)
+            if sf is not None:
                 blocks.append(
                     block_operator(system.spaces, sf, k, l, reduced_col=False)
                 )
-        A_bdry = operator_sum(blocks)
-        corrected = tucker_add(
-            corrected, tucker_scale(tucker_matvec(A_bdry, g_t), -1.0)
-        )
+    A_bdry = operator_sum(blocks)
+    for direction, side, value in faces:
+        g_t = face_extension(system.spaces, direction, side, value)
+        corrected = corrected - A_bdry.matvec(g_t)
     return corrected

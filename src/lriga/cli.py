@@ -10,24 +10,17 @@ with the same effective config produces bitwise-identical CSV output.
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .assembly import assemble_system
 from .bsplines import BC_DIRICHLET, BC_NEUMANN, SplineSpace1D, assemble_pencil
 from .eigen import approx_eigen
-from .elasticity import (
-    assemble_elasticity,
-    block_norm,
-    block_preconditioner,
-    block_tpcg,
-)
+from .elasticity import assemble_elasticity, block_preconditioner
 from .fastdiag import build_lowrank_fd
 from .geometry import GeometryError, get_geometry
 from .manufactured import poisson_benchmark
 from .tpcg import TpcgConfig, error_norms, tpcg
-from .tucker import tucker_norm
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 1
@@ -61,7 +54,7 @@ DEFAULTS = {
     "assembly": {"eps": ""},
     "elasticity": {"lam": "", "mu": "", "load": "0,0,-1", "top_value": "-0.5"},
     "convergence": {"levels": "3,4,5"},
-    "sweep": {"n_el": "8,16,32", "p": "2,3", "threads": "1"},
+    "sweep": {"n_el": "8,16,32", "p": "2,3"},
     "output": {"csv": "", "dir": "."},
 }
 
@@ -98,7 +91,6 @@ def apply_overrides(cfg, args):
         ("levels", "convergence", "levels"),
         ("sweep_n_el", "sweep", "n_el"),
         ("sweep_p", "sweep", "p"),
-        ("threads", "sweep", "threads"),
         ("csv", "output", "csv"),
         ("out_dir", "output", "dir"),
     ]
@@ -198,12 +190,36 @@ def _scalar_preconditioner(cfg, spaces):
     return build_lowrank_fd(eigs, eps_prec, r_cap=r_cap)
 
 
-def _run_with_restarts(solver, op, rhs, precond, tpcg_cfg, restarts):
-    x, report = solver(op, rhs, precond, tpcg_cfg)
+def _solve(cfg, system, precond, tol_rel, restarts=0):
+    """TPCG to tol_rel * |rhs|, restarted from the iterate after a breakdown."""
+    tpcg_cfg = _tpcg_config(cfg, tol_rel * system.rhs.norm())
+    x, report = tpcg(system.op, system.rhs, precond, tpcg_cfg)
     while report.breakdown and restarts > 0:
         restarts -= 1
-        x, report = solver(op, rhs, precond, tpcg_cfg, x0=x)
+        x, report = tpcg(system.op, system.rhs, precond, tpcg_cfg, x0=x)
     return x, report
+
+
+def _finish_solve(cfg, command, p, n_el, x, report):
+    """Write the report CSV, print the summary line, return the exit code."""
+    _write_report_csv(cfg, report)
+    print(
+        "%s geometry=%s p=%d n_el=%d iterations=%d converged=%s "
+        "max_rank=%d memory=%.6g residual=%.6g wall=%.2fs"
+        % (
+            command,
+            cfg["problem"]["geometry"],
+            p,
+            n_el,
+            report.iterations,
+            report.converged,
+            max(max(c.rank) for c in x.components),
+            report.memory_compression,
+            report.final_residual,
+            report.wall_time,
+        )
+    )
+    return _exit_code(report)
 
 
 def _write_report_csv(cfg, report):
@@ -228,28 +244,9 @@ def cmd_solve(cfg):
     f = _load_function(cfg, geo)
     system = assemble_system(spaces, geo, f, _assembly_eps(cfg, tol_rel))
     precond = _scalar_preconditioner(cfg, spaces)
-    tpcg_cfg = _tpcg_config(cfg, tol_rel * tucker_norm(system.rhs))
     restarts = _get(cfg, "problem", "restarts", int, required=True)
-    x, report = _run_with_restarts(
-        tpcg, system.op, system.rhs, precond, tpcg_cfg, restarts
-    )
-    _write_report_csv(cfg, report)
-    print(
-        "solve geometry=%s p=%d n_el=%d iterations=%d converged=%s "
-        "max_rank=%d memory=%.6g residual=%.6g wall=%.2fs"
-        % (
-            cfg["problem"]["geometry"],
-            p,
-            n_el,
-            report.iterations,
-            report.converged,
-            max(x.rank),
-            report.memory_compression,
-            report.final_residual,
-            report.wall_time,
-        )
-    )
-    return _exit_code(report)
+    x, report = _solve(cfg, system, precond, tol_rel, restarts)
+    return _finish_solve(cfg, "solve", p, n_el, x, report)
 
 
 def cmd_convergence(cfg):
@@ -276,7 +273,7 @@ def cmd_convergence(cfg):
         precond = _scalar_preconditioner(cfg, spaces)
 
         system = assemble_system(spaces, geo, f, 1e-6)
-        rhs_norm = tucker_norm(system.rhs)
+        rhs_norm = system.rhs.norm()
         boot_cfg = _tpcg_config(cfg, 1e-4 * rhs_norm)
         x, report = tpcg(system.op, system.rhs, precond, boot_cfg)
         l2_est, _ = error_norms(x, spaces, geo, bench.u)
@@ -305,23 +302,31 @@ def cmd_convergence(cfg):
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
 
-def _precond_cell(cfg, geo, p, n_el, tol_rel):
+def _scalar_cell(cfg, geo, p, n_el, tol_rel):
+    """Assemble, precondition and solve one scalar sweep cell.
+
+    Returns (preconditioner diagnostics, SolveReport).
+    """
     spaces = tuple(SplineSpace1D(p, n_el, DD) for _ in range(3))
     f = _load_function(cfg, geo)
     system = assemble_system(spaces, geo, f, _assembly_eps(cfg, tol_rel))
     precond = _scalar_preconditioner(cfg, spaces)
-    diag = precond.diagnostics()
-    tpcg_cfg = _tpcg_config(cfg, tol_rel * tucker_norm(system.rhs))
-    _, report = tpcg(system.op, system.rhs, precond, tpcg_cfg)
-    return (
-        n_el,
-        p,
-        diag["M_P"],
-        diag["R_P"],
-        diag["expsum_error"],
-        report.iterations,
-        report.converged,
-    )
+    _, report = _solve(cfg, system, precond, tol_rel)
+    return precond.diagnostics(), report
+
+
+def _precond_lines(cfg, geo, ps, n_els, tol_rel):
+    """Preconditioner rank/cost sweep; returns (CSV lines, all converged)."""
+    lines = ["n_el,p,M_P,R_P,expsum_error,iterations"]
+    ok = True
+    for p in ps:
+        for n_el in n_els:
+            diag, report = _scalar_cell(cfg, geo, p, n_el, tol_rel)
+            lines.append("%d,%d,%.17g,%d,%.17g,%d" % (
+                n_el, p, diag["M_P"], diag["R_P"], diag["expsum_error"],
+                report.iterations))
+            ok = ok and report.converged
+    return lines, ok
 
 
 def cmd_precond_study(cfg):
@@ -329,29 +334,28 @@ def cmd_precond_study(cfg):
     tol_rel = _positive(_get(cfg, "problem", "tol", float, required=True), "tol")
     n_els = _get(cfg, "sweep", "n_el", _int_list, required=True)
     ps = _get(cfg, "sweep", "p", _int_list, required=True)
-    threads = _positive(
-        _get(cfg, "sweep", "threads", int, required=True), "threads"
-    )
-    cells = [(p, n_el) for p in ps for n_el in n_els]
-
-    def run(cell):
-        p, n_el = cell
-        return _precond_cell(cfg, geo, p, n_el, tol_rel)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(cell) for cell in cells]
-
-    lines = ["n_el,p,M_P,R_P,expsum_error,iterations"]
-    for n_el, p, M, R, err, iters, _ in results:
-        lines.append(
-            "%d,%d,%.17g,%d,%.17g,%d" % (n_el, p, M, R, err, iters)
-        )
+    lines, ok = _precond_lines(cfg, geo, ps, n_els, tol_rel)
     _emit(cfg, lines)
-    ok = all(r[6] for r in results)
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
+
+
+def _column_system(geo, p, n_el, load, lam, mu, eps, top):
+    """Elasticity column: sides free, bottom clamped, top displaced by top."""
+    spaces = (
+        SplineSpace1D(p, n_el, NN),
+        SplineSpace1D(p, n_el, NN),
+        SplineSpace1D(p, n_el, DD),
+    )
+    system = assemble_elasticity(
+        spaces,
+        geo,
+        tuple(load),
+        lam,
+        mu,
+        eps,
+        dirichlet=((2, 2, 0, 0.0), (2, 2, 1, top)),
+    )
+    return spaces, system
 
 
 def cmd_elasticity(cfg):
@@ -368,19 +372,8 @@ def cmd_elasticity(cfg):
         raise ConfigError("elasticity load must have three components")
     top = _get(cfg, "elasticity", "top_value", float, required=True)
 
-    spaces = (
-        SplineSpace1D(p, n_el, NN),
-        SplineSpace1D(p, n_el, NN),
-        SplineSpace1D(p, n_el, DD),
-    )
-    system = assemble_elasticity(
-        spaces,
-        geo,
-        tuple(load),
-        lam,
-        mu,
-        _assembly_eps(cfg, tol_rel),
-        dirichlet=((2, 2, 0, 0.0), (2, 2, 1, top)),
+    spaces, system = _column_system(
+        geo, p, n_el, load, lam, mu, _assembly_eps(cfg, tol_rel), top
     )
     eps_prec = _positive(
         _get(cfg, "preconditioner", "eps", float, required=True),
@@ -390,28 +383,9 @@ def cmd_elasticity(cfg):
         _get(cfg, "preconditioner", "r_cap", int, required=True), "r_cap"
     )
     precond = block_preconditioner(spaces, lam, mu, eps_prec, r_cap=r_cap)
-    tpcg_cfg = _tpcg_config(cfg, tol_rel * block_norm(system.rhs))
     restarts = _get(cfg, "problem", "restarts", int, required=True)
-    x, report = _run_with_restarts(
-        block_tpcg, system.op, system.rhs, precond, tpcg_cfg, restarts
-    )
-    _write_report_csv(cfg, report)
-    print(
-        "elasticity geometry=%s p=%d n_el=%d iterations=%d converged=%s "
-        "max_rank=%d memory=%.6g residual=%.6g wall=%.2fs"
-        % (
-            cfg["problem"]["geometry"],
-            p,
-            n_el,
-            report.iterations,
-            report.converged,
-            max(max(r) for r in x.ranks),
-            report.memory_compression,
-            report.final_residual,
-            report.wall_time,
-        )
-    )
-    return _exit_code(report)
+    x, report = _solve(cfg, system, precond, tol_rel, restarts)
+    return _finish_solve(cfg, "elasticity", p, n_el, x, report)
 
 
 def _emit(cfg, lines, path=None):
@@ -441,16 +415,9 @@ def cmd_paper_tables(cfg):
         wrote.append(path)
 
     # preconditioner cost/rank sweep on the annulus
-    geo = get_geometry("quarter_annulus")
-    lines = ["n_el,p,M_P,R_P,expsum_error,iterations"]
-    for p in ps:
-        for n_el in n_els:
-            n_el_, p_, M, R, err, iters, _ = _precond_cell(
-                cfg, geo, p, n_el, tol_rel
-            )
-            lines.append(
-                "%d,%d,%.17g,%d,%.17g,%d" % (n_el_, p_, M, R, err, iters)
-            )
+    lines, _ = _precond_lines(
+        cfg, get_geometry("quarter_annulus"), ps, n_els, tol_rel
+    )
     table("precond_ranks.csv", lines)
 
     # iteration counts per geometry
@@ -462,16 +429,7 @@ def cmd_paper_tables(cfg):
         lines = ["n_el,p,iterations,converged"]
         for p in ps:
             for n_el in n_els:
-                spaces = tuple(SplineSpace1D(p, n_el, DD) for _ in range(3))
-                f = _load_function(cfg, geo)
-                system = assemble_system(
-                    spaces, geo, f, _assembly_eps(cfg, tol_rel)
-                )
-                precond = _scalar_preconditioner(cfg, spaces)
-                tpcg_cfg = _tpcg_config(
-                    cfg, tol_rel * tucker_norm(system.rhs)
-                )
-                _, report = tpcg(system.op, system.rhs, precond, tpcg_cfg)
+                _, report = _scalar_cell(cfg, geo, p, n_el, tol_rel)
                 lines.append(
                     "%d,%d,%d,%s"
                     % (n_el, p, report.iterations, report.converged)
@@ -487,23 +445,12 @@ def cmd_paper_tables(cfg):
     lines = ["n_el,p,iterations,converged"]
     for p in ps:
         for n_el in n_els:
-            spaces = (
-                SplineSpace1D(p, n_el, NN),
-                SplineSpace1D(p, n_el, NN),
-                SplineSpace1D(p, n_el, DD),
-            )
-            system = assemble_elasticity(
-                spaces,
-                geo,
-                (0.0, 0.0, -1.0),
-                lam,
-                mu,
-                _assembly_eps(cfg, tol_rel),
-                dirichlet=((2, 2, 0, 0.0), (2, 2, 1, -0.5)),
+            spaces, system = _column_system(
+                geo, p, n_el, (0.0, 0.0, -1.0), lam, mu,
+                _assembly_eps(cfg, tol_rel), -0.5,
             )
             precond = block_preconditioner(spaces, lam, mu, 1e-1)
-            tpcg_cfg = _tpcg_config(cfg, tol_rel * block_norm(system.rhs))
-            _, report = block_tpcg(system.op, system.rhs, precond, tpcg_cfg)
+            _, report = _solve(cfg, system, precond, tol_rel)
             lines.append(
                 "%d,%d,%d,%s" % (n_el, p, report.iterations, report.converged)
             )
@@ -567,7 +514,6 @@ def build_parser():
     common(sp)
     sp.add_argument("--sweep-n-el", dest="sweep_n_el")
     sp.add_argument("--sweep-p", dest="sweep_p")
-    sp.add_argument("--threads", type=int)
     sp = sub.add_parser("elasticity", help="block elasticity benchmark solve")
     common(sp)
     sp.add_argument("--lam", type=float, help="first Lame coefficient")

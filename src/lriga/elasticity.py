@@ -15,8 +15,7 @@ component; inner products sum over components and truncations act
 componentwise at shared tolerances.
 """
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,27 +23,23 @@ from .assembly import (
     _metric_scale,
     assemble_rhs,
     block_operator,
-    boundary_coefficient_vector,
+    face_extension,
 )
 from .chebfit import approximate_function, halton_sample
 from .fastdiag import build_lowrank_fd
-from .truncation import truncate_rel
-from .tucker import (
-    TuckerTensor3,
-    compression_percent,
-    operator_sum,
-    tucker_add,
-    tucker_inner,
-    tucker_matvec,
-    tucker_norm_qr,
-    tucker_scale,
-    tucker_zero,
-)
+from .tpcg import tpcg
+from .truncation import truncate_dynamic
+from .tucker import operator_sum, tucker_add, tucker_matvec
 
 
 @dataclass(frozen=True)
 class BlockTuckerVector:
-    """Three Tucker tensors, one per displacement component."""
+    """Three Tucker tensors, one per displacement component.
+
+    Implements the vector interface of TuckerTensor3 that the solver uses:
+    arithmetic acts componentwise, the inner product is the component sum
+    and ``map`` applies a Tucker-tensor map (a truncation) per component.
+    """
 
     components: tuple
 
@@ -59,11 +54,38 @@ class BlockTuckerVector:
         return self.components[0].dims
 
     @property
-    def ranks(self):
+    def rank(self):
+        """Per-component multilinear ranks."""
         return tuple(c.rank for c in self.components)
 
+    ranks = rank  # the name bench/workloads.py reads
+
+    def zeros_like(self):
+        return BlockTuckerVector(tuple(c.zeros_like() for c in self.components))
+
+    def inner(self, other):
+        return sum(a.inner(b) for a, b in zip(self.components, other.components))
+
     def norm(self):
-        return np.sqrt(max(block_inner(self, self), 0.0))
+        return np.sqrt(max(self.inner(self), 0.0))
+
+    def norm_qr(self):
+        return np.sqrt(sum(c.norm_qr() ** 2 for c in self.components))
+
+    def map(self, fn):
+        """``fn`` (a TuckerTensor3 map) applied to every component."""
+        return BlockTuckerVector(tuple(fn(c) for c in self.components))
+
+    def __add__(self, other):
+        return BlockTuckerVector(
+            tuple(a + b for a, b in zip(self.components, other.components)))
+
+    def __sub__(self, other):
+        return BlockTuckerVector(
+            tuple(a - b for a, b in zip(self.components, other.components)))
+
+    def __rmul__(self, a):
+        return BlockTuckerVector(tuple(a * c for c in self.components))
 
 
 @dataclass(frozen=True)
@@ -78,74 +100,22 @@ class BlockTuckerOperator:
             assert len(row) == 3
 
     def matvec(self, x):
-        return block_matvec(self, x)
+        out = []
+        for row in self.blocks:
+            y = tucker_matvec(row[0], x.components[0])
+            for j in (1, 2):
+                y = tucker_add(y, tucker_matvec(row[j], x.components[j]))
+            out.append(y)
+        return BlockTuckerVector(tuple(out))
 
 
-def block_add(x, y):
-    return BlockTuckerVector(
-        tuple(tucker_add(a, b) for a, b in zip(x.components, y.components))
-    )
-
-
-def block_scale(x, a):
-    return BlockTuckerVector(tuple(tucker_scale(c, a) for c in x.components))
-
-
-def block_inner(x, y):
-    return sum(
-        tucker_inner(a, b) for a, b in zip(x.components, y.components)
-    )
-
-
-def block_norm(x):
-    return x.norm()
-
-
-def block_zero(dims):
-    return BlockTuckerVector(tuple(tucker_zero(dims) for _ in range(3)))
-
-
-def block_matvec(op, x):
-    out = []
-    for i in range(3):
-        y = tucker_matvec(op.blocks[i][0], x.components[0])
-        for j in (1, 2):
-            y = tucker_add(y, tucker_matvec(op.blocks[i][j], x.components[j]))
-        out.append(y)
-    return BlockTuckerVector(tuple(out))
-
-
-def block_truncate_rel(x, eps):
-    return BlockTuckerVector(
-        tuple(truncate_rel(c, eps) for c in x.components)
-    )
+#: Block problems run the one TPCG loop; the old name stays importable.
+block_tpcg = tpcg
 
 
 def block_truncate_dynamic(y_prev, y_prop, eps, alpha, eps_min, delta):
-    """Blockwise analogue of the adaptive iterate truncation.
-
-    The update-ratio test uses the global (component-summed) inner
-    product while the truncation itself acts componentwise at one shared
-    tolerance; per-component tolerances would also be defensible, but
-    sharing keeps the block vector a single unknown with one accuracy knob.
-    """
-    dy_exact = block_add(y_prop, block_scale(y_prev, -1.0))
-    dd = block_inner(dy_exact, dy_exact)
-    if dd == 0.0:
-        return y_prev, eps
-
-    eps_new = eps
-    while True:
-        y_next = block_truncate_rel(y_prop, eps_new)
-        dy = block_add(y_next, block_scale(y_prev, -1.0))
-        v = block_inner(dy_exact, dy) / dd
-        if abs(v - 1.0) < delta:
-            break
-        if alpha * eps_new > eps_min:
-            eps_new = alpha * eps_new
-        else:
-            break
-    return y_next, eps_new
+    """Former name of :func:`truncation.truncate_dynamic` for block vectors."""
+    return truncate_dynamic(y_prev, y_prop, eps, alpha, eps_min, delta)
 
 
 def operator_transpose(op):
@@ -330,29 +300,10 @@ def _lift(system, faces):
     for component, direction, side, value in faces:
         if value == 0.0:
             continue
-        space = system.spaces[direction]
-        assert space.trim[1 if side else 0] == 1, (
-            "face (%d, %d) carries no Dirichlet condition" % (direction, side)
-        )
-        factors = []
-        for t in range(3):
-            if t == direction:
-                factors.append(
-                    boundary_coefficient_vector(space, side, value)
-                )
-            else:
-                ones = np.ones((system.spaces[t].full_dim, 1))
-                if system.spaces[t].trim[0]:
-                    ones[0, 0] = 0.0
-                if system.spaces[t].trim[1]:
-                    ones[-1, 0] = 0.0
-                factors.append(ones)
-        g_t = TuckerTensor3(np.ones((1, 1, 1)), tuple(factors))
+        g_t = face_extension(system.spaces, direction, side, value)
         for a in range(3):
             A_ab = _unreduced_block(system, a, component)
-            corrected[a] = tucker_add(
-                corrected[a], tucker_scale(tucker_matvec(A_ab, g_t), -1.0)
-            )
+            corrected[a] = corrected[a] - A_ab.matvec(g_t)
     return BlockTuckerVector(tuple(corrected))
 
 
@@ -389,148 +340,3 @@ def block_preconditioner(spaces, lam, mu, eps_rel, r_cap=128):
         parts.append(build_lowrank_fd(eigs, eps_rel, weights=weights,
                                       r_cap=r_cap))
     return BlockDiagPreconditioner(tuple(parts))
-
-
-@dataclass
-class BlockSolveReport:
-    """Per-iteration history of a block TPCG run."""
-
-    tol: float
-    rhs_norm: float
-    iterations: int = 0
-    converged: bool = False
-    breakdown: bool = False
-    res_norms: list = field(default_factory=list)
-    ranks_x: list = field(default_factory=list)
-    ranks_r: list = field(default_factory=list)
-    ranks_p: list = field(default_factory=list)
-    eps_history: list = field(default_factory=list)
-    final_residual: float = None
-    memory_compression: float = None
-    wall_time: float = None
-
-    @property
-    def residual_jump(self):
-        r = self.res_norms
-        return any(r[k + 1] > 10.0 * r[k] for k in range(len(r) - 1)
-                   if r[k] > 0.0)
-
-    def record(self, k, res, x, r, p, eps):
-        self.res_norms.append(res)
-        self.ranks_x.append(x.ranks)
-        self.ranks_r.append(r.ranks)
-        self.ranks_p.append(p.ranks)
-        self.eps_history.append(eps)
-
-    def to_csv(self, fh):
-        cols = ["iter", "res_norm"]
-        for name in ("rx", "rr", "rp"):
-            cols += ["%s%d%d" % (name, c + 1, t + 1)
-                     for c in range(3) for t in range(3)]
-        cols.append("eps_k")
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(self.res_norms)):
-            ranks = []
-            for hist in (self.ranks_x, self.ranks_r, self.ranks_p):
-                for comp in hist[k]:
-                    ranks.extend(str(int(v)) for v in comp)
-            fh.write("%d,%.17g,%s,%.17g\n" % (
-                k, self.res_norms[k], ",".join(ranks), self.eps_history[k]))
-
-    def summary(self):
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "breakdown": self.breakdown,
-            "residual": self.res_norms[-1] if self.res_norms else 0.0,
-            "final_residual": self.final_residual,
-            "memory_compression": self.memory_compression,
-            "wall_time": self.wall_time,
-        }
-
-
-def block_memory_compression(x):
-    """Storage of all three components relative to dense, in percent.
-
-    100 * sum_i (r1 r2 r3 + sum_k rk nk) / sum_i (n1 n2 n3)
-    """
-    stored = 0
-    dense = 0
-    for c in x.components:
-        n, r = c.dims, c.rank
-        stored += r[0] * r[1] * r[2] + sum(r[k] * n[k] for k in range(3))
-        dense += n[0] * n[1] * n[2]
-    return 100.0 * stored / dense
-
-
-def block_tpcg(op, rhs, precond, cfg, x0=None):
-    """TPCG loop on block vectors; same stepping as the scalar solver.
-
-    Inner products sum over components; truncations act componentwise at
-    the shared tolerances.  Returns (BlockTuckerVector, BlockSolveReport).
-    """
-    t0 = time.perf_counter()
-    report = BlockSolveReport(tol=cfg.tol, rhs_norm=block_norm(rhs))
-    x = block_zero(rhs.dims) if x0 is None else x0
-    eps = cfg.eps0
-    eps_min = cfg.resolved_eps_min()
-
-    if x0 is None:
-        r = rhs
-    else:
-        r = block_add(rhs, block_scale(block_matvec(op, x), -1.0))
-    res = block_norm(r)
-    p = r
-    report.record(0, res, x, r, p, eps)
-
-    if res <= cfg.tol:
-        report.converged = True
-        _block_finalize(report, op, rhs, x, t0)
-        return x, report
-
-    eta = cfg.beta * cfg.tol / res
-    z = block_truncate_rel(precond.apply(r), eta)
-    p = z
-    q = block_truncate_rel(block_matvec(op, p), eta)
-    xi = block_inner(p, q)
-    if xi <= 0.0:
-        report.breakdown = True
-        _block_finalize(report, op, rhs, x, t0)
-        return x, report
-
-    k = 0
-    while res > cfg.tol and k < cfg.max_iterations:
-        omega = block_inner(r, p) / xi
-        x, eps = block_truncate_dynamic(
-            x, block_add(x, block_scale(p, omega)), eps,
-            cfg.alpha, eps_min, cfg.delta)
-        r = block_truncate_rel(
-            block_add(rhs, block_scale(block_matvec(op, x), -1.0)), eta)
-        res = block_norm(r)
-        k += 1
-        if res > cfg.tol and k < cfg.max_iterations:
-            eta = cfg.beta * cfg.tol / res
-            z = block_truncate_rel(precond.apply(r), eta)
-            beta_k = -block_inner(z, q) / xi
-            p = block_truncate_rel(block_add(z, block_scale(p, beta_k)), eta)
-            q = block_truncate_rel(block_matvec(op, p), eta)
-            xi = block_inner(p, q)
-            report.record(k, res, x, r, p, eps)
-            if xi <= 0.0:
-                report.breakdown = True
-                break
-        else:
-            report.record(k, res, x, r, p, eps)
-
-    report.iterations = k
-    report.converged = res <= cfg.tol
-    _block_finalize(report, op, rhs, x, t0)
-    return x, report
-
-
-def _block_finalize(report, op, rhs, x, t0):
-    exact = block_add(rhs, block_scale(block_matvec(op, x), -1.0))
-    report.final_residual = np.sqrt(
-        sum(tucker_norm_qr(c) ** 2 for c in exact.components))
-    report.memory_compression = block_memory_compression(x)
-    report.wall_time = time.perf_counter() - t0

@@ -9,14 +9,7 @@ and always measured against the norm of the *original* tensor.
 
 import numpy as np
 
-from .tucker import (
-    TuckerTensor3,
-    mode_product,
-    tucker_add,
-    tucker_inner,
-    tucker_scale,
-    tucker_zero,
-)
+from .tucker import TuckerTensor3, mode_product, tucker_zero
 
 
 def _truncation_rank(s, budget):
@@ -103,21 +96,25 @@ def truncate_dynamic(y_prev, y_prop, eps, alpha, eps_min, delta):
     scaled by ``alpha`` while that keeps it above ``eps_min``, and the last
     truncation is accepted once no further reduction is permitted.
 
+    The iterates may be TuckerTensor3 or BlockTuckerVector: only their
+    vector interface is used, so a block vector is tested through its
+    global (component-summed) inner product and truncated per component
+    at the one shared tolerance.
+
     Returns:
         (accepted tensor, tolerance actually used).  The returned tolerance
         always lies in ``(eps_min, eps]`` (or equals ``eps`` when the
         proposal coincides with the previous iterate).
     """
-    dy_exact = tucker_add(y_prop, tucker_scale(y_prev, -1.0))
-    dd = tucker_inner(dy_exact, dy_exact)
+    dy_exact = y_prop - y_prev
+    dd = dy_exact.inner(dy_exact)
     if dd == 0.0:
         return y_prev, eps
 
     eps_new = eps
     while True:
-        y_next = truncate_rel(y_prop, eps_new)
-        dy = tucker_add(y_next, tucker_scale(y_prev, -1.0))
-        v = tucker_inner(dy_exact, dy) / dd
+        y_next = y_prop.map(lambda c: truncate_rel(c, eps_new))
+        v = dy_exact.inner(y_next - y_prev) / dd
         if abs(v - 1.0) < delta:
             break
         if alpha * eps_new > eps_min:

@@ -61,6 +61,11 @@ def multi_mode_product(X, mats):
 class TuckerTensor3:
     """A three-way tensor in Tucker format.
 
+    Besides the free functions below it offers the vector interface the
+    solver is written against (``+``, ``-``, scalar ``*``, ``inner``,
+    ``norm``, ``norm_qr``, ``map``, ``rank``, ``components``), which
+    ``elasticity.BlockTuckerVector`` implements for block vectors.
+
     Attributes:
         core: ndarray of shape ``(r1, r2, r3)``.
         factors: tuple of three factor matrices of shapes ``(nk, rk)``.
@@ -86,9 +91,27 @@ class TuckerTensor3:
     def rank(self):
         return self.core.shape
 
+    @property
+    def components(self):
+        """The tensor as a one-component vector (cf. ``BlockTuckerVector``)."""
+        return (self,)
+
+    def zeros_like(self):
+        return tucker_zero(self.dims)
+
+    def inner(self, other):
+        return tucker_inner(self, other)
+
     def norm(self):
         """Frobenius norm (equals the 2-norm of the vectorization)."""
         return np.sqrt(max(tucker_inner(self, self), 0.0))
+
+    def norm_qr(self):
+        return tucker_norm_qr(self)
+
+    def map(self, fn):
+        """``fn`` applied to the one component."""
+        return fn(self)
 
     def __add__(self, other):
         return tucker_add(self, other)
@@ -291,27 +314,12 @@ def operator_sum(ops):
 def compression_percent(x):
     """Storage of the Tucker representation relative to dense, in percent.
 
-    ``100 * (r1 r2 r3 + sum_k rk nk) / (n1 n2 n3)``
+    ``100 * sum_i (r1 r2 r3 + sum_k rk nk) / sum_i (n1 n2 n3)`` over the
+    components ``i`` of ``x`` (one for a TuckerTensor3).
     """
-    n = x.dims
-    r = x.rank
-    stored = r[0] * r[1] * r[2] + sum(r[k] * n[k] for k in range(3))
-    return 100.0 * stored / (n[0] * n[1] * n[2])
-
-
-def save_tucker(path, x):
-    """Serialize a Tucker tensor to ``.npz``.
-
-    Layout: ``core`` (3-way array) and ``factor0..factor2`` (row-major
-    payloads with their natural shapes).  Intended for debugging and test
-    goldens, not as an interchange format.
-    """
-    np.savez(path, core=x.core, factor0=x.factors[0], factor1=x.factors[1],
-             factor2=x.factors[2])
-
-
-def load_tucker(path):
-    with np.load(path) as data:
-        return TuckerTensor3(
-            data["core"], (data["factor0"], data["factor1"], data["factor2"])
-        )
+    stored = dense = 0
+    for c in x.components:
+        n, r = c.dims, c.rank
+        stored += r[0] * r[1] * r[2] + sum(r[k] * n[k] for k in range(3))
+        dense += n[0] * n[1] * n[2]
+    return 100.0 * stored / dense

@@ -18,8 +18,6 @@ from lriga.eigen import _interpolation_points, _phase, apply_eigvec, approx_eige
 from lriga.elasticity import (
     BlockTuckerVector,
     assemble_elasticity,
-    block_memory_compression,
-    block_norm,
     block_preconditioner,
     block_tpcg,
 )
@@ -293,7 +291,7 @@ def test_criterion_10_elasticity_column():
             dirichlet=((2, 2, 0, 0.0), (2, 2, 1, -0.5)),
         )
         precond = block_preconditioner(spaces, lam, mu, 1e-1)
-        cfg = TpcgConfig.relative(1e-6, block_norm(system.rhs))
+        cfg = TpcgConfig.relative(1e-6, system.rhs.norm())
         x, rep = block_tpcg(system.op, system.rhs, precond, cfg)
         return system, x, rep, cfg
 
@@ -349,6 +347,6 @@ def test_criterion_11_memory_compression():
         r1 * r2 * r3 + 64 * (r1 + r2 + r3)
         for r1, r2, r3 in [(3, 2, 4), (1, 1, 1), (2, 2, 2)]
     )
-    if block_memory_compression(b) != 100.0 * stored / (3 * 64 ** 3):
-        failures.append(("block", block_memory_compression(b)))
+    if compression_percent(b) != 100.0 * stored / (3 * 64 ** 3):
+        failures.append(("block", compression_percent(b)))
     report(11, "memory compression", failures)

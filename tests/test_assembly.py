@@ -173,3 +173,16 @@ def test_dirichlet_lift_constant_face_rank():
     r = system.rhs.rank
     n = tuple(s.n for s in spaces)
     assert corrected.rank == tuple(r[k] + min(n[k], R[k]) for k in range(3))
+
+
+def test_dirichlet_lift_two_faces_is_sum_of_single_faces():
+    # the lift is affine in the face data: f - A (g1 + g2) equals the two
+    # single-face lifts minus one copy of f
+    spaces = make_spaces(2, 3, bcs=(DD, NN, DD))
+    system = assemble_system(spaces, get_geometry("quarter_annulus"), one, 1e-8)
+    faces = [(0, 1, 0.75), (2, 0, -0.5)]
+    both = to_dense(dirichlet_lift(system, faces))
+    single = [to_dense(dirichlet_lift(system, [face])) for face in faces]
+    want = single[0] + single[1] - to_dense(system.rhs)
+    assert np.linalg.norm(both - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(single[0] - single[1]) > 1e-3 * np.linalg.norm(want)

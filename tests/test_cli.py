@@ -44,15 +44,6 @@ def test_annulus_iterations_flat_within_band(tmp_path):
     assert max(iters) / min(iters) <= 1.5
 
 
-def test_precond_study_parallel_matches_serial(tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    args = ["precond-study", "--sweep-n-el", "4,8", "--sweep-p", "2"]
-    assert run(args + ["--csv", str(serial)]) == EXIT_OK
-    assert run(args + ["--threads", "2", "--csv", str(parallel)]) == EXIT_OK
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_trivial_preconditioner_tolerance_gives_tiny_rank(tmp_path):
     path = tmp_path / "study.csv"
     code = run([

@@ -9,17 +9,20 @@ from lriga.bsplines import BC_DIRICHLET, BC_NEUMANN, SplineSpace1D
 from lriga.elasticity import (
     BlockTuckerVector,
     assemble_elasticity,
-    block_inner,
-    block_memory_compression,
-    block_norm,
     block_preconditioner,
     block_tpcg,
     operator_transpose,
 )
 from lriga.geometry import get_geometry
 from lriga.oracle import dense_elasticity, dense_load, dense_operator
-from lriga.tpcg import TpcgConfig
-from lriga.tucker import TuckerTensor3, to_dense, tucker_norm, vec
+from lriga.tpcg import TpcgConfig, tpcg
+from lriga.tucker import (
+    TuckerTensor3,
+    compression_percent,
+    to_dense,
+    tucker_norm,
+    vec,
+)
 
 from util import dense_kron_sum, densify_apply, random_operator, random_tucker
 
@@ -124,15 +127,21 @@ def test_column_block_ranks_near_reference():
         assert system.block_ranks[(a, b)] == system.block_ranks[(b, a)]
 
 
+def test_block_tpcg_is_the_scalar_solver():
+    import lriga
+
+    assert block_tpcg is tpcg is lriga.tpcg
+
+
 def test_block_inner_matches_concatenated_dot():
     rng = np.random.default_rng(3)
     dims = (5, 4, 6)
     x = random_block(rng, dims, (2, 3, 2))
     y = random_block(rng, dims, (3, 2, 2))
-    got = block_inner(x, y)
+    got = x.inner(y)
     want = float(np.dot(concat(x), concat(y)))
     assert abs(got - want) <= 1e-12 * abs(want)
-    assert abs(block_norm(x) - np.linalg.norm(concat(x))) <= 1e-12 * block_norm(x)
+    assert abs(x.norm() - np.linalg.norm(concat(x))) <= 1e-12 * x.norm()
 
 
 @pytest.mark.parametrize("preset", ["unit_cube", "deformed_column"])
@@ -209,9 +218,9 @@ def solve_column(p, n_el, tol_rel=1e-6, eps=None, max_iterations=100):
     system = column_system(p, n_el, eps)
     P = block_preconditioner(system.spaces, LAM, MU, 1e-1)
     cfg = TpcgConfig.relative(
-        tol_rel, block_norm(system.rhs), max_iterations=max_iterations
+        tol_rel, system.rhs.norm(), max_iterations=max_iterations
     )
-    x, report = block_tpcg(system.op, system.rhs, P, cfg)
+    x, report = tpcg(system.op, system.rhs, P, cfg)
     return system, x, report, cfg
 
 
@@ -266,9 +275,9 @@ def test_zero_load_converges_immediately():
     )
     P = block_preconditioner(spaces, LAM, MU, 1e-1)
     cfg = TpcgConfig(tol=1e-10)
-    x, report = block_tpcg(system.op, system.rhs, P, cfg)
+    x, report = tpcg(system.op, system.rhs, P, cfg)
     assert report.iterations == 0 and report.converged
-    assert block_norm(x) == 0.0
+    assert x.norm() == 0.0
 
 
 def test_column_iteration_counts_stay_moderate():
@@ -287,7 +296,7 @@ def test_solution_ranks_stay_low_on_column():
     # beats dense storage even at this tiny size, and the reported figure
     # is exactly the storage formula applied to the returned iterate
     assert report.memory_compression < 100.0
-    assert report.memory_compression == block_memory_compression(x)
+    assert report.memory_compression == compression_percent(x)
 
 
 def test_block_csv_round_trip():
@@ -319,4 +328,4 @@ def test_block_memory_compression_formula():
     stored = sum(
         r[0] * r[1] * r[2] + r[0] * 30 + r[1] * 40 + r[2] * 50 for r in ranks
     )
-    assert block_memory_compression(x) == 100.0 * stored / dense
+    assert compression_percent(x) == 100.0 * stored / dense

@@ -7,10 +7,8 @@ from lriga.tucker import (
     MemoryGuardError,
     compression_percent,
     from_dense,
-    load_tucker,
     mode_product,
     operator_sum,
-    save_tucker,
     to_dense,
     tucker_add,
     tucker_inner,
@@ -165,13 +163,3 @@ def test_compression_percent_value():
     rng = np.random.default_rng(8)
     x = random_tucker(rng, (100, 100, 100), (5, 5, 5))
     assert compression_percent(x) == 0.1625
-
-
-def test_save_load_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    x = random_tucker(rng, (6, 4, 5), (2, 3, 1))
-    path = tmp_path / "x.npz"
-    save_tucker(path, x)
-    y = load_tucker(path)
-    assert y.rank == x.rank
-    assert np.allclose(to_dense(y), to_dense(x), atol=0)
