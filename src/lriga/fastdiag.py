@@ -1,67 +1,23 @@
 """Fast-diagonalization preconditioners for Kronecker-sum Laplacians.
 
-The exact version diagonalizes the three univariate pencils and inverts
-the eigenvalue sums directly; it serves as the oracle path and as the
-preconditioner at trivially small sizes.  The low-rank version replaces
-1/(lam1+lam2+lam3) by an exponential sum, which turns the inverse into a
-short sum of Kronecker products: applied to a Tucker tensor it multiplies
-each factor by a block row of eigenvector transforms and sums the diagonal
-core's terms into an exact image with orthonormal factors, whose rank is
-min(n_k, R r_k) for R exponential terms.
+Fast diagonalization inverts a Kronecker sum through the eigenvectors of
+its three univariate pencils and the sums lam1+lam2+lam3 of their
+eigenvalues.  The low-rank version here replaces 1/(lam1+lam2+lam3) by an
+exponential sum, which turns the inverse into a short sum of Kronecker
+products: applied to a Tucker tensor it multiplies each factor by a block
+row of eigenvector transforms and sums the diagonal core's terms into an
+exact image with orthonormal factors, whose rank is min(n_k, R r_k) for R
+exponential terms.
 """
 
 import numpy as np
 
-from .eigen import exact_eigen
 from .expsum import build_exp_sum
-from .tucker import TuckerTensor3, _kron_image, from_dense, mode_product, to_dense
-
-# refuse to densify anything beyond this many entries in the oracle path
-_EXACT_GUARD = 2 ** 24
+from .tucker import TuckerTensor3, _kron_image
 
 
 class FastDiagError(RuntimeError):
     """Raised when a fast-diagonalization setup is inconsistent."""
-
-
-class ExactFD:
-    """Exact inverse of the Kronecker sum K1 (x) M2 (x) M3 + ... (dense path)."""
-
-    def __init__(self, eigs):
-        self.eigs = eigs
-        lam = [np.asarray(e.lambdas) for e in eigs]
-        self.denom = (lam[0][:, None, None] + lam[1][None, :, None]
-                      + lam[2][None, None, :])
-        if np.min(self.denom) <= 0.0:
-            raise FastDiagError("eigenvalue sums must be positive")
-
-    @property
-    def dims(self):
-        return tuple(e.n for e in self.eigs)
-
-    def apply_array(self, S):
-        """Inverse applied to a dense coefficient array of shape dims."""
-        S = np.asarray(S, dtype=float)
-        if S.shape != self.dims:
-            raise ValueError("expected shape %s, got %s" % (self.dims, S.shape))
-        T = S
-        for k, e in enumerate(self.eigs):
-            T = mode_product(T, k, np.asarray(e.apply(np.eye(e.n), transpose=True)))
-        T = T / self.denom
-        for k, e in enumerate(self.eigs):
-            T = mode_product(T, k, np.asarray(e.apply(np.eye(e.n))))
-        return T
-
-    def apply(self, s):
-        """Inverse applied to a Tucker tensor; returns a full-rank Tucker tensor."""
-        if int(np.prod(s.dims)) > _EXACT_GUARD:
-            raise FastDiagError("exact fast diagonalization limited to small problems")
-        return from_dense(self.apply_array(to_dense(s)))
-
-
-def exact_fd(pencils):
-    """Exact fast-diagonalization applicator from three univariate pencils."""
-    return ExactFD([exact_eigen(pc) for pc in pencils])
 
 
 class LowRankFD:

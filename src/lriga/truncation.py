@@ -39,6 +39,14 @@ def sthosvd(X, eps):
     is at most ``eps |X|_F``.  ``eps = 0`` yields an exact (full-rank)
     decomposition.  A zero tensor returns the canonical rank-(1,1,1) zero.
 
+    Only the left singular vectors ``U`` and the singular values of each
+    unfolding ``Wk`` (``n_k x prod(others)``) are needed; the next core is
+    ``U_r^T Wk``.  A wide unfolding is first reduced to the ``n_k x n_k``
+    triangle ``L`` of ``Wk^T = Q L^T`` (QR, ``Q`` never formed), whose SVD
+    has the same ``U`` and singular values (Chan's R-SVD), so the
+    ``n_k x prod(others)`` right factor of a thin SVD is never built.
+    The guarantee above is unchanged.
+
     Returns:
         TuckerTensor3 with orthonormal factor columns.
     """
@@ -53,11 +61,12 @@ def sthosvd(X, eps):
     factors = []
     for k in range(3):
         Wk = np.moveaxis(W, k, 0).reshape(W.shape[k], -1)
-        U, s, Vt = np.linalg.svd(Wk, full_matrices=False)
+        if Wk.shape[0] < Wk.shape[1]:  # wide: same U and s from L
+            Wk = np.linalg.qr(Wk.T, mode="r").T
+        U, s, _ = np.linalg.svd(Wk, full_matrices=False)
         r = _truncation_rank(s, budget)
         factors.append(U[:, :r])
-        rest = [W.shape[j] for j in range(3) if j != k]
-        W = np.moveaxis((s[:r, None] * Vt[:r]).reshape([r] + rest), 0, k)
+        W = mode_product(W, k, U[:, :r].T)
     return TuckerTensor3(W, tuple(factors))
 
 

@@ -43,9 +43,19 @@ def mode_product(X, axis, J):
     ``J`` has shape ``(m, n_axis)``; the result has the same shape as ``X``
     except that dimension ``axis`` becomes ``m``.  Entrywise,
     ``out[..., i, ...] = sum_j X[..., j, ...] * J[i, j]``.
+
+    Each axis is one matrix product on a reshape of ``X`` (axis 1 batched
+    over the first index), so a C-contiguous ``X`` is never copied or
+    transposed, and the result is C-contiguous.
     """
-    Y = np.tensordot(np.asarray(J), np.asarray(X), axes=([1], [axis]))
-    return np.moveaxis(Y, 0, axis)
+    X, J = np.asarray(X), np.asarray(J)
+    n0, n1, n2 = X.shape
+    m = J.shape[0]
+    if axis == 0:
+        return (J @ X.reshape(n0, n1 * n2)).reshape(m, n1, n2)
+    if axis == 1:
+        return np.matmul(J, X)
+    return (X.reshape(n0 * n1, n2) @ J.T).reshape(n0, n1, m)
 
 
 def multi_mode_product(X, mats):

@@ -6,7 +6,7 @@ import pytest
 from lriga.bsplines import BC_DIRICHLET, SplineSpace1D, assemble_pencil
 from lriga.eigen import approx_eigen
 from lriga.expsum import ExpSumError
-from lriga.fastdiag import ExactFD, apply_lowrank_fd, build_lowrank_fd, exact_fd
+from lriga.fastdiag import apply_lowrank_fd, build_lowrank_fd
 from lriga import tucker
 from lriga.oracle import kron3
 from lriga.tucker import (
@@ -18,7 +18,7 @@ from lriga.tucker import (
     vec,
 )
 
-from util import random_tucker
+from util import ExactFD, exact_fd, random_tucker
 
 D = BC_DIRICHLET
 

@@ -12,7 +12,7 @@ from lriga.bsplines import (
     assemble_pencil,
 )
 from lriga.eigen import approx_eigen
-from lriga.fastdiag import build_lowrank_fd, exact_fd
+from lriga.fastdiag import build_lowrank_fd
 from lriga.geometry import get_geometry
 from lriga.manufactured import poisson_benchmark
 from lriga.oracle import dense_operator
@@ -32,6 +32,8 @@ from lriga.tucker import (
     tucker_scale,
     vec,
 )
+
+from util import exact_fd
 
 DD = (BC_DIRICHLET, BC_DIRICHLET)
 

@@ -14,7 +14,7 @@ from lriga.tucker import (
     vec,
 )
 
-from util import random_tucker
+from util import random_tucker, sthosvd_full_svd
 
 
 def _orthonormal(U):
@@ -53,6 +53,57 @@ def test_sthosvd_recovers_exact_low_rank():
     assert t.rank == (3, 2, 4)
 
 
+def _unfolding_singular_values(core, k):
+    return np.linalg.svd(np.moveaxis(core, k, 0).reshape(core.shape[k], -1),
+                         compute_uv=False)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(21)
+    # wide unfoldings in every mode, a square cube, and shapes whose first
+    # (then later) unfolding is tall so the direct-SVD branch runs
+    for shape in [(8, 9, 7), (6, 6, 6), (40, 3, 4), (3, 40, 4), (2, 3, 30)]:
+        yield "random%s" % (shape,), rng.standard_normal(shape), None
+    # a spectrum decaying over six orders, so every eps cuts somewhere
+    x = rng.standard_normal((12, 11, 10))
+    for k, n in enumerate(x.shape):
+        x = np.moveaxis(np.moveaxis(x, k, -1) * np.logspace(0, -6, n), -1, k)
+    yield "graded", x, None
+    x = to_dense(random_tucker(rng, (9, 10, 11), (2, 3, 2)))
+    yield "rank(2,3,2)", x, (2, 3, 2)
+    yield "zero", np.zeros((5, 6, 7)), (1, 1, 1)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-10, 1e-6, 1e-1])
+def test_sthosvd_matches_full_svd_oracle(eps):
+    # the QR-first ST-HOSVD against the thin-SVD one: same kept ranks
+    # (the exact rank for an exactly low-rank X at every eps > 0),
+    # the same error bound, the same multilinear singular values of the
+    # core, and at eps = 0 full rank with X reproduced to 10 eps_mach |X|.
+    # (That last bound is checked against X, not the oracle: the oracle's
+    # own reconstruction misses X by up to ~31 eps_mach |X| on "graded".)
+    tiny = np.finfo(float).eps
+    for name, X, exact_rank in _oracle_cases():
+        got, ref = sthosvd(X, eps), sthosvd_full_svd(X, eps)
+        nrm = np.linalg.norm(X)
+        assert got.rank == ref.rank, name
+        if exact_rank is not None and eps > 0.0:
+            assert got.rank == exact_rank, name
+        assert all(_orthonormal(U) for U in got.factors), name
+        err = np.linalg.norm(to_dense(got) - X)
+        assert err <= max(eps * nrm * (1 + 1e-12), 10 * tiny * nrm), name
+        for k in range(3):
+            assert np.allclose(
+                _unfolding_singular_values(got.core, k),
+                _unfolding_singular_values(ref.core, k),
+                rtol=0.0, atol=1e-12 * nrm,
+            ), (name, k)
+        if eps == 0.0:
+            full = tuple(min(n, X.size // n) for n in X.shape)
+            assert got.rank == full or nrm == 0.0, name
+            assert err <= 10 * tiny * nrm, name
+
+
 def test_truncate_rel_error_bound():
     rng = np.random.default_rng(13)
     for _ in range(60):
@@ -65,6 +116,24 @@ def test_truncate_rel_error_bound():
             err = np.linalg.norm(to_dense(t) - to_dense(y))
             assert err <= eps * nrm * (1 + 1e-10)
             assert all(_orthonormal(U) for U in t.factors)
+
+
+def test_truncate_rel_small_difference_dense_oracle():
+    # x - (x + d) with |d| = 1e-4 |x|: the regime of the loop's first
+    # truncations (eta = 0.1 tol / res, small), where the rounding must
+    # recover -d to eps = 1e-10 relative to the difference itself
+    rng = np.random.default_rng(23)
+    dims = (11, 10, 9)
+    x = random_tucker(rng, dims, (3, 4, 3))
+    d = random_tucker(rng, dims, (2, 3, 2))
+    d = (1e-4 * tucker_norm(x) / tucker_norm(d)) * d
+    y = x - (x + d)
+    truth = -to_dense(d)
+    eps = 1e-10
+    t = truncate_rel(y, eps)
+    assert t.rank == (2, 3, 2)
+    err = np.linalg.norm(to_dense(t) - truth)
+    assert err <= eps * np.linalg.norm(truth)
 
 
 def test_truncate_rel_rank_exceeding_dims():

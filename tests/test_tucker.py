@@ -8,6 +8,7 @@ from lriga.tucker import (
     compression_percent,
     from_dense,
     mode_product,
+    multi_mode_product,
     operator_sum,
     to_dense,
     tucker_add,
@@ -40,13 +41,38 @@ def mode_product_loops(X, axis, J):
     return Y
 
 
+def _layouts(rng, shape):
+    """The same kind of tensor stored C-ordered, Fortran-ordered and as a
+    transposed (non-contiguous) view."""
+    yield rng.standard_normal(shape)
+    yield np.asfortranarray(rng.standard_normal(shape))
+    yield rng.standard_normal(shape[::-1]).transpose(2, 1, 0)
+
+
 def test_mode_product_matches_loops():
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((2, 3, 4))
-    for axis, n in enumerate(X.shape):
-        J = rng.standard_normal((5, n))
-        got = mode_product(X, axis, J)
-        assert np.allclose(got, mode_product_loops(X, axis, J), atol=1e-13)
+    for X in _layouts(rng, (2, 3, 4)):
+        for axis, n in enumerate(X.shape):
+            # m = 5 exceeds every n_axis; m = 1 collapses the mode; the last
+            # J is a non-contiguous view (every other column of a wider J)
+            for J in (rng.standard_normal((5, n)),
+                      rng.standard_normal((1, n)),
+                      rng.standard_normal((3, 2 * n))[:, ::2]):
+                got = mode_product(X, axis, J)
+                assert got.shape[axis] == J.shape[0]
+                assert np.allclose(got, mode_product_loops(X, axis, J), atol=1e-13)
+
+
+def test_multi_mode_product_leaves_none_modes_untouched():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((3, 4, 5))
+    J = rng.standard_normal((2, 4))
+    assert np.array_equal(multi_mode_product(X, (None, None, None)), X)
+    assert np.array_equal(multi_mode_product(X, (None, J, None)),
+                          mode_product(X, 1, J))
+    K = rng.standard_normal((6, 5))
+    assert np.array_equal(multi_mode_product(X, (None, J, K)),
+                          mode_product(mode_product(X, 1, J), 2, K))
 
 
 def test_mode_product_sums_first_index():

@@ -1,8 +1,17 @@
-"""Shared helpers: random low-rank test instances and one-point oracles."""
+"""Shared helpers: random low-rank test instances and oracles."""
 
 import numpy as np
 
-from lriga.tucker import TuckerOperator3, TuckerTensor3
+from lriga.eigen import exact_eigen
+from lriga.truncation import _truncation_rank
+from lriga.tucker import (
+    TuckerOperator3,
+    TuckerTensor3,
+    from_dense,
+    mode_product,
+    to_dense,
+    tucker_zero,
+)
 
 
 def random_tucker(rng, dims, ranks):
@@ -117,3 +126,64 @@ def basis_funs_all_ders(knots, p, eta, span, n_ders):
 def oracle_span(p, n_el, eta):
     """Knot span of one point (clamped at the right end)."""
     return min(int(eta * n_el), n_el - 1) + p
+
+
+def sthosvd_full_svd(X, eps):
+    """Oracle for ``lriga.truncation.sthosvd``: the same rank rule and
+    mode order, but every unfolding goes through a thin SVD and the next
+    core is ``s_r * Vt_r``."""
+    X = np.asarray(X, dtype=float)
+    nrm = np.linalg.norm(X)
+    if nrm == 0.0:
+        return tucker_zero(X.shape)
+    budget = eps * nrm / np.sqrt(3.0)
+
+    W = X
+    factors = []
+    for k in range(3):
+        Wk = np.moveaxis(W, k, 0).reshape(W.shape[k], -1)
+        U, s, Vt = np.linalg.svd(Wk, full_matrices=False)
+        r = _truncation_rank(s, budget)
+        factors.append(U[:, :r])
+        rest = [W.shape[j] for j in range(3) if j != k]
+        W = np.moveaxis((s[:r, None] * Vt[:r]).reshape([r] + rest), 0, k)
+    return TuckerTensor3(W, tuple(factors))
+
+
+class ExactFD:
+    """Exact inverse of the Kronecker sum K1 (x) M2 (x) M3 + ... (dense path),
+    the oracle for the low-rank fast-diagonalization preconditioner."""
+
+    def __init__(self, eigs):
+        self.eigs = eigs
+        lam = [np.asarray(e.lambdas) for e in eigs]
+        self.denom = (lam[0][:, None, None] + lam[1][None, :, None]
+                      + lam[2][None, None, :])
+        assert np.min(self.denom) > 0.0, "eigenvalue sums must be positive"
+
+    @property
+    def dims(self):
+        return tuple(e.n for e in self.eigs)
+
+    def apply_array(self, S):
+        """Inverse applied to a dense coefficient array of shape dims."""
+        S = np.asarray(S, dtype=float)
+        if S.shape != self.dims:
+            raise ValueError("expected shape %s, got %s" % (self.dims, S.shape))
+        T = S
+        for k, e in enumerate(self.eigs):
+            T = mode_product(T, k, np.asarray(e.apply(np.eye(e.n), transpose=True)))
+        T = T / self.denom
+        for k, e in enumerate(self.eigs):
+            T = mode_product(T, k, np.asarray(e.apply(np.eye(e.n))))
+        return T
+
+    def apply(self, s):
+        """Inverse applied to a Tucker tensor; returns a full-rank Tucker tensor
+        (``to_dense`` refuses sizes above ``tucker.DENSE_GUARD``)."""
+        return from_dense(self.apply_array(to_dense(s)))
+
+
+def exact_fd(pencils):
+    """Exact fast-diagonalization applicator from three univariate pencils."""
+    return ExactFD([exact_eigen(pc) for pc in pencils])
