@@ -11,7 +11,6 @@ from .tucker import (  # noqa: F401
     tucker_add,
     tucker_inner,
     tucker_matvec,
-    tucker_norm,
 )
 from .truncation import sthosvd, truncate_rel, truncate_dynamic  # noqa: F401
 from .bsplines import (  # noqa: F401

@@ -12,9 +12,18 @@ weights are then replaced by a non-negative least-squares fit against
 operators built from the sum stay positive definite) while roughly
 halving the number of terms needed for a given accuracy; terms whose
 fitted weight is exactly zero are dropped.  For each candidate rank the
-node interval is tuned by a small deterministic grid search, and the rank
-is accepted once the measured sup-error meets the target; the final
-instance is re-verified on a finer grid.
+node interval is tuned by a small deterministic grid search; a rank passes
+when the measured sup-error meets the target and a finer grid confirms it.
+
+The accepted rank is the smallest passing one, found by a bracketed search
+instead of trying every rank: the log-error of the first two ranks is
+extrapolated to the target (never more slowly than half the a-priori rate
+pi^2 / log(8M)), upward steps at most double, and a bracket of a failing
+and a passing rank is closed by log-error interpolation or bisection.  A
+rank R is returned only when R - 1 was tried and failed (or R is the
+a-priori floor), so whenever passing is monotone in R the result is the
+one a rank-by-rank scan would give, bit for bit.  Either way the returned
+sum passed both checks, so its accuracy guarantee is unchanged.
 
 The fit depends only on M and the tolerance, so it is memoized per process
 on (M, eps_rel, r_cap); preconditioners with the same spectral ratio share
@@ -22,6 +31,7 @@ one read-only :class:`ExpSum`.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +79,13 @@ def _check_grid(M, n):
 
 def _sup_error(weights, exponents, M, n):
     lam, target = _check_grid(M, n)
-    approx = np.exp(-np.outer(lam, exponents)) @ weights
+    # one n x R temporary, exponentiated in place: at n = 100,000 a 34-term
+    # sum takes 27 MB per copy, and extra copies set the fit's peak memory.
+    # Not split into row blocks: freeing one large block raises glibc's
+    # dynamic mmap threshold, so later solver temporaries reuse the heap;
+    # blocked, the solves that follow took 10x the page faults and ~20% longer
+    E = np.outer(lam, -exponents)
+    approx = np.exp(E, out=E) @ weights
     return float(np.max(np.abs(approx - target)))
 
 
@@ -85,10 +101,13 @@ def _best_for_rank(R, M, tau):
     a_grid = a0 + np.linspace(-3.0, 3.0, 5)
     b_grid = b0 + np.array([-1.0, 0.0, 1.0, 2.0])
     spread = 0.75
+    centre = None
     for refine in range(2):
         for a in a_grid:
             for b in b_grid:
-                if b <= a:
+                # the refine grid holds the coarse winner itself (offset
+                # 0.0); it was fitted already and cannot win again
+                if b <= a or (a, b) == centre:
                     continue
                 h = (b - a) / max(R - 1, 1)
                 al = np.exp(a + h * np.arange(R))
@@ -105,6 +124,7 @@ def _best_for_rank(R, M, tau):
                     if err < best[0]:
                         best = (err, w, al)
                         besta, bestb = a, b
+        centre = (besta, bestb)
         a_grid = besta + np.linspace(-spread, spread, 5)
         b_grid = bestb + np.linspace(-spread, spread, 5)
         spread /= 2.0
@@ -141,6 +161,14 @@ def _exp_sum(M, eps_rel, r_cap):
 
 
 def _fit(M, eps_rel, r_cap):
+    """Smallest passing rank in [r_floor, r_cap] by a bracketed search.
+
+    Each rank is fitted at most once: ``tried`` maps R to the log of its
+    grid-search error and, if R passed, its sum.  ``f`` is the largest
+    failing rank tried so far, ``g`` the one before it.  Raises
+    :class:`ExpSumError` when the floor exceeds ``r_cap`` or ``r_cap``
+    itself fails.
+    """
     if M == 1.0:
         # single-point interval: omega e^{-alpha} = 1 exactly
         es = ExpSum(np.array([np.e]), np.array([1.0]), 1.0, 0.0)
@@ -151,13 +179,50 @@ def _fit(M, eps_rel, r_cap):
     # even an optimal exponential sum cannot beat ~exp(-pi^2 R / log(8M)),
     # so ranks far below that threshold need not be tried at all
     r_floor = int(np.log(max(16.0 / (100.0 * tau), 1.0)) * np.log(8.0 * M) / np.pi ** 2)
-    for R in range(max(1, r_floor), r_cap + 1):
-        err, w, al = _best_for_rank(R, M, tau)
-        if err <= 0.9 * tau:
-            fine = _sup_error(w, al, M, 100_000)
-            if fine <= tau:
-                return ExpSum(w, al, M, fine)
-    raise ExpSumError(
+    rate = np.pi ** 2 / np.log(8.0 * M)
+    target = np.log(0.9 * tau)
+    failure = ExpSumError(
         "no exponential sum with <= %d terms reaches %.3e on [1, %.3e]"
         % (r_cap, tau, M)
     )
+    tried = {}
+
+    def passes(R):
+        err, w, al = _best_for_rank(R, M, tau)
+        es = None
+        if err <= 0.9 * tau:
+            fine = _sup_error(w, al, M, 100_000)
+            if fine <= tau:
+                es = ExpSum(w, al, M, fine)
+        tried[R] = (np.log(max(err, np.finfo(float).tiny)), es)
+        return es is not None
+
+    R, f, g, step = max(1, r_floor), None, None, None
+    if R > r_cap:
+        raise failure
+    while not passes(R):
+        if R == r_cap:
+            raise failure
+        g, f = f, R
+        if g is None:
+            R = f + 1
+            continue
+        # extrapolate log-error to the target, at least at half the
+        # a-priori rate so that two nearly equal errors cannot jump to r_cap
+        slope = min(-0.5 * rate, (tried[f][0] - tried[g][0]) / (f - g))
+        jump = max(1, math.ceil(min(r_cap, (target - tried[f][0]) / slope)))
+        step = jump if step is None else min(jump, 2 * step)
+        R = min(f + step, r_cap)
+    p = R
+    while f is not None and p - f > 1:
+        lf, lp = tried[f][0], tried[p][0]
+        if np.isfinite(lf) and lp < lf:
+            R = f + math.ceil((target - lf) / (lp - lf) * (p - f))
+            R = min(max(R, f + 1), p - 1)
+        else:
+            R = (f + p) // 2
+        if passes(R):
+            p = R
+        else:
+            f = R
+    return tried[p][1]

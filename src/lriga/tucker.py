@@ -197,16 +197,12 @@ def tucker_inner(x, y):
     return float(np.dot(vec(x.core), vec(multi_mode_product(y.core, grams))))
 
 
-def tucker_norm(x):
-    return x.norm()
-
-
 def tucker_norm_qr(x):
     """Frobenius norm taken from the QR-reduced core, ``|core xk Rk|_F``
     with ``Rk`` the triangular factor of the k-th factor matrix.
 
-    The Gram form of :func:`tucker_norm` loses all relative accuracy on a
-    difference of nearly equal tensors (a residual ``f - A x`` near
+    The Gram form of :meth:`TuckerTensor3.norm` loses all relative accuracy
+    on a difference of nearly equal tensors (a residual ``f - A x`` near
     convergence); this form keeps it.
     """
     Rs = [np.linalg.qr(U, mode="r") for U in x.factors]

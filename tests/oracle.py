@@ -7,8 +7,8 @@ solver itself never imports this module.
 
 import numpy as np
 
-from .bsplines import gauss_rule
-from .tucker import MemoryGuardError
+from lriga.bsplines import gauss_rule
+from lriga.tucker import MemoryGuardError
 
 #: Largest vec-space dimension the dense expansions will build.
 ORACLE_GUARD = 4096

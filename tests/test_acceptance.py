@@ -25,7 +25,7 @@ from lriga.expsum import build_exp_sum
 from lriga.fastdiag import build_lowrank_fd
 from lriga.geometry import get_geometry
 from lriga.manufactured import poisson_benchmark
-from lriga.oracle import dense_operator
+from oracle import dense_operator
 from lriga.tpcg import TpcgConfig, error_norms, tpcg
 from lriga.tucker import (
     TuckerTensor3,
@@ -34,7 +34,6 @@ from lriga.tucker import (
     tucker_add,
     tucker_inner,
     tucker_matvec,
-    tucker_norm,
     vec,
 )
 from lriga.truncation import truncate_rel
@@ -65,7 +64,7 @@ def solve_poisson(preset, p, n_el, tol_rel=1e-6):
     system = assemble_system(spaces, geo, one, max(1e-1 * tol_rel, 1e-12))
     eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
     precond = build_lowrank_fd(eigs, 1e-1)
-    cfg = TpcgConfig.relative(tol_rel, tucker_norm(system.rhs))
+    cfg = TpcgConfig.relative(tol_rel, system.rhs.norm())
     x, rep = tpcg(system.op, system.rhs, precond, cfg)
     return system, x, rep, cfg
 
@@ -77,7 +76,7 @@ def test_criterion_01_truncation_contract():
         dims = tuple(rng.integers(3, 17) for _ in range(3))
         ranks = tuple(int(rng.integers(1, min(n, 6) + 1)) for n in dims)
         y = random_tucker(rng, dims, ranks)
-        norm = tucker_norm(y)
+        norm = y.norm()
         dense = to_dense(y)
         for eps in (1e-1, 1e-3, 1e-6):
             yt = truncate_rel(y, eps)
@@ -172,7 +171,7 @@ def _convergence_errors(p, levels):
         precond = build_lowrank_fd(eigs, 1e-1)
 
         system = assemble_system(spaces, geo, f, 1e-6)
-        rhs_norm = tucker_norm(system.rhs)
+        rhs_norm = system.rhs.norm()
         x, _ = tpcg(
             system.op, system.rhs, precond, TpcgConfig(tol=1e-4 * rhs_norm)
         )

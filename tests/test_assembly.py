@@ -13,7 +13,7 @@ from lriga.bsplines import (
     assemble_pencil,
 )
 from lriga.geometry import get_geometry
-from lriga.oracle import dense_galerkin, dense_load, dense_operator, kron3
+from oracle import dense_galerkin, dense_load, dense_operator, kron3
 from lriga.tucker import to_dense, vec
 
 DD = (BC_DIRICHLET, BC_DIRICHLET)

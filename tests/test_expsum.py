@@ -1,11 +1,16 @@
 """Exponential-sum construction: accuracy, ranks, and timing."""
 
+import functools
 import time
 
 import numpy as np
 import pytest
 
+from lriga import expsum
 from lriga.expsum import ExpSumError, _exp_sum, apriori_sup_bound, build_exp_sum
+import util
+
+linear_scan = functools.lru_cache(maxsize=None)(util.exp_sum_linear_scan)
 
 
 def check_grid(es, n=100_000):
@@ -83,3 +88,55 @@ def test_errors_are_not_cached():
         with pytest.raises(ExpSumError):
             build_exp_sum(1.0, 1e12, 1e-8, r_cap=2)
     assert _exp_sum.cache_info().currsize == size
+
+
+def assert_same_sum(a, b):
+    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.exponents, b.exponents)
+    assert (a.M, a.error) == (b.M, b.error)
+
+
+# (4682, 1e-1) fails at 14, then passes at 16 and 15: the search must not
+# return a passing rank before the rank below it has failed
+@pytest.mark.parametrize(
+    "M,eps",
+    [(M, eps) for M in (3.67, 53.6, 783.0, 1.15e4, 1.67e5) for eps in (1e-1, 1e-3)]
+    + [(4682.0, 1e-1)],
+)
+def test_rank_search_equals_linear_scan(M, eps):
+    assert_same_sum(expsum._fit(M, eps, 128), linear_scan(M, eps))
+
+
+def record_ranks(monkeypatch, module, name):
+    """Patch the grid search ``module.name`` to record each rank it fits."""
+    ranks = []
+    grid_search = getattr(module, name)
+
+    def counted(R, M, tau):
+        ranks.append(R)
+        return grid_search(R, M, tau)
+
+    monkeypatch.setattr(module, name, counted)
+    return ranks
+
+
+def test_rank_search_evaluation_count(monkeypatch):
+    # the linear scan fits ranks 24..40 here (17 grid searches)
+    ranks = record_ranks(monkeypatch, expsum, "_best_for_rank")
+    expsum._fit(1.625e5, 1e-3, 128)
+    assert len(ranks) <= 6, ranks
+    assert len(set(ranks)) == len(ranks)
+
+
+def test_rank_cap_edges(monkeypatch):
+    # the scan accepts rank 20 here and keeps 16 nonzero terms
+    M, eps = 783.0, 1e-3
+    ranks = record_ranks(monkeypatch, util, "best_for_rank_full_grid")
+    ref = util.exp_sum_linear_scan(M, eps)
+    rank = ranks[-1]
+    assert rank > ref.R
+    assert_same_sum(expsum._fit(M, eps, rank), ref)
+    with pytest.raises(ExpSumError):
+        expsum._fit(M, eps, rank - 1)
+    with pytest.raises(ExpSumError):
+        expsum._fit(1e12, 1e-8, 3)

@@ -15,7 +15,7 @@ from lriga.eigen import approx_eigen
 from lriga.fastdiag import build_lowrank_fd
 from lriga.geometry import get_geometry
 from lriga.manufactured import poisson_benchmark
-from lriga.oracle import dense_operator
+from oracle import dense_operator
 from lriga.tpcg import (
     SolveReport,
     TpcgConfig,
@@ -28,7 +28,6 @@ from lriga.tucker import (
     compression_percent,
     to_dense,
     tucker_add,
-    tucker_norm,
     tucker_scale,
     vec,
 )
@@ -57,7 +56,7 @@ def solve_poisson(preset, p, n_el, tol_rel=1e-6, eps0=1e-1, precond=None):
     system = assemble_system(spaces, geo, one, max(tol_rel * 1e-1, 1e-12))
     if precond is None:
         precond = lowrank_pc(spaces)
-    cfg = TpcgConfig.relative(tol_rel, tucker_norm(system.rhs), eps0=eps0)
+    cfg = TpcgConfig.relative(tol_rel, system.rhs.norm(), eps0=eps0)
     x, report = tpcg(system.op, system.rhs, precond, cfg)
     return system, x, report, cfg
 
@@ -67,7 +66,7 @@ def test_cube_exact_fd_converges_fast():
     geo = get_geometry("unit_cube")
     system = assemble_system(spaces, geo, one, 1e-7)
     pc = exact_fd([assemble_pencil(s) for s in spaces])
-    cfg = TpcgConfig.relative(1e-6, tucker_norm(system.rhs))
+    cfg = TpcgConfig.relative(1e-6, system.rhs.norm())
     x, report = tpcg(system.op, system.rhs, pc, cfg)
     assert report.converged
     assert not report.breakdown
@@ -105,7 +104,7 @@ def test_zero_rhs_returns_zero():
     x, report = tpcg(system.op, zero, pc, cfg)
     assert report.converged
     assert report.iterations == 0
-    assert tucker_norm(x) == 0.0
+    assert x.norm() == 0.0
 
 
 def test_annulus_sweep_preview():
@@ -126,7 +125,7 @@ def test_eps0_independence_on_cube():
     _, xa, ra, cfg = solve_poisson("unit_cube", 2, 8, eps0=1e-1)
     _, xb, rb, _ = solve_poisson("unit_cube", 2, 8, eps0=1e-2)
     assert ra.converged and rb.converged
-    diff = tucker_norm(tucker_add(xa, tucker_scale(xb, -1.0)))
+    diff = tucker_add(xa, tucker_scale(xb, -1.0)).norm()
     assert diff <= 10.0 * cfg.tol
 
 
@@ -135,8 +134,8 @@ def test_final_residual_retruncation_contract():
     r = report.residual_tensor
     eta = report.eta_final
     again = truncate_rel(r, eta)
-    moved = tucker_norm(tucker_add(again, tucker_scale(r, -1.0)))
-    assert moved <= eta * tucker_norm(r) * (1.0 + 1e-12)
+    moved = tucker_add(again, tucker_scale(r, -1.0)).norm()
+    assert moved <= eta * r.norm() * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("tol_rel", [1e-8, 1e-10])
@@ -163,7 +162,7 @@ def test_nonconvergence_is_flagged():
     spaces = make_spaces(2, 8)
     geo = get_geometry("quarter_annulus")
     system = assemble_system(spaces, geo, one, 1e-8)
-    cfg = TpcgConfig.relative(1e-6, tucker_norm(system.rhs), max_iterations=2)
+    cfg = TpcgConfig.relative(1e-6, system.rhs.norm(), max_iterations=2)
     x, report = tpcg(system.op, system.rhs, lowrank_pc(spaces), cfg)
     assert not report.converged
     assert report.iterations == 2
@@ -258,7 +257,7 @@ def test_manufactured_error_drops_with_refinement():
     for n_el in (8, 16):
         spaces = make_spaces(2, n_el)
         system = assemble_system(spaces, geo, bench.parametric_load(geo), 1e-9)
-        cfg = TpcgConfig.relative(1e-8, tucker_norm(system.rhs))
+        cfg = TpcgConfig.relative(1e-8, system.rhs.norm())
         x, report = tpcg(system.op, system.rhs, lowrank_pc(spaces), cfg)
         assert report.converged
         l2, _ = error_norms(x, spaces, geo, bench.u)

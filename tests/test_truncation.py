@@ -9,7 +9,6 @@ from lriga.tucker import (
     from_dense,
     to_dense,
     tucker_add,
-    tucker_norm,
     tucker_zero,
     vec,
 )
@@ -110,7 +109,7 @@ def test_truncate_rel_error_bound():
         dims = tuple(rng.integers(3, 13, 3))
         ranks = tuple(rng.integers(1, 6, 3))
         y = random_tucker(rng, dims, ranks)
-        nrm = tucker_norm(y)
+        nrm = y.norm()
         for eps in (1e-1, 1e-3, 1e-6):
             t = truncate_rel(y, eps)
             err = np.linalg.norm(to_dense(t) - to_dense(y))
@@ -126,7 +125,7 @@ def test_truncate_rel_small_difference_dense_oracle():
     dims = (11, 10, 9)
     x = random_tucker(rng, dims, (3, 4, 3))
     d = random_tucker(rng, dims, (2, 3, 2))
-    d = (1e-4 * tucker_norm(x) / tucker_norm(d)) * d
+    d = (1e-4 * x.norm() / d.norm()) * d
     y = x - (x + d)
     truth = -to_dense(d)
     eps = 1e-10

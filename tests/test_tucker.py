@@ -14,13 +14,12 @@ from lriga.tucker import (
     tucker_add,
     tucker_inner,
     tucker_matvec,
-    tucker_norm,
     tucker_scale,
     tucker_zero,
     unvec,
     vec,
 )
-from lriga.oracle import dense_operator, kron3
+from oracle import dense_operator, kron3
 
 from util import random_operator, random_tucker
 
@@ -100,7 +99,7 @@ def test_vec_kron_identity():
 def test_norm_equals_vec_norm():
     rng = np.random.default_rng(2)
     x = random_tucker(rng, (6, 5, 4), (3, 2, 4))
-    assert np.isclose(tucker_norm(x), np.linalg.norm(vec(to_dense(x))), rtol=1e-12)
+    assert np.isclose(x.norm(), np.linalg.norm(vec(to_dense(x))), rtol=1e-12)
 
 
 def test_from_to_dense_roundtrip():

@@ -1,8 +1,10 @@
 """Shared helpers: random low-rank test instances and oracles."""
 
 import numpy as np
+from scipy.optimize import nnls
 
 from lriga.eigen import exact_eigen
+from lriga.expsum import ExpSum, ExpSumError, _check_grid
 from lriga.truncation import _truncation_rank
 from lriga.tucker import (
     TuckerOperator3,
@@ -55,7 +57,7 @@ def densify_apply(apply_one, dims):
 def dense_kron_sum(spaces, weights):
     """Weighted Kronecker-sum matrix (stiffness in one slot, mass elsewhere)."""
     from lriga.bsplines import assemble_pencil
-    from lriga.oracle import kron3
+    from oracle import kron3
 
     pencils = [assemble_pencil(s) for s in spaces]
     M = [p.M.toarray() for p in pencils]
@@ -187,3 +189,61 @@ class ExactFD:
 def exact_fd(pencils):
     """Exact fast-diagonalization applicator from three univariate pencils."""
     return ExactFD([exact_eigen(pc) for pc in pencils])
+
+
+def best_for_rank_full_grid(R, M, tau):
+    """Oracle for ``lriga.expsum._best_for_rank``: the same grid search,
+    refitting the coarse winner again in the refine pass."""
+    a0 = np.log(tau)
+    b0 = np.log(max(np.log(1.0 / tau), 2.0))
+    lam, target = _check_grid(M, 1500)
+    best = (np.inf, None, None)
+    besta, bestb = a0, b0
+    a_grid = a0 + np.linspace(-3.0, 3.0, 5)
+    b_grid = b0 + np.array([-1.0, 0.0, 1.0, 2.0])
+    spread = 0.75
+    for refine in range(2):
+        for a in a_grid:
+            for b in b_grid:
+                if b <= a:
+                    continue
+                h = (b - a) / max(R - 1, 1)
+                al = np.exp(a + h * np.arange(R))
+                A = np.exp(-np.outer(lam, al))
+                cand = [h * al]
+                try:
+                    w_fit, _ = nnls(A, target, maxiter=50 * R + 50)
+                    cand.append(w_fit)
+                except RuntimeError:
+                    pass
+                for w in cand:
+                    err = float(np.max(np.abs(A @ w - target)))
+                    if err < best[0]:
+                        best = (err, w, al)
+                        besta, bestb = a, b
+        a_grid = besta + np.linspace(-spread, spread, 5)
+        b_grid = bestb + np.linspace(-spread, spread, 5)
+        spread /= 2.0
+    err, w, al = best
+    if w is None:
+        return best
+    keep = w > 0.0
+    return err, w[keep], al[keep]
+
+
+def exp_sum_linear_scan(M, eps_rel, r_cap=128):
+    """Oracle for ``lriga.expsum._fit``: every rank from the a-priori floor
+    upward until the first one passes both checks."""
+    tau = eps_rel / M
+    r_floor = int(np.log(max(16.0 / (100.0 * tau), 1.0)) * np.log(8.0 * M) / np.pi ** 2)
+    for R in range(max(1, r_floor), r_cap + 1):
+        err, w, al = best_for_rank_full_grid(R, M, tau)
+        if err <= 0.9 * tau:
+            lam, target = _check_grid(M, 100_000)
+            fine = float(np.max(np.abs(np.exp(-np.outer(lam, al)) @ w - target)))
+            if fine <= tau:
+                return ExpSum(w, al, M, fine)
+    raise ExpSumError(
+        "no exponential sum with <= %d terms reaches %.3e on [1, %.3e]"
+        % (r_cap, tau, M)
+    )
