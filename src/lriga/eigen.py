@@ -285,7 +285,3 @@ def approx_eigen(space, pencil):
     sine = SineTransform(p, k0, k1, space.n_el, x)
     return ApproxEigen1D(n, n1, n2, k0, k1, lambdas, V1, W, U2, C_lu, sine)
 
-
-def apply_eigvec(E, B, transpose=False):
-    """Utilde @ B, or Utilde^T @ B when transpose is set."""
-    return E.apply(B, transpose=transpose)

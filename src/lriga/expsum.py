@@ -67,11 +67,6 @@ class ExpSum:
         return np.exp(-np.outer(lam, self.exponents)) @ self.weights
 
 
-def apriori_sup_bound(R, M):
-    """Classical sup-error bound 16 exp(-R pi^2 / log(8 M)) for reporting."""
-    return 16.0 * np.exp(-R * np.pi ** 2 / np.log(8.0 * M))
-
-
 def _check_grid(M, n):
     lam = np.logspace(0.0, np.log10(M), n)
     return lam, 1.0 / lam

@@ -9,7 +9,10 @@ and always measured against the norm of the *original* tensor.
 
 import numpy as np
 
-from .tucker import TuckerTensor3, mode_product, tucker_zero
+from .tucker import (TuckerTensor3, identity, mode_product, multi_mode_product,
+                     qr_or_identity, tucker_zero)
+
+_EPS_MACH = np.finfo(float).eps
 
 
 def _truncation_rank(s, budget):
@@ -23,12 +26,35 @@ def _truncation_rank(s, budget):
         rank r >= 1 with ``sum(s[r:]**2) <= budget**2``.
     """
     tails = np.cumsum(s[::-1] ** 2)[::-1]  # tails[r] = sum of s[r:]**2
-    b2 = budget * budget
-    r = len(s)
     # strict test: an exactly-on-budget vector is kept, and eps=0 keeps all
-    while r > 1 and tails[r - 1] < b2:
-        r -= 1
-    return r
+    return max(int(np.count_nonzero(tails >= budget * budget)), 1)
+
+
+def _gram_rank(Wk, nrm, budget):
+    """Certified basis of a wide ``m x N`` unfolding from its Gram matrix.
+
+    ``delta = (N + 10 m) u nrm^2`` bounds the error of ``fl(Wk Wk^T)`` and
+    of ``eigh``, so each computed eigenvalue is within ``delta`` of an exact
+    squared singular value (Weyl).  With ``t_r`` the computed tail from
+    ``r`` on, the smallest ``r`` with ``t_r + (m-r) delta < budget^2`` is
+    kept if ``r = 1`` or ``t_{r-1} - (m-r+1) delta >= budget^2``: then the
+    exact rank rule of :func:`_truncation_rank` gives ``r`` as well, and
+    the discarded part is below the budget.  ``None`` (take the R-SVD) when
+    ``budget^2 <= 4 m delta`` or the test fails.
+    """
+    m, N = Wk.shape
+    delta = (N + 10 * m) * _EPS_MACH * nrm * nrm
+    b2 = budget * budget
+    if b2 <= 4 * m * delta:
+        return None
+    lam, V = np.linalg.eigh(Wk @ Wk.T)
+    lam, V = lam[::-1], V[:, ::-1]
+    tails = np.append(np.cumsum(lam[::-1])[::-1], 0.0)  # tails[r] = t_r
+    slack = (m - np.arange(m + 1)) * delta
+    r = max(int(np.argmax(tails + slack < b2)), 1)
+    if r > 1 and tails[r - 1] - slack[r - 1] < b2:
+        return None
+    return V[:, :r]
 
 
 def sthosvd(X, eps):
@@ -41,11 +67,14 @@ def sthosvd(X, eps):
 
     Only the left singular vectors ``U`` and the singular values of each
     unfolding ``Wk`` (``n_k x prod(others)``) are needed; the next core is
-    ``U_r^T Wk``.  A wide unfolding is first reduced to the ``n_k x n_k``
+    ``U_r^T Wk``.  A wide unfolding first tries the eigenvectors of its
+    Gram matrix (:func:`_gram_rank`), kept only when a rounding-error
+    bound certifies that they give the same rank as the SVD and stay
+    within the budget.  Otherwise it is reduced to the ``n_k x n_k``
     triangle ``L`` of ``Wk^T = Q L^T`` (QR, ``Q`` never formed), whose SVD
     has the same ``U`` and singular values (Chan's R-SVD), so the
     ``n_k x prod(others)`` right factor of a thin SVD is never built.
-    The guarantee above is unchanged.
+    The guarantee above holds on both paths.
 
     Returns:
         TuckerTensor3 with orthonormal factor columns.
@@ -61,12 +90,15 @@ def sthosvd(X, eps):
     factors = []
     for k in range(3):
         Wk = np.moveaxis(W, k, 0).reshape(W.shape[k], -1)
-        if Wk.shape[0] < Wk.shape[1]:  # wide: same U and s from L
-            Wk = np.linalg.qr(Wk.T, mode="r").T
-        U, s, _ = np.linalg.svd(Wk, full_matrices=False)
-        r = _truncation_rank(s, budget)
-        factors.append(U[:, :r])
-        W = mode_product(W, k, U[:, :r].T)
+        wide = Wk.shape[0] < Wk.shape[1]
+        U = _gram_rank(Wk, nrm, budget) if wide else None
+        if U is None:
+            if wide:  # same U and s from L
+                Wk = np.linalg.qr(Wk.T, mode="r").T
+            U, s, _ = np.linalg.svd(Wk, full_matrices=False)
+            U = U[:, : _truncation_rank(s, budget)]
+        factors.append(U)
+        W = mode_product(W, k, U.T)
     return TuckerTensor3(W, tuple(factors))
 
 
@@ -74,21 +106,18 @@ def truncate_rel(y, eps):
     """Recompress a Tucker tensor to relative accuracy ``eps``.
 
     Factors are first reduced by thin QR, so the core-side work is bounded
-    by the mode sizes even when the nominal rank exceeds them; the small
-    core is then recompressed with :func:`sthosvd`.
+    by the mode sizes even when the nominal rank exceeds them; a wide
+    factor ``F`` is taken as ``identity(n) @ F`` instead, and an
+    ``identity(n)`` factor costs nothing.  The small core is then
+    recompressed with :func:`sthosvd`.
 
     Guarantee: ``|out - y|_F <= eps * |y|_F``; output factors orthonormal.
     """
-    Qs, Rs = [], []
-    for k in range(3):
-        Q, R = np.linalg.qr(y.factors[k])  # reduced: Q is (n, min(n, r))
-        Qs.append(Q)
-        Rs.append(R)
-    Z = y.core
-    for k in range(3):
-        Z = mode_product(Z, k, Rs[k])
+    QRs = [qr_or_identity(F) for F in y.factors]
+    Z = multi_mode_product(y.core, [None if R is Q else R for Q, R in QRs])
     z = sthosvd(Z, eps)
-    factors = tuple(Qs[k] @ z.factors[k] for k in range(3))
+    factors = tuple(U if Q is identity(len(Q)) else Q @ U
+                    for (Q, _), U in zip(QRs, z.factors))
     return TuckerTensor3(z.core, factors)
 
 
@@ -111,9 +140,10 @@ def truncate_dynamic(y_prev, y_prop, eps, alpha, eps_min, delta):
     at the one shared tolerance.
 
     Returns:
-        (accepted tensor, tolerance actually used).  The returned tolerance
-        always lies in ``(eps_min, eps]`` (or equals ``eps`` when the
-        proposal coincides with the previous iterate).
+        (accepted tensor, tolerance actually used).  The tolerance is
+        ``eps`` times a power of ``alpha`` in ``(eps_min, eps]``; when
+        ``eps <= eps_min`` on entry no reduction is permitted and ``eps``
+        itself comes back.
     """
     dy_exact = y_prop - y_prev
     dd = dy_exact.inner(dy_exact)

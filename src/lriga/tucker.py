@@ -12,9 +12,14 @@ Conventions used throughout the package:
   where ``xk`` denotes the mode-k product.
 * A Tucker tensor is a small core tensor multiplied along each mode by a
   factor matrix; its multilinear rank is the tuple of core dimensions.
+* Identity basis at the cap: images and sums give a mode whose rank reaches
+  its size ``n`` the shared factor ``identity(n)``; the core holds the
+  entries there.  Every operation recognises that object (``is``) and skips
+  its QR, Gram and mode products; a plain ``np.eye(n)`` is still right.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -25,6 +30,24 @@ DENSE_GUARD = 2 ** 27
 
 class MemoryGuardError(RuntimeError):
     """Raised when an operation would materialize an oversized dense tensor."""
+
+
+@lru_cache(maxsize=None)
+def identity(n):
+    """The shared, read-only ``np.eye(n)`` that marks an identity-basis mode."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def qr_or_identity(F):
+    """``F = Q R`` with orthonormal ``Q``: a thin QR, except that a factor
+    with at least as many columns as rows is ``identity(n) @ F`` and is
+    returned as ``(identity(n), F)`` without a factorization."""
+    n, s = F.shape
+    if s >= n:
+        return identity(n), F
+    return np.linalg.qr(F)
 
 
 def vec(X):
@@ -170,18 +193,25 @@ def tucker_scale(x, a):
 
 
 def tucker_add(x, y):
-    """Sum of two Tucker tensors; ranks add componentwise.
+    """Sum of two Tucker tensors; rank ``min(n_k, rx_k + ry_k)`` per mode.
 
-    The factor matrices are concatenated and the cores are embedded in the
-    two diagonal blocks of an enlarged core.
+    In a mode where the ranks add up to at least the mode size, both
+    operands are taken to the identity basis (core times factor, free for
+    an ``identity(n)`` factor) and their cores are added there.  In the
+    other modes the factors are concatenated and the cores sit in the two
+    diagonal blocks of the enlarged core.  No core exceeds ``n1 n2 n3``.
     """
     assert x.dims == y.dims, "dimension mismatch: %s vs %s" % (x.dims, y.dims)
-    rx, ry = x.rank, y.rank
-    core = np.zeros((rx[0] + ry[0], rx[1] + ry[1], rx[2] + ry[2]))
-    core[: rx[0], : rx[1], : rx[2]] = x.core
-    core[rx[0] :, rx[1] :, rx[2] :] = y.core
+    n, rx, ry = x.dims, x.rank, y.rank
+    shared = [rx[k] + ry[k] >= n[k] for k in range(3)]
+    core = np.zeros([n[k] if shared[k] else rx[k] + ry[k] for k in range(3)])
+    for t, off in ((x, (0, 0, 0)), (y, [0 if s else r for s, r in zip(shared, rx)])):
+        C = multi_mode_product(t.core, [U if s and U is not identity(len(U)) else None
+                                        for s, U in zip(shared, t.factors)])
+        core[tuple(slice(o, o + c) for o, c in zip(off, C.shape))] += C
     factors = tuple(
-        np.hstack([x.factors[k], y.factors[k]]) for k in range(3)
+        identity(n[k]) if shared[k] else np.hstack([x.factors[k], y.factors[k]])
+        for k in range(3)
     )
     return TuckerTensor3(core, factors)
 
@@ -190,22 +220,28 @@ def tucker_inner(x, y):
     """Frobenius inner product of two Tucker tensors.
 
     Computed by contracting the small Gram matrices ``Xk^T Yk`` against the
-    cores, never forming dense tensors.
+    cores, never forming dense tensors; an ``identity(n)`` factor makes its
+    Gram matrix the other factor (or nothing, when both are).
     """
     assert x.dims == y.dims
-    grams = [x.factors[k].T @ y.factors[k] for k in range(3)]
+    grams = []
+    for X, Y in zip(x.factors, y.factors):
+        I = identity(len(X))
+        grams.append(None if X is I and Y is I else Y if X is I
+                     else X.T if Y is I else X.T @ Y)
     return float(np.dot(vec(x.core), vec(multi_mode_product(y.core, grams))))
 
 
 def tucker_norm_qr(x):
     """Frobenius norm taken from the QR-reduced core, ``|core xk Rk|_F``
-    with ``Rk`` the triangular factor of the k-th factor matrix.
+    with ``Rk`` the triangular factor of the k-th factor matrix (the factor
+    itself when it is wide, nothing for an ``identity(n)`` factor).
 
     The Gram form of :meth:`TuckerTensor3.norm` loses all relative accuracy
     on a difference of nearly equal tensors (a residual ``f - A x`` near
     convergence); this form keeps it.
     """
-    Rs = [np.linalg.qr(U, mode="r") for U in x.factors]
+    Rs = [None if R is Q else R for Q, R in map(qr_or_identity, x.factors)]
     return float(np.linalg.norm(multi_mode_product(x.core, Rs)))
 
 
@@ -247,9 +283,9 @@ def tucker_matvec(op, x):
     """Apply a Tucker-format operator to a Tucker tensor.
 
     The image is exact and has orthonormal factors spanning the columns of
-    ``[Ck_1 Xk, ..., Ck_Rk Xk]``, so its multilinear rank is
-    ``(min(n1, R1 r1), min(n2, R2 r2), min(n3, R3 r3))``.  The Kronecker
-    core ``kron(op.core, x.core)`` is never formed; see :func:`_kron_image`.
+    ``[Ck_1 Xk, ..., Ck_Rk Xk]`` (``identity(nk)`` where ``Rk rk >= nk``),
+    so its rank is ``(min(n1, R1 r1), min(n2, R2 r2), min(n3, R3 r3))``;
+    ``kron(op.core, x.core)`` is never formed (see :func:`_kron_image`).
     """
     factors = []
     for k in range(3):
@@ -262,8 +298,10 @@ def _kron_image(G, factors, C):
     """Exact Tucker form of the tensor with core ``kron(G, C)`` and
     stacked factors ``Fk = [Fk_1 ... Fk_Ak]`` (slot of ``G`` slowest).
 
-    With the thin QR ``Fk = Qk Rk`` and ``Rk_a`` the columns of ``Rk``
-    belonging to slot ``a``, the reduced core is
+    With ``Fk = Qk Rk`` from :func:`qr_or_identity` (``Qk = identity(nk)``
+    and ``Rk = Fk`` in a wide mode, where the core is then the dense image)
+    and ``Rk_a`` the columns of ``Rk`` belonging to slot ``a``, the reduced
+    core is
 
         Z = sum over G[a,b,c] != 0 of G[a,b,c] * C x1 R1_a x2 R2_b x3 R3_c,
 
@@ -285,7 +323,7 @@ def _kron_image(G, factors, C):
         )
     Qs, blocks = [], []
     for k in range(3):
-        Q, R = np.linalg.qr(factors[k])
+        Q, R = qr_or_identity(factors[k])
         Qs.append(Q)
         blocks.append([R[:, a * r[k] : (a + 1) * r[k]] for a in range(G.shape[k])])
 

@@ -14,7 +14,7 @@ from lriga.bsplines import (
     SplineSpace1D,
     assemble_pencil,
 )
-from lriga.eigen import _interpolation_points, _phase, apply_eigvec, approx_eigen
+from lriga.eigen import _interpolation_points, _phase, approx_eigen
 from lriga.elasticity import (
     BlockTuckerVector,
     assemble_elasticity,
@@ -249,7 +249,7 @@ def test_criterion_09_eigen_construction():
                 k0, k1 = _phase(space)
                 x = _interpolation_points(space, k0, k1)
                 B = np.vstack([np.eye(E.n1), np.zeros((E.n2, E.n1))])
-                coeffs = apply_eigvec(E, B)
+                coeffs = E.apply(B)
                 vals = space.collocation_matrix(x, deriv=0) @ coeffs
                 mu = np.arange(1, E.n1 + 1) - 0.5 * (k0 + k1)
                 exact = np.sqrt(2.0) * np.sin(

@@ -165,14 +165,14 @@ def test_dirichlet_lift_linear_ramp():
 def test_dirichlet_lift_constant_face_rank():
     # scalar analogue of the column problem: clamp both z faces, pull the
     # top one down by 0.5; the correction adds the rank of the operator's
-    # image of the rank-(1,1,1) lifting, min(n_k, R_k)
+    # image of the rank-(1,1,1) lifting, min(n_k, R_k), capped at n_k
     spaces = make_spaces(2, 4, bcs=(NN, NN, DD))
     system = assemble_system(spaces, get_geometry("deformed_column"), one, 1e-8)
     corrected = dirichlet_lift(system, [(2, 1, -0.5)])
     R = system.aggregate_ranks
     r = system.rhs.rank
     n = tuple(s.n for s in spaces)
-    assert corrected.rank == tuple(r[k] + min(n[k], R[k]) for k in range(3))
+    assert corrected.rank == tuple(min(n[k], r[k] + min(n[k], R[k])) for k in range(3))
 
 
 def test_dirichlet_lift_two_faces_is_sum_of_single_faces():

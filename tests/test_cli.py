@@ -1,7 +1,10 @@
 """End-to-end CLI runs: exit codes, CSV schemas, determinism."""
 
 import os
+import subprocess
+import sys
 
+import lriga
 from lriga.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -151,3 +154,15 @@ def test_unreadable_config_is_config_error(tmp_path, capsys):
     code = run(["solve", "-c", str(tmp_path / "missing.ini")])
     assert code == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m lriga` works from a source checkout, without installing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lriga.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "lriga", "--help"], capture_output=True,
+        text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    for command in ("solve", "convergence", "precond-study", "elasticity"):
+        assert command in out.stdout

@@ -11,7 +11,6 @@ from lriga.eigen import (
     ExactEigen1D,
     _interpolation_points,
     _phase,
-    apply_eigvec,
     approx_eigen,
     exact_eigen,
 )
@@ -83,7 +82,7 @@ def test_interpolation_identity(p, bc, n_el):
     k0, k1 = _phase(space)
     x = _interpolation_points(space, k0, k1)
     B = np.vstack([np.eye(E.n1), np.zeros((E.n2, E.n1))])
-    coeffs = apply_eigvec(E, B)  # columns of V1 U1
+    coeffs = E.apply(B)  # columns of V1 U1
     vals = space.collocation_matrix(x, deriv=0, reduced=True) @ coeffs
     mu = np.arange(1, E.n1 + 1) - 0.5 * (k0 + k1)
     exact = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, mu) + 0.5 * np.pi * k0)
@@ -152,8 +151,8 @@ def test_exact_path_m_orthonormal_and_diagonalizing():
     assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(K))
     rng = np.random.default_rng(5)
     B = rng.standard_normal((E.n, 3))
-    assert np.allclose(apply_eigvec(E, B), E.U @ B)
-    assert np.allclose(apply_eigvec(E, B, transpose=True), E.U.T @ B)
+    assert np.allclose(E.apply(B), E.U @ B)
+    assert np.allclose(E.apply(B, transpose=True), E.U.T @ B)
 
 
 # ------------------------------------------------- applicator vs dense build
@@ -169,24 +168,24 @@ def test_apply_matches_dense_construction():
     Ut = np.hstack([V1 @ U1, E.V2 @ E.U2])
     rng = np.random.default_rng(6)
     B = rng.standard_normal((space.n, 4))
-    assert np.max(np.abs(apply_eigvec(E, B) - Ut @ B)) < 1e-12
-    assert np.max(np.abs(apply_eigvec(E, B, transpose=True) - Ut.T @ B)) < 1e-12
+    assert np.max(np.abs(E.apply(B) - Ut @ B)) < 1e-12
+    assert np.max(np.abs(E.apply(B, transpose=True) - Ut.T @ B)) < 1e-12
 
 
 def test_approx_not_orthogonal_but_exact_is():
     space, E = _eig(3, 8, (D, D))
-    Ut = apply_eigvec(E, np.eye(space.n))
+    Ut = E.apply(np.eye(space.n))
     assert np.max(np.abs(Ut.T @ Ut - np.eye(space.n))) > 1e-6
     space2 = SplineSpace1D(2, 8, bc=(D, D))
     pencil2 = assemble_pencil(space2)
     E2 = exact_eigen(pencil2)
-    U = apply_eigvec(E2, np.eye(E2.n))
+    U = E2.apply(np.eye(E2.n))
     assert np.max(np.abs(U.T @ pencil2.M.toarray() @ U - np.eye(E2.n))) < 1e-10
 
 
 def test_apply_empty_block():
     _, E = _eig(3, 8, (D, D))
-    out = apply_eigvec(E, np.zeros((E.n, 0)))
+    out = E.apply(np.zeros((E.n, 0)))
     assert out.shape == (E.n, 0)
-    out_t = apply_eigvec(E, np.zeros((E.n, 0)), transpose=True)
+    out_t = E.apply(np.zeros((E.n, 0)), transpose=True)
     assert out_t.shape == (E.n, 0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lriga import expsum
-from lriga.expsum import ExpSumError, _exp_sum, apriori_sup_bound, build_exp_sum
+from lriga.expsum import ExpSumError, _exp_sum, build_exp_sum
 import util
 
 linear_scan = functools.lru_cache(maxsize=None)(util.exp_sum_linear_scan)
@@ -43,7 +43,7 @@ def test_table_scale_instances(M, reference_rank):
     assert es.R <= 2 * reference_rank, es.R
     assert elapsed < 10.0
     # the classical bound at the accepted rank is reportable and finite
-    assert np.isfinite(apriori_sup_bound(es.R, M))
+    assert np.isfinite(util.apriori_sup_bound(es.R, M))
 
 
 def test_error_decreases_with_tighter_tolerance():

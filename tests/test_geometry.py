@@ -8,11 +8,10 @@ from lriga.geometry import (
     GeometryMap,
     PRESETS,
     get_geometry,
-    load_polynomial_map,
-    metric_and_weight,
     metric_data,
-    validate_geometry,
 )
+
+from util import load_polynomial_map, metric_and_weight, validate_geometry
 
 
 def fd_jacobian(geo, eta, h=1e-6):

@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
+from lriga import truncation
 from lriga.elasticity import BlockTuckerVector
 from lriga.truncation import sthosvd, truncate_dynamic, truncate_rel
 from lriga.tucker import (
     from_dense,
+    identity,
     to_dense,
     tucker_add,
+    tucker_matvec,
     tucker_zero,
     vec,
 )
 
-from util import random_tucker, sthosvd_full_svd
+from util import random_operator, random_tucker, sthosvd_full_svd
 
 
 def _orthonormal(U):
@@ -101,6 +104,84 @@ def test_sthosvd_matches_full_svd_oracle(eps):
             full = tuple(min(n, X.size // n) for n in X.shape)
             assert got.rank == full or nrm == 0.0, name
             assert err <= 10 * tiny * nrm, name
+
+
+def _count_gram(monkeypatch):
+    """Counts of certified Gram ranks and R-SVD fallbacks in sthosvd."""
+    counts = {"gram": 0, "rsvd": 0}
+    gram_rank = truncation._gram_rank
+
+    def counted(*args):
+        U = gram_rank(*args)
+        counts["rsvd" if U is None else "gram"] += 1
+        return U
+
+    monkeypatch.setattr(truncation, "_gram_rank", counted)
+    return counts
+
+
+def _graded(rng, shape, decades):
+    x = rng.standard_normal(shape)
+    for k, n in enumerate(shape):
+        x = np.moveaxis(np.moveaxis(x, k, -1) * np.logspace(0, -decades, n), -1, k)
+    return x
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-10])
+def test_sthosvd_gram_path_matches_full_svd(monkeypatch, eps):
+    # the certified Gram rank is the SVD's rank, and the error bound holds;
+    # at eps 1e-10 every budget is within rounding of W W^T and every wide
+    # unfolding takes the R-SVD
+    counts = _count_gram(monkeypatch)
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        shape = tuple(rng.integers(3, 14, 3))
+        X = _graded(rng, shape, rng.uniform(1.0, 12.0))
+        got, ref = sthosvd(X, eps), sthosvd_full_svd(X, eps)
+        assert got.rank == ref.rank
+        assert np.linalg.norm(to_dense(got) - X) <= eps * np.linalg.norm(X)
+        assert all(_orthonormal(U) for U in got.factors)
+    if eps == 1e-10:
+        assert counts["gram"] == 0 and counts["rsvd"] > 0
+    else:
+        assert counts["gram"] > 0
+
+
+def test_sthosvd_gram_falls_back_when_tail_meets_budget(monkeypatch):
+    # mode-0 spectrum s with the budget set to the tail after three values:
+    # the computed tail is within the rounding slack of budget^2, so the
+    # Gram rank cannot be certified and the R-SVD decides
+    counts = _count_gram(monkeypatch)
+    rng = np.random.default_rng(28)
+    s = np.array([1.0, 0.5, 0.1, 0.01, 0.005, 0.001])
+    U = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    V = np.linalg.qr(rng.standard_normal((56, 6)))[0]
+    X = ((U * s) @ V.T).reshape(6, 7, 8)
+    nrm = np.linalg.norm(X)
+    eps = np.sqrt(3.0 * np.sum(s[3:] ** 2)) / nrm
+    t = sthosvd(X, eps)
+    assert counts["rsvd"] >= 1
+    assert t.rank[0] in (3, 4)
+    assert np.linalg.norm(to_dense(t) - X) <= eps * nrm * (1 + 1e-10)
+
+
+def test_truncate_rel_of_capped_matvec_makes_no_qr(monkeypatch):
+    # every mode of the image is at its cap: identity factors, no factor
+    # QR in the image or in its rounding, and a certified Gram rank
+    rng = np.random.default_rng(29)
+    dims = (6, 7, 5)
+    x = random_tucker(rng, dims, (2, 3, 3))
+    op = random_operator(rng, dims, (3, 3, 2))
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+    y = tucker_matvec(op, x)
+    assert all(U is identity(n) for U, n in zip(y.factors, dims))
+    t = truncate_rel(y, 1e-2)
+    assert calls == []
+    assert all(_orthonormal(U) for U in t.factors)
+    ref = to_dense(y)
+    assert np.linalg.norm(to_dense(t) - ref) <= 1e-2 * np.linalg.norm(ref)
 
 
 def test_truncate_rel_error_bound():

@@ -5,8 +5,10 @@ import pytest
 
 from lriga.tucker import (
     MemoryGuardError,
+    TuckerTensor3,
     compression_percent,
     from_dense,
+    identity,
     mode_product,
     multi_mode_product,
     operator_sum,
@@ -14,6 +16,7 @@ from lriga.tucker import (
     tucker_add,
     tucker_inner,
     tucker_matvec,
+    tucker_norm_qr,
     tucker_scale,
     tucker_zero,
     unvec,
@@ -124,7 +127,7 @@ def test_add_scale_inner_vs_dense():
         y = random_tucker(rng, dims, tuple(rng.integers(1, 5, 3)))
         Xd, Yd = to_dense(x), to_dense(y)
         s = tucker_add(x, y)
-        assert s.rank == tuple(a + b for a, b in zip(x.rank, y.rank))
+        assert s.rank == tuple(min(n, a + b) for n, a, b in zip(dims, x.rank, y.rank))
         assert np.allclose(to_dense(s), Xd + Yd, atol=1e-12)
         assert np.allclose(to_dense(tucker_scale(x, -2.5)), -2.5 * Xd, atol=1e-12)
         assert np.isclose(tucker_inner(x, y), np.dot(vec(Xd), vec(Yd)), atol=1e-10)
@@ -157,6 +160,54 @@ def test_matvec_rank_multiplies():
     assert y.dims == (5, 6, 7)
     for U in y.factors:
         assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
+
+
+def test_matvec_at_cap_uses_identity_basis():
+    # R_k r_k >= n_k in modes 0 and 2: those factors are the shared
+    # identity(n_k) and the core holds the image's entries there
+    rng = np.random.default_rng(24)
+    x = random_tucker(rng, (5, 6, 7), (2, 3, 4))
+    op = random_operator(rng, (5, 6, 7), (3, 1, 2))
+    y = tucker_matvec(op, x)
+    assert y.rank == (5, 3, 7)
+    assert y.factors[0] is identity(5) and y.factors[2] is identity(7)
+    assert y.factors[1] is not identity(6)
+    ref = dense_operator(op) @ vec(to_dense(x))
+    assert np.linalg.norm(vec(to_dense(y)) - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert not identity(5).flags.writeable
+
+
+def test_add_mixed_shared_and_stacked_modes_vs_dense():
+    # mode 0: 4 + 3 >= 6 shared; mode 1: 2 + 2 < 7 stacked; mode 2: x is
+    # already in the identity basis, so the mode is shared
+    rng = np.random.default_rng(25)
+    dims = (6, 7, 8)
+    a = random_tucker(rng, dims, (4, 2, 8))
+    x = TuckerTensor3(a.core, (a.factors[0], a.factors[1], identity(8)))
+    y = random_tucker(rng, dims, (3, 2, 3))
+    s = tucker_add(x, y)
+    assert s.rank == (6, 4, 8)
+    assert s.factors[0] is identity(6) and s.factors[2] is identity(8)
+    ref = to_dense(x) + to_dense(y)
+    assert np.linalg.norm(to_dense(s) - ref) <= 1e-13 * np.linalg.norm(ref)
+    d = s - y  # modes 0 and 2 subtract in the core, mode 1 stacks again
+    assert d.rank == (6, 6, 8)
+    assert np.linalg.norm(to_dense(d) - to_dense(x)) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_identity_factor_inner_and_norm_qr_vs_dense():
+    # the shared identity(n) and a plain np.eye(n) give the same numbers
+    rng = np.random.default_rng(26)
+    dims = (5, 4, 6)
+    core = rng.standard_normal(dims)
+    marked = TuckerTensor3(core, tuple(identity(n) for n in dims))
+    plain = from_dense(core)
+    y = random_tucker(rng, dims, (2, 5, 3))
+    for a, b in [(marked, y), (y, marked), (marked, marked), (marked, plain)]:
+        ref = np.dot(vec(to_dense(a)), vec(to_dense(b)))
+        assert np.isclose(tucker_inner(a, b), ref, rtol=1e-12)
+    for t in (marked, plain, y):
+        assert np.isclose(tucker_norm_qr(t), np.linalg.norm(to_dense(t)), rtol=1e-12)
 
 
 def test_matvec_sparse_core_vs_dense_operator():

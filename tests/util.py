@@ -1,10 +1,12 @@
 """Shared helpers: random low-rank test instances and oracles."""
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.optimize import nnls
 
 from lriga.eigen import exact_eigen
 from lriga.expsum import ExpSum, ExpSumError, _check_grid
+from lriga.geometry import GeometryError, GeometryMap, metric_data
 from lriga.truncation import _truncation_rank
 from lriga.tucker import (
     TuckerOperator3,
@@ -247,3 +249,72 @@ def exp_sum_linear_scan(M, eps_rel, r_cap=128):
         "no exponential sum with <= %d terms reaches %.3e on [1, %.3e]"
         % (r_cap, tau, M)
     )
+
+
+def metric_and_weight(geo, eta, f=None):
+    """Pointwise (Q, omega) with omega = det(J) * f(eta) (f omitted: det)."""
+    Q, det = metric_data(geo, np.asarray(eta, dtype=float))
+    omega = det if f is None else det * f(eta)
+    return Q, omega
+
+
+def validate_geometry(geo, n_samples=1000, seed=0):
+    """det(J) > 0 and Q symmetric positive definite on a random sample."""
+    rng = np.random.default_rng(seed)
+    etas = rng.uniform(0.0, 1.0, (n_samples, 3))
+    Q, det = metric_data(geo, etas)
+    assert np.all(det > 0)
+    sym = np.max(np.abs(Q - np.swapaxes(Q, -1, -2)))
+    eigs = np.linalg.eigvalsh(Q)
+    return float(np.min(det)), float(sym), float(np.min(eigs))
+
+
+def load_polynomial_map(path):
+    """Load a polynomial map from a text file.
+
+    Format (whitespace separated, '#' comments): first three integers are
+    the degrees (d1, d2, d3); then, for each of the three physical
+    components, (d1+1)(d2+1)(d3+1) monomial coefficients c[i,j,k] of
+    eta1^i eta2^j eta3^k with i fastest.
+    """
+    with open(path) as fh:
+        tokens = []
+        for line in fh:
+            line = line.split("#", 1)[0]
+            tokens.extend(line.split())
+    if len(tokens) < 3:
+        raise GeometryError("polynomial map file %r: missing degree triple" % path)
+    d = [int(t) for t in tokens[:3]]
+    count = (d[0] + 1) * (d[1] + 1) * (d[2] + 1)
+    vals = [float(t) for t in tokens[3:]]
+    if len(vals) != 3 * count:
+        raise GeometryError(
+            "polynomial map file %r: expected %d coefficients, found %d"
+            % (path, 3 * count, len(vals))
+        )
+    coefs = [
+        np.reshape(vals[a * count : (a + 1) * count], (d[0] + 1, d[1] + 1, d[2] + 1), order="F")
+        for a in range(3)
+    ]
+    dcoefs = [[P.polyder(c, axis=ax) for ax in range(3)] for c in coefs]
+
+    def F(eta):
+        eta = np.asarray(eta, dtype=float)
+        e1, e2, e3 = eta[..., 0], eta[..., 1], eta[..., 2]
+        return np.stack([P.polyval3d(e1, e2, e3, c) for c in coefs], axis=-1)
+
+    def jac(eta):
+        eta = np.asarray(eta, dtype=float)
+        e1, e2, e3 = eta[..., 0], eta[..., 1], eta[..., 2]
+        J = np.empty(eta.shape[:-1] + (3, 3))
+        for a in range(3):
+            for b in range(3):
+                J[..., a, b] = P.polyval3d(e1, e2, e3, dcoefs[a][b])
+        return J
+
+    return GeometryMap("polynomial", F, jac)
+
+
+def apriori_sup_bound(R, M):
+    """Classical sup-error bound 16 exp(-R pi^2 / log(8 M)) for reporting."""
+    return 16.0 * np.exp(-R * np.pi ** 2 / np.log(8.0 * M))
