@@ -1,61 +1,71 @@
-"""Low-rank Galerkin assembly of the Poisson system.
+"""Low-rank Galerkin assembly of scalar and block systems.
 
-The bilinear form on the parametric domain is
+A problem with m solution components (m = 1 for Poisson, 3 for
+elasticity) has one coefficient per test component a, trial component b,
+test derivative direction c and trial derivative direction e:
 
-    a(u, v) = int (grad v)^T Q (grad u) deta,   Q = det(J) J^-1 J^-T,
+    a(u, v) = sum int W^(a,b)_(c,e) (d_c v_a) (d_e u_b) deta.
 
-so the operator splits into 3x3 blocks indexed by the (test, trial)
-derivative directions (k, l), weighted by the metric entry Q_kl.  Each
-entry is approximated separably; a block with coefficient Tucker rank
-(R1, R2, R3) becomes a Tucker-format operator whose direction-t factors
-are univariate weighted Galerkin matrices, one per factor column.  The
-right-hand side is built the same way from omega = det(J) * f.
+For Poisson W_(c,e) = Q_ce with Q = det(J) J^-1 J^-T.  Each coefficient is
+approximated separably; one of coefficient Tucker rank (R1, R2, R3) becomes
+a Tucker-format operator whose direction-t factors are univariate weighted
+Galerkin matrices, one per factor column, and block (a, b) is their sum
+over (c, e).  The blocks are assembled once on the untrimmed spline
+spaces: the system operator is their restriction to the rows and columns
+that the Dirichlet conditions keep, and inhomogeneous Dirichlet data is
+lifted into the load through the row-restricted blocks.  The load of
+component a is built the same way from omega_a = det(J) f_a.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bsplines import assemble_weighted_matrix, assemble_weighted_rhs
 from .chebfit import approximate_function, halton_sample
 from .geometry import metric_data
-from .tucker import TuckerOperator3, TuckerTensor3, operator_sum
-
-#: (k, l) pairs of the six distinct metric entries (upper triangle).
-_UPPER = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+from .tucker import (
+    BlockTuckerOperator,
+    BlockTuckerVector,
+    TuckerOperator3,
+    TuckerTensor3,
+    operator_sum,
+    operator_transpose,
+)
 
 
 @dataclass
 class AssembledSystem:
-    """Low-rank operator/rhs pair plus the approximation context.
+    """Operator/rhs pair of an m-component problem plus its approximation
+    context.
 
     Attributes:
-        op: system operator in Tucker-matrix format.
-        rhs: load vector in Tucker format.
-        block_ranks: per-(k,l) coefficient ranks; (0,0,0) for blocks whose
-            metric entry vanishes identically (they are dropped).
-        aggregate_ranks: componentwise sums of the block ranks.
-        spaces: the three (reduced) univariate spaces.
-        geometry: the geometry map used.
-        q_entries: the six approximated metric entries, upper triangle
-            order, None where the entry is numerically zero.
-        load_entry: the separable approximation of det(J) * f.
-        eps: approximation tolerance used throughout.
+        op: TuckerOperator3 (m = 1) or BlockTuckerOperator (m = 3) on the
+            trimmed spaces.
+        rhs: TuckerTensor3 or BlockTuckerVector load on the trimmed spaces
+            (Dirichlet-lifted when faces were given).
+        blocks: m x m grid of TuckerOperator3 on the untrimmed spaces;
+            ``blocks[a][b]`` maps component b to component a.
+        entries: {(a, b): {(c, e): separable coefficient}} for a <= b and,
+            on diagonal blocks, c <= e; numerically zero coefficients are
+            left out and the others follow by symmetry.
+        loads: the separable approximations of det(J) f_a, one per
+            component.
+        spaces: the three univariate spaces (shared by the components).
     """
 
-    op: TuckerOperator3
-    rhs: TuckerTensor3
-    block_ranks: dict
-    aggregate_ranks: tuple
+    op: object
+    rhs: object
+    blocks: tuple
+    entries: dict
+    loads: list
     spaces: tuple
-    geometry: object
-    q_entries: list
-    load_entry: object
-    eps: float
 
-
-def _is_zero_entry(sf):
-    return sf is None or np.all(sf.tensor.core == 0.0)
+    @property
+    def block_ranks(self):
+        """{(a, b): operator rank of block (a, b)}."""
+        return {(a, b): block.rank for a, row in enumerate(self.blocks)
+                for b, block in enumerate(row)}
 
 
 def _metric_scale(geo, n_sample=128):
@@ -65,27 +75,9 @@ def _metric_scale(geo, n_sample=128):
     return float(np.max(np.abs(Q))), float(np.max(np.abs(det)))
 
 
-def approximate_metric(geo, eps):
-    """Separable approximations of the six distinct entries of Q."""
-    qscale, _ = _metric_scale(geo)
-    entries = []
-    for k, l in _UPPER:
-        sf = approximate_function(
-            lambda pts, k=k, l=l: metric_data(geo, pts)[0][..., k, l],
-            eps,
-            scale=qscale,
-        )
-        entries.append(None if _is_zero_entry(sf) else sf)
-    return entries
-
-
-def _entry(q_entries, k, l):
-    i = _UPPER.index((min(k, l), max(k, l)))
-    return q_entries[i]
-
-
-def block_operator(spaces, sf, k, l, reduced_col=True):
-    """Tucker-format operator for derivative pair (k, l) weighted by sf.
+def block_operator(spaces, sf, k, l):
+    """Tucker-format operator for derivative pair (k, l) weighted by sf, on
+    the untrimmed spaces.
 
     Direction t pairs a test derivative of order delta_{tk} with a trial
     derivative of order delta_{tl}; factor column r of sf supplies the
@@ -100,7 +92,8 @@ def block_operator(spaces, sf, k, l, reduced_col=True):
                 1 if t == k else 0,
                 1 if t == l else 0,
                 w_cheb=w,
-                reduced_col=reduced_col,
+                reduced_row=False,
+                reduced_col=False,
             )
             for w in sf.direction_weights(t)
         ]
@@ -108,16 +101,97 @@ def block_operator(spaces, sf, k, l, reduced_col=True):
     return TuckerOperator3(sf.tensor.core, tuple(factors))
 
 
-def assemble_rhs(spaces, load_sf, reduced=True):
+def _restrict(op, spaces, cols=True):
+    """``op`` on the rows, and with ``cols`` the columns, that the spaces'
+    Dirichlet conditions keep."""
+
+    def cut(C, space):
+        keep = slice(space.trim[0], space.full_dim - space.trim[1])
+        return C[keep, keep] if cols else C[keep]
+
+    return TuckerOperator3(op.core, tuple(
+        tuple(cut(C, space) for C in Cs) for Cs, space in zip(op.factors, spaces)))
+
+
+def _vector(parts):
+    """One component as itself, three as a BlockTuckerVector."""
+    return parts[0] if len(parts) == 1 else BlockTuckerVector(tuple(parts))
+
+
+def assemble_rhs(spaces, load_sf):
     """Tucker load vector from the separable weight omega."""
     factors = []
     for t in range(3):
         cols = [
-            assemble_weighted_rhs(spaces[t], w_cheb=w, reduced=reduced)
+            assemble_weighted_rhs(spaces[t], w_cheb=w)
             for w in load_sf.direction_weights(t)
         ]
         factors.append(np.column_stack(cols))
     return TuckerTensor3(load_sf.tensor.core.copy(), tuple(factors))
+
+
+def assemble_form(spaces, geo, W, scale, loads, eps):
+    """Assemble the system of an m-component form, m = len(loads).
+
+    Args:
+        spaces: three SplineSpace1D shared by the components.
+        geo: GeometryMap.
+        W: ``W(a, b, c, e)`` returns the pointwise evaluator of that
+            coefficient on the parametric cube; W^(a,b)_(c,e) =
+            W^(b,a)_(e,c), so only a <= b (and c <= e when a = b) is fitted.
+        scale: magnitude of the coefficients; a fit below 1e-14 scale is
+            numerically zero and its terms are dropped.
+        loads: the m component loads on the parametric cube, each a
+            vectorized evaluator or a constant.
+        eps: separable-approximation tolerance.
+
+    Returns:
+        AssembledSystem with homogeneous Dirichlet data.
+    """
+    m = len(loads)
+    entries = {}
+    blocks = [[None] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(a, m):
+            fits = {}
+            for c in range(3):
+                for e in range(c if a == b else 0, 3):
+                    sf = approximate_function(W(a, b, c, e), eps, scale=scale)
+                    if not np.all(sf.tensor.core == 0.0):
+                        fits[(c, e)] = sf
+            entries[(a, b)] = fits
+            parts = []
+            for c in range(3):
+                for e in range(3):
+                    sf = fits.get((min(c, e), max(c, e)) if a == b else (c, e))
+                    if sf is not None:
+                        parts.append(block_operator(spaces, sf, c, e))
+            blocks[a][b] = operator_sum(parts)
+            if b > a:
+                blocks[b][a] = operator_transpose(blocks[a][b])
+
+    _, dscale = _metric_scale(geo)
+    load_fits = []
+    for f in loads:
+        if not callable(f):
+            f = lambda pts, val=float(f): np.full(np.asarray(pts).shape[:-1], val)
+
+        def omega(pts, f=f):
+            det = metric_data(geo, pts)[1]
+            return det * np.asarray(f(pts), dtype=float)
+
+        load_fits.append(approximate_function(omega, eps, scale=dscale))
+
+    trimmed = [[_restrict(block, spaces) for block in row] for row in blocks]
+    return AssembledSystem(
+        op=trimmed[0][0] if m == 1 else BlockTuckerOperator(
+            tuple(map(tuple, trimmed))),
+        rhs=_vector([assemble_rhs(spaces, sf) for sf in load_fits]),
+        blocks=tuple(map(tuple, blocks)),
+        entries=entries,
+        loads=load_fits,
+        spaces=spaces,
+    )
 
 
 def assemble_system(spaces, geo, f, eps):
@@ -129,78 +203,38 @@ def assemble_system(spaces, geo, f, eps):
         f: load evaluator on the parametric cube (vectorized preferred).
         eps: separable-approximation tolerance.
     """
-    q_entries = approximate_metric(geo, eps)
-    _, dscale = _metric_scale(geo)
 
-    def omega(pts):
-        det = metric_data(geo, pts)[1]
-        return det * np.asarray(f(pts), dtype=float)
+    def Q(a, b, c, e):
+        return lambda pts: metric_data(geo, pts)[0][..., c, e]
 
-    load_sf = approximate_function(omega, eps, scale=dscale)
-
-    blocks = []
-    block_ranks = {}
-    for k in range(3):
-        for l in range(3):
-            sf = _entry(q_entries, k, l)
-            if sf is None:
-                block_ranks[(k, l)] = (0, 0, 0)
-                continue
-            block_ranks[(k, l)] = sf.rank
-            blocks.append(block_operator(spaces, sf, k, l))
-    op = operator_sum(blocks)
-    aggregate = tuple(
-        sum(block_ranks[(k, l)][t] for k in range(3) for l in range(3))
-        for t in range(3)
-    )
-    rhs = assemble_rhs(spaces, load_sf)
-    return AssembledSystem(
-        op=op,
-        rhs=rhs,
-        block_ranks=block_ranks,
-        aggregate_ranks=aggregate,
-        spaces=spaces,
-        geometry=geo,
-        q_entries=q_entries,
-        load_entry=load_sf,
-        eps=eps,
-    )
-
-
-def boundary_coefficient_vector(space, side, value):
-    """Coefficients of the spline extension of constant boundary data.
-
-    Open knot vectors are interpolatory at the ends, so constant data g on
-    the end ``side`` is represented by g times the first/last basis
-    function (full numbering).
-    """
-    e = np.zeros((space.full_dim, 1))
-    e[-1 if side else 0, 0] = value
-    return e
+    qscale, _ = _metric_scale(geo)
+    return assemble_form(spaces, geo, Q, qscale, (f,), eps)
 
 
 def face_extension(spaces, direction, side, value):
     """Rank-1 Tucker tensor of full coefficients extending the constant
     Dirichlet value on face ``(direction, side)`` into the cube.
 
-    The extension is constant along the transversal directions, forced to
-    zero at their Dirichlet ends so homogeneous data there stays intact.
+    Open knot vectors are interpolatory at the ends, so the value sits on
+    the first/last basis function of the face direction.  The extension is
+    constant along the transversal directions, forced to zero at their
+    Dirichlet ends so homogeneous data there stays intact.
     """
-    space = spaces[direction]
-    assert space.trim[1 if side else 0] == 1, (
+    assert spaces[direction].trim[1 if side else 0] == 1, (
         "face (%d, %d) does not carry a Dirichlet condition" % (direction, side)
     )
     factors = []
-    for t in range(3):
+    for t, space in enumerate(spaces):
         if t == direction:
-            factors.append(boundary_coefficient_vector(space, side, value))
+            v = np.zeros((space.full_dim, 1))
+            v[-1 if side else 0, 0] = value
         else:
-            ones = np.ones((spaces[t].full_dim, 1))
-            if spaces[t].trim[0]:
-                ones[0, 0] = 0.0
-            if spaces[t].trim[1]:
-                ones[-1, 0] = 0.0
-            factors.append(ones)
+            v = np.ones((space.full_dim, 1))
+            if space.trim[0]:
+                v[0, 0] = 0.0
+            if space.trim[1]:
+                v[-1, 0] = 0.0
+        factors.append(v)
     return TuckerTensor3(np.ones((1, 1, 1)), tuple(factors))
 
 
@@ -208,29 +242,22 @@ def dirichlet_lift(system, faces):
     """Correct the rhs for inhomogeneous Dirichlet data on cube faces.
 
     Args:
-        system: AssembledSystem (supplies f, the metric approximations and
-            the spaces).
-        faces: iterable of (direction, side, value) with side 0 (eta=0) or
-            1 (eta=1) and constant value.  Faces must carry Dirichlet
-            conditions in the corresponding space.
+        system: AssembledSystem.
+        faces: iterable of (component, direction, side, value): the
+            constant value of that component on the face eta_direction =
+            side (0 or 1), which must carry a Dirichlet condition.
 
     Returns:
-        TuckerTensor3: f - A_boundary g in Tucker format (exact ranks).
+        f - A_boundary g in the rhs's type (exact ranks): block (a, b)
+        restricted to the kept rows, with all its columns, applied to the
+        extension g of each face of component b.  Nothing is re-assembled.
     """
-    faces = [face for face in faces if face[2] != 0.0]
-    corrected = system.rhs
-    if not faces:
-        return corrected
-    blocks = []
-    for k in range(3):
-        for l in range(3):
-            sf = _entry(system.q_entries, k, l)
-            if sf is not None:
-                blocks.append(
-                    block_operator(system.spaces, sf, k, l, reduced_col=False)
-                )
-    A_bdry = operator_sum(blocks)
-    for direction, side, value in faces:
-        g_t = face_extension(system.spaces, direction, side, value)
-        corrected = corrected - A_bdry.matvec(g_t)
-    return corrected
+    parts = list(system.rhs.components)
+    for component, direction, side, value in faces:
+        if value == 0.0:
+            continue
+        g = face_extension(system.spaces, direction, side, value)
+        for a, row in enumerate(system.blocks):
+            A = _restrict(row[component], system.spaces, cols=False)
+            parts[a] = parts[a] - A.matvec(g)
+    return _vector(parts)

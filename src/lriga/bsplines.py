@@ -114,13 +114,6 @@ class SplineSpace1D:
     def __repr__(self):
         return "SplineSpace1D(p=%d, n_el=%d, bc=%s)" % (self.p, self.n_el, self.bc)
 
-    def breakpoints(self):
-        return np.linspace(0.0, 1.0, self.n_el + 1)
-
-    def midpoints(self):
-        b = self.breakpoints()
-        return 0.5 * (b[:-1] + b[1:])
-
     def _active(self, etas, deriv, reduced):
         """Indices and values of the p+1 functions active at each point.
 

@@ -19,7 +19,7 @@ from numpy.polynomial.chebyshev import chebvander
 from scipy.stats import qmc
 
 from .truncation import sthosvd
-from .tucker import TuckerTensor3, multi_mode_product
+from .tucker import TuckerTensor3, multi_mode_product, tucker_zero
 
 #: Maximum number of Chebyshev coefficients per direction.
 DEGREE_CAP = 129
@@ -146,8 +146,6 @@ def halton_sample(n=512, seed=0):
 
 def zero_function():
     """The exact-zero separable function (canonical rank (1,1,1))."""
-    from .tucker import tucker_zero
-
     return SeparableFunction3((0, 0, 0), tucker_zero((1, 1, 1)), error=0.0)
 
 

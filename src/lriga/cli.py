@@ -178,7 +178,8 @@ def _scalar_setup(cfg):
     return geo, p, n_el, tol_rel, spaces
 
 
-def _scalar_preconditioner(cfg, spaces):
+def _preconditioner_settings(cfg):
+    """([preconditioner] eps, [preconditioner] r_cap)."""
     eps_prec = _positive(
         _get(cfg, "preconditioner", "eps", float, required=True),
         "preconditioner eps",
@@ -186,6 +187,11 @@ def _scalar_preconditioner(cfg, spaces):
     r_cap = _positive(
         _get(cfg, "preconditioner", "r_cap", int, required=True), "r_cap"
     )
+    return eps_prec, r_cap
+
+
+def _scalar_preconditioner(cfg, spaces):
+    eps_prec, r_cap = _preconditioner_settings(cfg)
     eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
     return build_lowrank_fd(eigs, eps_prec, r_cap=r_cap)
 
@@ -339,8 +345,15 @@ def cmd_precond_study(cfg):
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
-def _column_system(geo, p, n_el, load, lam, mu, eps, top):
-    """Elasticity column: sides free, bottom clamped, top displaced by top."""
+def _column_cell(cfg, geo, p, n_el, lam, mu, tol_rel, restarts=0):
+    """Assemble, precondition and solve the elasticity column: sides free,
+    bottom clamped, top displaced by [elasticity] top_value, load
+    [elasticity] load.  Returns (x, SolveReport)."""
+    load = _get(cfg, "elasticity", "load", _float_list, required=True)
+    if len(load) != 3:
+        raise ConfigError("elasticity load must have three components")
+    top = _get(cfg, "elasticity", "top_value", float, required=True)
+    eps_prec, r_cap = _preconditioner_settings(cfg)
     spaces = (
         SplineSpace1D(p, n_el, NN),
         SplineSpace1D(p, n_el, NN),
@@ -352,10 +365,11 @@ def _column_system(geo, p, n_el, load, lam, mu, eps, top):
         tuple(load),
         lam,
         mu,
-        eps,
+        _assembly_eps(cfg, tol_rel),
         dirichlet=((2, 2, 0, 0.0), (2, 2, 1, top)),
     )
-    return spaces, system
+    precond = block_preconditioner(spaces, lam, mu, eps_prec, r_cap=r_cap)
+    return _solve(cfg, system, precond, tol_rel, restarts)
 
 
 def cmd_elasticity(cfg):
@@ -367,24 +381,8 @@ def cmd_elasticity(cfg):
     mu = _get(cfg, "elasticity", "mu", float, required=True)
     if lam < 0 or mu <= 0:
         raise ConfigError("need lam >= 0 and mu > 0")
-    load = _get(cfg, "elasticity", "load", _float_list, required=True)
-    if len(load) != 3:
-        raise ConfigError("elasticity load must have three components")
-    top = _get(cfg, "elasticity", "top_value", float, required=True)
-
-    spaces, system = _column_system(
-        geo, p, n_el, load, lam, mu, _assembly_eps(cfg, tol_rel), top
-    )
-    eps_prec = _positive(
-        _get(cfg, "preconditioner", "eps", float, required=True),
-        "preconditioner eps",
-    )
-    r_cap = _positive(
-        _get(cfg, "preconditioner", "r_cap", int, required=True), "r_cap"
-    )
-    precond = block_preconditioner(spaces, lam, mu, eps_prec, r_cap=r_cap)
     restarts = _get(cfg, "problem", "restarts", int, required=True)
-    x, report = _solve(cfg, system, precond, tol_rel, restarts)
+    x, report = _column_cell(cfg, geo, p, n_el, lam, mu, tol_rel, restarts)
     return _finish_solve(cfg, "elasticity", p, n_el, x, report)
 
 
@@ -445,12 +443,7 @@ def cmd_paper_tables(cfg):
     lines = ["n_el,p,iterations,converged"]
     for p in ps:
         for n_el in n_els:
-            spaces, system = _column_system(
-                geo, p, n_el, (0.0, 0.0, -1.0), lam, mu,
-                _assembly_eps(cfg, tol_rel), -0.5,
-            )
-            precond = block_preconditioner(spaces, lam, mu, 1e-1)
-            _, report = _solve(cfg, system, precond, tol_rel)
+            _, report = _column_cell(cfg, geo, p, n_el, lam, mu, tol_rel)
             lines.append(
                 "%d,%d,%d,%s" % (n_el, p, report.iterations, report.converged)
             )

@@ -47,6 +47,29 @@ def _interpolation_points(space, k0, k1):
     return (np.arange(N) + 0.5) / N
 
 
+#: (odd p, k0, k1, transpose) -> (transform, type, keep).  With keep None
+#: the transform of B is halved; otherwise the transform is taken of B
+#: halved except for its first (keep[0]) and/or last (keep[1]) row.
+_SINE_TRANSFORMS = {
+    (True, 0, 0, False): (sfft.dst, 1, None),
+    (True, 1, 1, False): (sfft.dct, 1, (True, True)),
+    (True, 1, 0, False): (sfft.dct, 2, None),
+    (True, 0, 1, False): (sfft.dst, 2, None),
+    (False, 0, 0, False): (sfft.dst, 3, (False, True)),
+    (False, 1, 1, False): (sfft.dct, 3, (True, False)),
+    (False, 1, 0, False): (sfft.dct, 4, None),
+    (False, 0, 1, False): (sfft.dst, 4, None),
+    (True, 0, 0, True): (sfft.dst, 1, None),
+    (True, 1, 1, True): (sfft.dct, 1, (True, True)),
+    (True, 1, 0, True): (sfft.dct, 3, (True, False)),
+    (True, 0, 1, True): (sfft.dst, 3, (False, True)),
+    (False, 0, 0, True): (sfft.dst, 2, None),
+    (False, 1, 1, True): (sfft.dct, 2, None),
+    (False, 1, 0, True): (sfft.dct, 4, None),
+    (False, 0, 1, True): (sfft.dst, 4, None),
+}
+
+
 class SineTransform:
     """Multiplication by S[i, j] = sin(mu_j pi x_i + k0 pi/2) and its transpose.
 
@@ -74,65 +97,27 @@ class SineTransform:
                 np.pi * np.outer(self.x, mu) + 0.5 * np.pi * self.k0)
         return self._dense_cache
 
-    def mult(self, B):
+    def _apply(self, B, transpose):
         if B.shape[1] == 0:
             return B.copy()
         if not self.fast:
-            return self.dense() @ B
-        k0, k1 = self.k0, self.k1
-        if self.odd:
-            if (k0, k1) == (0, 0):
-                return sfft.dst(B, type=1, axis=0) / 2.0
-            if (k0, k1) == (1, 1):
-                w = B / 2.0
-                w[0] = B[0]
-                w[-1] = B[-1]
-                return sfft.dct(w, type=1, axis=0)
-            if (k0, k1) == (1, 0):
-                return sfft.dct(B, type=2, axis=0) / 2.0
-            # (0, 1)
-            return sfft.dst(B, type=2, axis=0) / 2.0
-        if (k0, k1) == (0, 0):
-            w = B / 2.0
-            w[-1] = B[-1]
-            return sfft.dst(w, type=3, axis=0)
-        if (k0, k1) == (1, 1):
-            w = B / 2.0
+            return (self.dense().T if transpose else self.dense()) @ B
+        transform, kind, keep = _SINE_TRANSFORMS[
+            (self.odd, self.k0, self.k1, transpose)]
+        if keep is None:
+            return transform(B, type=kind, axis=0) / 2.0
+        w = B / 2.0
+        if keep[0]:
             w[0] = B[0]
-            return sfft.dct(w, type=3, axis=0)
-        if (k0, k1) == (1, 0):
-            return sfft.dct(B, type=4, axis=0) / 2.0
-        return sfft.dst(B, type=4, axis=0) / 2.0
+        if keep[1]:
+            w[-1] = B[-1]
+        return transform(w, type=kind, axis=0)
+
+    def mult(self, B):
+        return self._apply(B, transpose=False)
 
     def tmult(self, B):
-        if B.shape[1] == 0:
-            return B.copy()
-        if not self.fast:
-            return self.dense().T @ B
-        k0, k1 = self.k0, self.k1
-        if self.odd:
-            if (k0, k1) == (0, 0):
-                return sfft.dst(B, type=1, axis=0) / 2.0
-            if (k0, k1) == (1, 1):
-                w = B / 2.0
-                w[0] = B[0]
-                w[-1] = B[-1]
-                return sfft.dct(w, type=1, axis=0)
-            if (k0, k1) == (1, 0):
-                w = B / 2.0
-                w[0] = B[0]
-                return sfft.dct(w, type=3, axis=0)
-            # (0, 1)
-            w = B / 2.0
-            w[-1] = B[-1]
-            return sfft.dst(w, type=3, axis=0)
-        if (k0, k1) == (0, 0):
-            return sfft.dst(B, type=2, axis=0) / 2.0
-        if (k0, k1) == (1, 1):
-            return sfft.dct(B, type=2, axis=0) / 2.0
-        if (k0, k1) == (1, 0):
-            return sfft.dct(B, type=4, axis=0) / 2.0
-        return sfft.dst(B, type=4, axis=0) / 2.0
+        return self._apply(B, transpose=True)
 
 
 class ExactEigen1D:

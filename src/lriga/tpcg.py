@@ -59,6 +59,10 @@ class SolveReport:
 
     Rank entries are the iterates' ``rank``: one ``(r1, r2, r3)`` for a
     scalar problem, one such tuple per component for a block problem.
+    Row k holds the residual, iterate and residual ranks after step k and
+    the search direction that step k + 1 takes (the last one taken in the
+    final row); row 0, recorded before any direction exists, holds the
+    rank of the initial residual in its ``ranks_p`` entry.
     """
 
     tol: float
@@ -148,52 +152,36 @@ def tpcg(op, rhs, precond, cfg, x0=None):
 
     r = rhs if x0 is None else rhs - op.matvec(x)
     res = r.norm()
-    p = r  # placeholder until the first direction exists
-    report.record(0, res, x, r, p, eps)
-
-    if res <= cfg.tol:
-        report.converged = True
-        report.residual_tensor = r
-        _finalize(report, op, rhs, x, t0, eta=None)
-        return x, report
-
-    eta = cfg.beta * cfg.tol / res
-    z = _truncate(precond.apply(r), eta)
-    p = z
-    q = _truncate(op.matvec(p), eta)
-    xi = p.inner(q)
-    if xi <= 0.0:
-        report.breakdown = True
-        report.residual_tensor = r
-        _finalize(report, op, rhs, x, t0, eta)
-        return x, report
-
+    report.record(0, res, x, r, r, eps)  # no direction yet: rp holds r0's rank
+    eta = None
     k = 0
     while res > cfg.tol and k < cfg.max_iterations:
+        eta = cfg.beta * cfg.tol / res
+        z = _truncate(precond.apply(r), eta)
+        p = z if k == 0 else _truncate(z + (-z.inner(q) / xi) * p, eta)
+        q = _truncate(op.matvec(p), eta)
+        xi = p.inner(q)
+        if k > 0:
+            report.record(k, res, x, r, p, eps)
+        if xi <= 0.0:
+            report.breakdown = True
+            break
         omega = r.inner(p) / xi
         x, eps = truncate_dynamic(
             x, x + omega * p, eps, cfg.alpha, eps_min, cfg.delta)
         r = _truncate(rhs - op.matvec(x), eta)
         res = r.norm()
         k += 1
-        if res > cfg.tol and k < cfg.max_iterations:
-            eta = cfg.beta * cfg.tol / res
-            z = _truncate(precond.apply(r), eta)
-            beta_k = -z.inner(q) / xi
-            p = _truncate(z + beta_k * p, eta)
-            q = _truncate(op.matvec(p), eta)
-            xi = p.inner(q)
-            report.record(k, res, x, r, p, eps)
-            if xi <= 0.0:
-                report.breakdown = True
-                break
-        else:
-            report.record(k, res, x, r, p, eps)
+    if k > 0 and not report.breakdown:
+        report.record(k, res, x, r, p, eps)
 
     report.iterations = k
     report.converged = res <= cfg.tol
     report.residual_tensor = r
-    _finalize(report, op, rhs, x, t0, eta)
+    report.final_residual = (rhs - op.matvec(x)).norm_qr()
+    report.memory_compression = compression_percent(x)
+    report.wall_time = time.perf_counter() - t0
+    report.eta_final = eta
     return x, report
 
 
@@ -205,13 +193,6 @@ def _truncate(x, eps):
     truncation as a direct child of ``tpcg``.
     """
     return x.map(lambda c: truncate_rel(c, eps))
-
-
-def _finalize(report, op, rhs, x, t0, eta):
-    report.final_residual = (rhs - op.matvec(x)).norm_qr()
-    report.memory_compression = compression_percent(x)
-    report.wall_time = time.perf_counter() - t0
-    report.eta_final = eta
 
 
 def error_norms(x, spaces, geo, u_exact, grad_exact=None, quad_extra=1):

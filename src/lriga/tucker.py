@@ -97,7 +97,7 @@ class TuckerTensor3:
     Besides the free functions below it offers the vector interface the
     solver is written against (``+``, ``-``, scalar ``*``, ``inner``,
     ``norm``, ``norm_qr``, ``map``, ``rank``, ``components``), which
-    ``elasticity.BlockTuckerVector`` implements for block vectors.
+    :class:`BlockTuckerVector` implements for block vectors.
 
     Attributes:
         core: ndarray of shape ``(r1, r2, r3)``.
@@ -353,6 +353,91 @@ def operator_sum(ops):
             factors[k].extend(op.factors[k])
             off[k] += r[k]
     return TuckerOperator3(core, tuple(tuple(f) for f in factors))
+
+
+def operator_transpose(op):
+    """Transpose of a Tucker-format operator (factorwise transposition)."""
+    factors = tuple(
+        tuple(C.T for C in op.factors[k]) for k in range(3)
+    )
+    return type(op)(op.core, factors)
+
+
+@dataclass(frozen=True)
+class BlockTuckerVector:
+    """Three Tucker tensors, one per displacement component.
+
+    Implements the vector interface of TuckerTensor3 that the solver uses:
+    arithmetic acts componentwise, the inner product is the component sum
+    and ``map`` applies a Tucker-tensor map (a truncation) per component.
+    """
+
+    components: tuple
+
+    def __post_init__(self):
+        assert len(self.components) == 3
+        dims = self.components[0].dims
+        for c in self.components[1:]:
+            assert c.dims == dims, "components must share outer dims"
+
+    @property
+    def dims(self):
+        return self.components[0].dims
+
+    @property
+    def rank(self):
+        """Per-component multilinear ranks."""
+        return tuple(c.rank for c in self.components)
+
+    ranks = rank  # the name bench/workloads.py reads
+
+    def zeros_like(self):
+        return BlockTuckerVector(tuple(c.zeros_like() for c in self.components))
+
+    def inner(self, other):
+        return sum(a.inner(b) for a, b in zip(self.components, other.components))
+
+    def norm(self):
+        return np.sqrt(max(self.inner(self), 0.0))
+
+    def norm_qr(self):
+        return np.sqrt(sum(c.norm_qr() ** 2 for c in self.components))
+
+    def map(self, fn):
+        """``fn`` (a TuckerTensor3 map) applied to every component."""
+        return BlockTuckerVector(tuple(fn(c) for c in self.components))
+
+    def __add__(self, other):
+        return BlockTuckerVector(
+            tuple(a + b for a, b in zip(self.components, other.components)))
+
+    def __sub__(self, other):
+        return BlockTuckerVector(
+            tuple(a - b for a, b in zip(self.components, other.components)))
+
+    def __rmul__(self, a):
+        return BlockTuckerVector(tuple(a * c for c in self.components))
+
+
+@dataclass(frozen=True)
+class BlockTuckerOperator:
+    """3x3 grid of Tucker-format operator blocks."""
+
+    blocks: tuple  # blocks[i][j] maps component j to component i
+
+    def __post_init__(self):
+        assert len(self.blocks) == 3
+        for row in self.blocks:
+            assert len(row) == 3
+
+    def matvec(self, x):
+        out = []
+        for row in self.blocks:
+            y = tucker_matvec(row[0], x.components[0])
+            for j in (1, 2):
+                y = tucker_add(y, tucker_matvec(row[j], x.components[j]))
+            out.append(y)
+        return BlockTuckerVector(tuple(out))
 
 
 def compression_percent(x):

@@ -41,7 +41,7 @@ def test_cube_is_kronecker_sum():
         + kron3(M[0], M[1], K[2])
     )
     assert np.linalg.norm(A - ref) <= 1e-10 * np.linalg.norm(ref)
-    assert system.aggregate_ranks == (3, 3, 3)
+    assert system.op.rank == (3, 3, 3)
 
 
 def test_annulus_aggregate_ranks():
@@ -49,13 +49,12 @@ def test_annulus_aggregate_ranks():
     system = assemble_system(
         spaces, get_geometry("quarter_annulus"), one, 1e-8
     )
-    assert system.aggregate_ranks == (3, 3, 3)
-    # diagonal blocks are rank one, off-diagonal blocks vanish
-    for k in range(3):
-        assert system.block_ranks[(k, k)] == (1, 1, 1)
-        for l in range(3):
-            if l != k:
-                assert system.block_ranks[(k, l)] == (0, 0, 0)
+    assert system.op.rank == (3, 3, 3)
+    # diagonal metric entries are rank one, off-diagonal entries vanish
+    entries = system.entries[(0, 0)]
+    assert sorted(entries) == [(0, 0), (1, 1), (2, 2)]
+    for sf in entries.values():
+        assert sf.rank == (1, 1, 1)
 
 
 def test_shell_aggregate_ranks_near_reference():
@@ -64,8 +63,8 @@ def test_shell_aggregate_ranks_near_reference():
         spaces, get_geometry("spherical_shell"), one, 1e-6
     )
     target = (13, 13, 9)
-    for got, want in zip(system.aggregate_ranks, target):
-        assert abs(got - want) <= 2, (system.aggregate_ranks, target)
+    for got, want in zip(system.op.rank, target):
+        assert abs(got - want) <= 2, (system.op.rank, target)
 
 
 @pytest.mark.parametrize("preset", ["quarter_annulus", "spherical_shell"])
@@ -74,27 +73,22 @@ def test_dense_equals_element_loop_oracle(preset):
     geo = get_geometry(preset)
     system = assemble_system(spaces, geo, one, 1e-6)
 
-    entries = {
-        (k, l): system.q_entries[i]
-        for i, (k, l) in enumerate([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
-    }
+    entries = system.entries[(0, 0)]
 
     def metric_grid(k, l, e1, e2, e3):
-        sf = entries[(min(k, l), max(k, l))]
+        sf = entries.get((min(k, l), max(k, l)))
         if sf is None:
             return np.zeros((len(e1), len(e2), len(e3)))
         return sf.eval_grid(e1, e2, e3)
 
-    maxdeg = max(
-        max(sf.degrees) for sf in system.q_entries if sf is not None
-    )
+    maxdeg = max(max(sf.degrees) for sf in entries.values())
     qpts = 2 + 1 + math.ceil(maxdeg / 2) + 1
     A = dense_operator(system.op)
     ref = dense_galerkin(spaces, metric_grid, qpts)
     assert np.linalg.norm(A - ref) <= 1e-10 * np.linalg.norm(ref)
 
     # same game for the load vector
-    load = system.load_entry
+    (load,) = system.loads
 
     def weight_grid(e1, e2, e3):
         return load.eval_grid(e1, e2, e3)
@@ -121,8 +115,8 @@ def test_ranks_monotone_in_eps():
     prev = (0, 0, 0)
     for eps in (1e-4, 1e-6, 1e-8):
         system = assemble_system(spaces, geo, one, eps)
-        assert all(a >= b for a, b in zip(system.aggregate_ranks, prev))
-        prev = system.aggregate_ranks
+        assert all(a >= b for a, b in zip(system.op.rank, prev))
+        prev = system.op.rank
 
 
 def test_rhs_rank_for_constant_load_on_cube():
@@ -134,7 +128,7 @@ def test_rhs_rank_for_constant_load_on_cube():
 def test_dirichlet_lift_zero_data_is_noop():
     spaces = make_spaces(2, 4)
     system = assemble_system(spaces, get_geometry("unit_cube"), one, 1e-8)
-    corrected = dirichlet_lift(system, [(2, 1, 0.0)])
+    corrected = dirichlet_lift(system, [(0, 2, 1, 0.0)])
     assert np.allclose(
         to_dense(corrected), to_dense(system.rhs), atol=0
     )
@@ -149,7 +143,7 @@ def test_dirichlet_lift_linear_ramp():
         return np.zeros(np.asarray(pts).shape[:-1])
 
     system = assemble_system(spaces, get_geometry("unit_cube"), zero, 1e-10)
-    corrected = dirichlet_lift(system, [(0, 1, 1.0)])
+    corrected = dirichlet_lift(system, [(0, 0, 1, 1.0)])
     A = dense_operator(system.op)
     x = np.linalg.solve(A, vec(to_dense(corrected)))
     # ramp coefficients: p=1 coefficients interpolate at the knots
@@ -168,8 +162,8 @@ def test_dirichlet_lift_constant_face_rank():
     # image of the rank-(1,1,1) lifting, min(n_k, R_k), capped at n_k
     spaces = make_spaces(2, 4, bcs=(NN, NN, DD))
     system = assemble_system(spaces, get_geometry("deformed_column"), one, 1e-8)
-    corrected = dirichlet_lift(system, [(2, 1, -0.5)])
-    R = system.aggregate_ranks
+    corrected = dirichlet_lift(system, [(0, 2, 1, -0.5)])
+    R = system.op.rank
     r = system.rhs.rank
     n = tuple(s.n for s in spaces)
     assert corrected.rank == tuple(min(n[k], r[k] + min(n[k], R[k])) for k in range(3))
@@ -180,7 +174,7 @@ def test_dirichlet_lift_two_faces_is_sum_of_single_faces():
     # single-face lifts minus one copy of f
     spaces = make_spaces(2, 3, bcs=(DD, NN, DD))
     system = assemble_system(spaces, get_geometry("quarter_annulus"), one, 1e-8)
-    faces = [(0, 1, 0.75), (2, 0, -0.5)]
+    faces = [(0, 0, 1, 0.75), (0, 2, 0, -0.5)]
     both = to_dense(dirichlet_lift(system, faces))
     single = [to_dense(dirichlet_lift(system, [face])) for face in faces]
     want = single[0] + single[1] - to_dense(system.rhs)

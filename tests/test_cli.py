@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import lriga
+from lriga import cli
 from lriga.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -148,6 +149,28 @@ def test_table_mode_writes_labeled_files(tmp_path, capsys):
         assert text.startswith(SCALED_DOWN_HEADER + "\n"), name
         assert len(text.strip().split("\n")) >= 3  # label, header, data
     assert capsys.readouterr().out.count("wrote ") == len(names)
+
+
+def test_table_mode_honours_preconditioner_settings(tmp_path, monkeypatch):
+    # the column table builds its preconditioner from [preconditioner] eps
+    # and r_cap, as `lriga elasticity` does
+    seen = []
+    real = cli.block_preconditioner
+
+    def recording(spaces, lam, mu, eps_rel, r_cap=128):
+        seen.append((eps_rel, r_cap))
+        return real(spaces, lam, mu, eps_rel, r_cap=r_cap)
+
+    monkeypatch.setattr(cli, "block_preconditioner", recording)
+    cfg = tmp_path / "tables.ini"
+    cfg.write_text(
+        "[problem]\ntol = 1e-4\n[sweep]\nn_el = 2\np = 2\n"
+        "[preconditioner]\neps = 0.5\nr_cap = 64\n"
+    )
+    code = run(["--paper-tables", "-c", str(cfg),
+                "--out-dir", str(tmp_path / "tables")])
+    assert code == EXIT_OK
+    assert seen == [(0.5, 64)]
 
 
 def test_unreadable_config_is_config_error(tmp_path, capsys):

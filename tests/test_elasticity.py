@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from lriga import assembly
 from lriga.bsplines import BC_DIRICHLET, BC_NEUMANN, SplineSpace1D
 from lriga.elasticity import (
     BlockTuckerVector,
@@ -199,7 +200,10 @@ def test_block_preconditioner_rank_growth():
             assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
 
 
-def column_system(p, n_el, eps):
+COLUMN_FACES = ((2, 2, 0, 0.0), (2, 2, 1, -0.5))
+
+
+def column_system(p, n_el, eps, faces=COLUMN_FACES):
     spaces = column_spaces(p, n_el)
     return assemble_elasticity(
         spaces,
@@ -208,13 +212,14 @@ def column_system(p, n_el, eps):
         LAM,
         MU,
         eps,
-        dirichlet=((2, 2, 0, 0.0), (2, 2, 1, -0.5)),
+        dirichlet=faces,
     )
 
 
-def solve_column(p, n_el, tol_rel=1e-6, eps=None, max_iterations=100):
+def solve_column(p, n_el, tol_rel=1e-6, eps=None, max_iterations=100,
+                 faces=COLUMN_FACES):
     eps = max(tol_rel * 1e-1, 1e-12) if eps is None else eps
-    system = column_system(p, n_el, eps)
+    system = column_system(p, n_el, eps, faces)
     P = block_preconditioner(system.spaces, LAM, MU, 1e-1)
     cfg = TpcgConfig.relative(
         tol_rel, system.rhs.norm(), max_iterations=max_iterations
@@ -232,12 +237,12 @@ def test_tiny_column_matches_dense_block_solve():
     assert np.linalg.norm(concat(x) - want) <= bound
 
 
-def test_lift_matches_boundary_elimination_oracle():
-    """Independent route: assemble on untrimmed spaces, set the boundary
-    coefficients of the clamped faces directly, and eliminate them."""
-    p, n_el = 2, 2
-    system, x, report, cfg = solve_column(p, n_el, eps=1e-10)
-
+def boundary_elimination(p, n_el, top):
+    """Dense column solution by an independent route: assemble on untrimmed
+    spaces, set the boundary coefficients of the clamped faces directly
+    (``top[a]`` on the eta3 = 1 face of component a, zero elsewhere) and
+    eliminate them.  Returns (solution, smallest eigenvalue of the
+    interior matrix)."""
     full = make_spaces(p, n_el, bcs=(NN, NN, NN))
     geo = get_geometry("deformed_column")
     ns = [s.n for s in full]
@@ -256,15 +261,46 @@ def test_lift_matches_boundary_elimination_oracle():
     i3 = np.arange(Nf) // (ns[0] * ns[1])
     on_face = (i3 == 0) | (i3 == ns[2] - 1)
     boundary = np.concatenate([on_face] * 3)
-    g = np.zeros(3 * Nf)
-    g[2 * Nf:][i3 == ns[2] - 1] = -0.5
+    g = np.concatenate([np.where(i3 == ns[2] - 1, value, 0.0) for value in top])
 
     I = ~boundary
     x_full = np.linalg.solve(
         A_full[np.ix_(I, I)], b_full[I] - A_full[np.ix_(I, boundary)] @ g[boundary]
     )
-    lam_min = np.linalg.eigvalsh(A_full[np.ix_(I, I)])[0]
+    return x_full, np.linalg.eigvalsh(A_full[np.ix_(I, I)])[0]
+
+
+def test_lift_matches_boundary_elimination_oracle():
+    system, x, report, cfg = solve_column(2, 2, eps=1e-10)
+    x_full, lam_min = boundary_elimination(2, 2, (0.0, 0.0, -0.5))
     assert np.linalg.norm(concat(x) - x_full) <= cfg.tol / lam_min
+
+
+def test_lift_through_lower_blocks_matches_oracle():
+    # a face on component 0 is lifted through blocks (1, 0) and (2, 0),
+    # the transposes of the assembled upper blocks
+    system, x, report, cfg = solve_column(
+        2, 2, eps=1e-10, faces=((0, 2, 1, 0.25), (2, 2, 0, 0.0)))
+    assert report.converged
+    x_full, lam_min = boundary_elimination(2, 2, (0.25, 0.0, 0.0))
+    assert np.linalg.norm(concat(x) - x_full) <= cfg.tol / lam_min
+    assert np.linalg.norm(x_full) > 1e3 * cfg.tol / lam_min
+
+
+def test_lift_reassembles_nothing(monkeypatch):
+    calls = []
+    real = assembly.assemble_weighted_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble_weighted_matrix", counting)
+    column_system(2, 3, 1e-8, faces=())
+    without = len(calls)
+    calls.clear()
+    column_system(2, 3, 1e-8, faces=((0, 2, 1, 0.25), (2, 2, 1, -0.5)))
+    assert without > 0 and len(calls) == without
 
 
 def test_zero_load_converges_immediately():
