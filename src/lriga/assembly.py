@@ -61,12 +61,6 @@ class AssembledSystem:
     loads: list
     spaces: tuple
 
-    @property
-    def block_ranks(self):
-        """{(a, b): operator rank of block (a, b)}."""
-        return {(a, b): block.rank for a, row in enumerate(self.blocks)
-                for b, block in enumerate(row)}
-
 
 def _metric_scale(geo, n_sample=128):
     """Magnitude of the metric over a low-discrepancy sample."""

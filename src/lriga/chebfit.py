@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 from numpy.polynomial.chebyshev import chebvander
-from scipy.stats import qmc
 
 from .truncation import sthosvd
-from .tucker import TuckerTensor3, multi_mode_product, tucker_zero
+from .tucker import TuckerTensor3, tucker_zero
 
 #: Maximum number of Chebyshev coefficients per direction.
 DEGREE_CAP = 129
@@ -120,14 +119,6 @@ class SeparableFunction3:
         U = self.tensor.factors[k]
         return [U[:, r] for r in range(U.shape[1])]
 
-    def eval_grid(self, eta1, eta2, eta3):
-        """Evaluate on the tensor grid eta1 x eta2 x eta3."""
-        mats = [
-            chebvander(2.0 * np.atleast_1d(e) - 1.0, d) @ U
-            for e, d, U in zip((eta1, eta2, eta3), self.degrees, self.tensor.factors)
-        ]
-        return multi_mode_product(self.tensor.core, mats)
-
     def eval_points(self, pts):
         """Evaluate at scattered points of shape (N, 3)."""
         pts = np.asarray(pts, dtype=float)
@@ -138,10 +129,19 @@ class SeparableFunction3:
         return np.einsum("pa,pb,pc,abc->p", Bs[0], Bs[1], Bs[2], self.tensor.core)
 
 
-def halton_sample(n=512, seed=0):
-    """Fixed low-discrepancy validation sample in [0,1]^3."""
-    sampler = qmc.Halton(d=3, scramble=False, seed=seed)
-    return sampler.random(n)
+def halton_sample(n=512):
+    """Fixed low-discrepancy validation sample in [0,1]^3: the first n
+    points of the unscrambled Halton sequence (radical inverses of
+    0, 1, ..., n-1 in bases 2, 3 and 5)."""
+    pts = np.zeros((n, 3))
+    for k, base in enumerate((2, 3, 5)):
+        i = np.arange(n)
+        scale = 1.0
+        while np.any(i):
+            scale /= base
+            pts[:, k] += scale * (i % base)
+            i //= base
+    return pts
 
 
 def zero_function():
@@ -149,7 +149,7 @@ def zero_function():
     return SeparableFunction3((0, 0, 0), tucker_zero((1, 1, 1)), error=0.0)
 
 
-def approximate_function(g, eps, degree_cap=DEGREE_CAP, validate=True, scale=None):
+def approximate_function(g, eps, degree_cap=DEGREE_CAP, scale=None):
     """Separable approximation of ``g`` on [0,1]^3 to relative accuracy eps.
 
     Args:
@@ -157,12 +157,13 @@ def approximate_function(g, eps, degree_cap=DEGREE_CAP, validate=True, scale=Non
             stack of points, otherwise called pointwise.
         eps: relative target accuracy (coefficient-tensor compression level).
         degree_cap: maximum Chebyshev coefficients per direction.
-        validate: check the interpolant at 512 Halton points and record the
-            achieved error; a miss beyond 10*eps*max|g| raises.
         scale: known magnitude of the surrounding problem.  A function whose
             samples stay below 1e-14*scale is numerically zero (e.g. a
             metric entry that cancels exactly); without the hint such noise
             has no convergent tail and would exhaust the degree cap.
+
+    The interpolant is checked at 512 Halton points and the achieved error
+    recorded; a miss beyond 10*eps*max|g| raises.
 
     Raises:
         NonSeparableFunctionError: degree cap exceeded or validation failed.
@@ -198,8 +199,6 @@ def approximate_function(g, eps, degree_cap=DEGREE_CAP, validate=True, scale=Non
     degrees = tuple(n - 1 for n in C.shape)
     sf = SeparableFunction3(degrees, tensor, error=np.nan)
 
-    if not validate:
-        return sf
     pts = halton_sample()
     # evaluate g at scattered points (vectorized if possible)
     try:

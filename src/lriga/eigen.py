@@ -5,15 +5,18 @@ eigenfunctions are close to sines, so the eigenvector matrix is split into
 a large "smooth" block — spline interpolants of sin(mu_j pi x + k0 pi/2)
 at either the interior breakpoints (odd p) or the knot-span midpoints
 (even p) — and a small boundary block obtained from a dense generalized
-eigensolve.  Applying the smooth block reduces to a fast sine/cosine
-transform plus a banded collocation solve; its eigenvalues are taken as
-the analytic values (mu_j pi)^2.
+eigensolve.  The smooth block is built once at setup from a fast
+sine/cosine transform of the identity and a banded collocation solve; its
+eigenvalues are taken as the analytic values (mu_j pi)^2.  Both
+decompositions are an :class:`Eigen1D` whose eigenvector matrix is then
+applied as a plain matrix.
 
 The phase parameters k0, k1 are 1 at a Neumann end and 0 at a Dirichlet
 end, giving mu_j = j - k0/2 - k1/2.  For degrees p <= 2 (or fewer
-elements than the degree) the exact dense eigendecomposition is wrapped
-behind the same applicator interface.
+elements than the degree) the exact dense eigendecomposition is used.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,8 +26,6 @@ from scipy import fft as sfft
 from .banded import BandedLU
 from .bsplines import BC_NEUMANN
 
-# below this smooth-block size a cached dense sine matrix beats transform calls
-FAST_MIN = 32
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -76,32 +77,22 @@ class SineTransform:
     x_i are the interpolation points and mu_j = j - k0/2 - k1/2 for
     j = 1..n1.  Each (degree parity, k0, k1) combination matches one of the
     eight standard DST/DCT types up to index shifts and endpoint scaling;
-    the dense matrix is kept only as the small-size and validation path.
+    the dense matrix is the validation path.
     """
 
-    def __init__(self, p, k0, k1, n_el, x):
+    def __init__(self, p, k0, k1, x):
         self.odd = p % 2 == 1
         self.k0 = k0
         self.k1 = k1
-        self.n_el = n_el
         self.x = x
         self.n1 = len(x)
-        self.fast = self.n1 >= FAST_MIN
-        self._dense_cache = None
 
     def dense(self):
-        if self._dense_cache is None:
-            j = np.arange(1, self.n1 + 1)
-            mu = j - 0.5 * (self.k0 + self.k1)
-            self._dense_cache = np.sin(
-                np.pi * np.outer(self.x, mu) + 0.5 * np.pi * self.k0)
-        return self._dense_cache
+        j = np.arange(1, self.n1 + 1)
+        mu = j - 0.5 * (self.k0 + self.k1)
+        return np.sin(np.pi * np.outer(self.x, mu) + 0.5 * np.pi * self.k0)
 
     def _apply(self, B, transpose):
-        if B.shape[1] == 0:
-            return B.copy()
-        if not self.fast:
-            return (self.dense().T if transpose else self.dense()) @ B
         transform, kind, keep = _SINE_TRANSFORMS[
             (self.odd, self.k0, self.k1, transpose)]
         if keep is None:
@@ -120,55 +111,20 @@ class SineTransform:
         return self._apply(B, transpose=True)
 
 
-class ExactEigen1D:
-    """Dense generalized eigendecomposition K U = M U diag(lambdas), U^T M U = I."""
+@dataclass(frozen=True)
+class Eigen1D:
+    """Eigenvalues and eigenvector matrix U (n x n) of a univariate pencil.
 
-    def __init__(self, lambdas, U):
-        self.lambdas = lambdas
-        self.U = U
-        self.n = U.shape[0]
-        self.n1 = self.n
-        self.n2 = 0
+    From :func:`exact_eigen`, K U = M U diag(lambdas) with U^T M U = I;
+    from :func:`approx_eigen`, U is the split basis [V1 U1 | V2 U2].
+    """
 
-    def apply(self, B, transpose=False):
-        B = np.asarray(B, dtype=float)
-        return self.U.T @ B if transpose else self.U @ B
+    lambdas: np.ndarray
+    U: np.ndarray
 
-
-class ApproxEigen1D:
-    """Split eigenvector applicator Utilde = [V1 U1 | V2 U2] with U1 = sqrt(2) C^-1 S."""
-
-    def __init__(self, n, n1, n2, k0, k1, lambdas, V1, V2, U2, C_lu, sine):
-        self.n = n
-        self.n1 = n1
-        self.n2 = n2
-        self.k0 = k0
-        self.k1 = k1
-        self.lambdas = lambdas
-        self.V1 = V1
-        self.V2 = V2
-        self.U2 = U2
-        self.C_lu = C_lu
-        self.sine = sine
-
-    def apply(self, B, transpose=False):
-        B = np.asarray(B, dtype=float)
-        flat = B.ndim == 1
-        if flat:
-            B = B.reshape(-1, 1)
-        if transpose:
-            if B.shape[0] != self.n:
-                raise ValueError("expected %d rows, got %d" % (self.n, B.shape[0]))
-            T = self.C_lu.solve(self.V1.T @ B, trans=True)
-            top = _SQRT2 * self.sine.tmult(T)
-            bot = self.U2.T @ (self.V2.T @ B)
-            out = np.vstack([top, bot])
-        else:
-            if B.shape[0] != self.n:
-                raise ValueError("expected %d rows, got %d" % (self.n, B.shape[0]))
-            T = self.C_lu.solve(_SQRT2 * self.sine.mult(B[:self.n1]))
-            out = self.V1 @ T + self.V2 @ (self.U2 @ B[self.n1:])
-        return out[:, 0] if flat else out
+    @property
+    def n(self):
+        return self.U.shape[0]
 
 
 def _constraint_orders(p, neumann):
@@ -195,14 +151,17 @@ def exact_eigen(pencil):
     K = pencil.K.toarray() if sp.issparse(pencil.K) else np.asarray(pencil.K)
     M = pencil.M.toarray() if sp.issparse(pencil.M) else np.asarray(pencil.M)
     lam, U = sla.eigh(K, M)
-    return ExactEigen1D(lam, U)
+    return Eigen1D(lam, U)
 
 
 def approx_eigen(space, pencil):
     """Split (approximate) eigendecomposition of the pencil on the given space.
 
-    Degrees p <= 2, or spaces with n_el <= p, fall back to the exact dense
-    decomposition behind the same interface.
+    U = [V1 U1 | V2 U2] with U1 = sqrt(2) C^-1 S: S is the fast sine
+    transform of the identity and C the collocation matrix of the smooth
+    block, so U costs one transform and one banded solve.  Degrees
+    p <= 2, or spaces with n_el <= p, fall back to the exact dense
+    decomposition.
     """
     p = space.p
     n = space.n
@@ -267,6 +226,6 @@ def approx_eigen(space, pencil):
 
     mu = np.arange(1, n1 + 1) - 0.5 * (k0 + k1)
     lambdas = np.concatenate([(mu * np.pi) ** 2, lam2])
-    sine = SineTransform(p, k0, k1, space.n_el, x)
-    return ApproxEigen1D(n, n1, n2, k0, k1, lambdas, V1, W, U2, C_lu, sine)
+    U1 = C_lu.solve(SineTransform(p, k0, k1, x).mult(_SQRT2 * np.eye(n1)))
+    return Eigen1D(lambdas, np.hstack([V1 @ U1, W @ U2]))
 

@@ -4,10 +4,12 @@ Fast diagonalization inverts a Kronecker sum through the eigenvectors of
 its three univariate pencils and the sums lam1+lam2+lam3 of their
 eigenvalues.  The low-rank version here replaces 1/(lam1+lam2+lam3) by an
 exponential sum, which turns the inverse into a short sum of Kronecker
-products: applied to a Tucker tensor it multiplies each factor by a block
-row of eigenvector transforms and sums the diagonal core's terms into an
-exact image with orthonormal factors, whose rank is min(n_k, R r_k) for R
-exponential terms.
+products.  Each direction's eigenvector matrix U_k is built once at setup
+(see :mod:`lriga.eigen`); applied to a Tucker tensor, the preconditioner
+multiplies each factor by U_k^T, scales it by the R exponential terms and
+multiplies the block row by U_k, then sums the diagonal core's terms into
+an exact image with orthonormal factors, whose rank is min(n_k, R r_k) for
+R exponential terms.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ class LowRankFD:
     """Exponential-sum fast-diagonalization preconditioner in Tucker form.
 
     Attributes:
-        eigs: per-direction eigendecomposition applicators.
+        eigs: per-direction eigendecompositions (:class:`lriga.eigen.Eigen1D`).
         expsum: ExpSum approximating 1/lambda on [1, lam_max/lam_min].
         lam_min, lam_max: extreme eigenvalue sums (after direction weights).
         diag: diag[i][j] = exp(-(alpha_j/lam_min) * Lambda_i), shape (R, n_i).
@@ -64,7 +66,7 @@ def build_lowrank_fd(eigs, eps_rel, weights=None, r_cap=128):
     """Low-rank fast-diagonalization preconditioner from three eigendecompositions.
 
     Args:
-        eigs: three applicators with .lambdas, .n and .apply(B, transpose).
+        eigs: three eigendecompositions with .lambdas and an n x n matrix .U.
         eps_rel: relative accuracy of the exponential-sum inverse.
         weights: optional positive per-direction scalings of the eigenvalues
             (the separable-coefficient case, e.g. elasticity diagonal blocks).
@@ -91,8 +93,8 @@ def build_lowrank_fd(eigs, eps_rel, weights=None, r_cap=128):
 def apply_lowrank_fd(P, s):
     """Preconditioner applied to a Tucker tensor.
 
-    Each factor becomes the R scaled eigenvector transforms side by side
-    (term index slow); the image of the diagonal core is summed term by
+    Each factor F becomes the R scaled blocks U diag(d_j) U^T F side by
+    side (term index slow); the image of the diagonal core is summed term by
     term without forming its Kronecker product with the input core.  The
     result is exact, has orthonormal factors and rank
     (min(n1, R r1), min(n2, R r2), min(n3, R r3)).
@@ -106,7 +108,7 @@ def apply_lowrank_fd(P, s):
         raise ValueError("dims %s do not match preconditioner %s" % (s.dims, P.dims))
     factors = []
     for i, e in enumerate(P.eigs):
-        Z = np.asarray(e.apply(s.factors[i], transpose=True))
+        Z = e.U.T @ s.factors[i]
         blocks = [P.diag[i][j][:, None] * Z for j in range(P.R)]
-        factors.append(np.asarray(e.apply(np.hstack(blocks))))
+        factors.append(e.U @ np.hstack(blocks))
     return _kron_image(P.core, factors, s.core)

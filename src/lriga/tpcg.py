@@ -81,17 +81,6 @@ class SolveReport:
     residual_tensor: object = None
     eta_final: float = None
 
-    @property
-    def residual_jump(self):
-        """True when some step increased the residual norm by more than 10x.
-
-        Truncation makes mild non-monotonicity normal; a jump this large
-        means the truncation tolerances are fighting the iteration.
-        """
-        r = self.res_norms
-        return any(r[k + 1] > 10.0 * r[k] for k in range(len(r) - 1)
-                   if r[k] > 0.0)
-
     def record(self, k, res, x, r, p, eps):
         self.res_norms.append(res)
         self.ranks_x.append(x.rank)
@@ -119,17 +108,6 @@ class SolveReport:
                 for v in np.ravel(hist[k]))
             fh.write("%d,%.17g,%s,%.17g\n" % (
                 k, self.res_norms[k], ranks, self.eps_history[k]))
-
-    def summary(self):
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "breakdown": self.breakdown,
-            "residual": self.res_norms[-1] if self.res_norms else 0.0,
-            "final_residual": self.final_residual,
-            "memory_compression": self.memory_compression,
-            "wall_time": self.wall_time,
-        }
 
 
 def tpcg(op, rhs, precond, cfg, x0=None):

@@ -55,11 +55,6 @@ def vec(X):
     return np.asarray(X).ravel(order="F")
 
 
-def unvec(x, dims):
-    """Inverse of :func:`vec` for the given ``(n1, n2, n3)``."""
-    return np.asarray(x).reshape(dims, order="F")
-
-
 def mode_product(X, axis, J):
     """Multiply the dense tensor ``X`` along ``axis`` by the matrix ``J``.
 
@@ -270,10 +265,6 @@ class TuckerOperator3:
     @property
     def rank(self):
         return self.core.shape
-
-    @property
-    def dims_out(self):
-        return tuple(self.factors[k][0].shape[0] for k in range(3))
 
     def matvec(self, x):
         return tucker_matvec(self, x)

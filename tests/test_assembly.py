@@ -16,6 +16,8 @@ from lriga.geometry import get_geometry
 from oracle import dense_galerkin, dense_load, dense_operator, kron3
 from lriga.tucker import to_dense, vec
 
+from util import eval_grid
+
 DD = (BC_DIRICHLET, BC_DIRICHLET)
 NN = (BC_NEUMANN, BC_NEUMANN)
 
@@ -79,7 +81,7 @@ def test_dense_equals_element_loop_oracle(preset):
         sf = entries.get((min(k, l), max(k, l)))
         if sf is None:
             return np.zeros((len(e1), len(e2), len(e3)))
-        return sf.eval_grid(e1, e2, e3)
+        return eval_grid(sf, e1, e2, e3)
 
     maxdeg = max(max(sf.degrees) for sf in entries.values())
     qpts = 2 + 1 + math.ceil(maxdeg / 2) + 1
@@ -91,7 +93,7 @@ def test_dense_equals_element_loop_oracle(preset):
     (load,) = system.loads
 
     def weight_grid(e1, e2, e3):
-        return load.eval_grid(e1, e2, e3)
+        return eval_grid(load, e1, e2, e3)
 
     fq = 2 + 1 + math.ceil(max(load.degrees) / 2) + 1
     f = vec(to_dense(system.rhs))

@@ -1,5 +1,9 @@
 """Separable function approximation: transforms, ranks, and validation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
@@ -12,6 +16,8 @@ from lriga.chebfit import (
     halton_sample,
 )
 from lriga.geometry import get_geometry, metric_data
+
+from util import eval_grid
 
 
 def test_chebyshev_coefficient_transform():
@@ -76,7 +82,7 @@ def test_eval_grid_matches_points():
     e1 = np.linspace(0, 1, 4)
     e2 = np.linspace(0, 1, 5)
     e3 = np.linspace(0, 1, 3)
-    G = sf.eval_grid(e1, e2, e3)
+    G = eval_grid(sf, e1, e2, e3)
     for i, a in enumerate(e1):
         for j, b in enumerate(e2):
             for kk, c in enumerate(e3):
@@ -132,3 +138,20 @@ def test_halton_sample_deterministic():
     b = halton_sample()
     assert a.shape == (512, 3)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_halton_sample_matches_scipy(n):
+    from scipy.stats import qmc
+
+    want = qmc.Halton(d=3, scramble=False).random(n)
+    assert np.array_equal(halton_sample(n), want)
+
+
+def test_import_leaves_scipy_stats_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys, lriga; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,14 +1,15 @@
-"""Eigendecomposition applicators and the banded LU underneath them."""
+"""Eigendecompositions of univariate pencils and the banded LU underneath them."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from lriga import eigen
 from lriga.banded import BandedLU
 from lriga.bsplines import BC_DIRICHLET, BC_NEUMANN, SplineSpace1D, assemble_pencil
 from lriga.eigen import (
-    ApproxEigen1D,
-    ExactEigen1D,
+    Eigen1D,
+    SineTransform,
     _interpolation_points,
     _phase,
     approx_eigen,
@@ -22,6 +23,41 @@ ALL_BC = [(D, D), (N, N), (N, D), (D, N)]
 def _eig(p, n_el, bc):
     space = SplineSpace1D(p, n_el, bc=bc)
     return space, approx_eigen(space, assemble_pencil(space))
+
+
+def _sine(space):
+    """The smooth block's sine transform on the space's interpolation points."""
+    k0, k1 = _phase(space)
+    return SineTransform(space.p, k0, k1, _interpolation_points(space, k0, k1))
+
+
+def _split(space, E):
+    """Sizes (n1, n2) of the smooth and boundary blocks of E's eigenvectors."""
+    n1 = _sine(space).n1
+    return n1, E.n - n1
+
+
+class _DenseCollocationLU(BandedLU):
+    """BandedLU that solves a square right-hand side (the collocation solve
+    for the n1 x n1 sine matrix) densely with np.linalg.solve."""
+
+    def __init__(self, A):
+        super().__init__(A)
+        self.A = np.asarray(A, dtype=float)
+
+    def solve(self, b, trans=False):
+        if np.ndim(b) == 2 and b.shape[1] == self.n:
+            return np.linalg.solve(self.A, b)
+        return super().solve(b, trans=trans)
+
+
+def _dense_construction(space, monkeypatch):
+    """approx_eigen's U with the sine matrix from SineTransform.dense() and
+    the collocation system solved densely."""
+    with monkeypatch.context() as m:
+        m.setattr(SineTransform, "mult", lambda self, B: self.dense() @ B)
+        m.setattr(eigen, "BandedLU", _DenseCollocationLU)
+        return approx_eigen(space, assemble_pencil(space)).U
 
 
 # ---------------------------------------------------------------- banded LU
@@ -59,16 +95,18 @@ def test_banded_full_matrix_uses_dense_path():
 
 
 def test_split_dimensions_odd_even_degree():
-    _, E3 = _eig(3, 8, (D, D))
-    assert (E3.n1, E3.n2) == (7, 2)
-    _, E4 = _eig(4, 8, (D, D))
-    assert (E4.n1, E4.n2) == (8, 2)
-    _, E4nn = _eig(4, 8, (N, N))
-    assert (E4nn.n1, E4nn.n2) == (8, 4)
+    space3, E3 = _eig(3, 8, (D, D))
+    assert _split(space3, E3) == (7, 2)
+    space4, E4 = _eig(4, 8, (D, D))
+    assert _split(space4, E4) == (8, 2)
+    space4nn, E4nn = _eig(4, 8, (N, N))
+    assert _split(space4nn, E4nn) == (8, 4)
     for p in (3, 4, 5):
         for bc in ALL_BC:
             space, E = _eig(p, 8, bc)
-            assert E.n1 + E.n2 == space.n
+            n1, n2 = _split(space, E)
+            assert n1 + n2 == space.n
+            assert E.U.shape == (space.n, space.n)
 
 
 # ------------------------------------------- smooth block reproduces sines
@@ -81,10 +119,10 @@ def test_interpolation_identity(p, bc, n_el):
     space, E = _eig(p, n_el, bc)
     k0, k1 = _phase(space)
     x = _interpolation_points(space, k0, k1)
-    B = np.vstack([np.eye(E.n1), np.zeros((E.n2, E.n1))])
-    coeffs = E.apply(B)  # columns of V1 U1
+    n1, _ = _split(space, E)
+    coeffs = E.U[:, :n1]  # columns of V1 U1
     vals = space.collocation_matrix(x, deriv=0, reduced=True) @ coeffs
-    mu = np.arange(1, E.n1 + 1) - 0.5 * (k0 + k1)
+    mu = np.arange(1, n1 + 1) - 0.5 * (k0 + k1)
     exact = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, mu) + 0.5 * np.pi * k0)
     assert np.max(np.abs(vals - exact)) < 1e-10
 
@@ -93,41 +131,37 @@ def test_interpolation_identity(p, bc, n_el):
 @pytest.mark.parametrize("bc", ALL_BC)
 @pytest.mark.parametrize("n_el", [8, 16])
 def test_fast_transform_matches_dense(p, bc, n_el):
-    space, E = _eig(p, n_el, bc)
-    st = E.sine
+    st = _sine(SplineSpace1D(p, n_el, bc=bc))
     rng = np.random.default_rng(11)
-    B = rng.standard_normal((E.n1, 5))
+    B = rng.standard_normal((st.n1, 5))
     dense_m = st.dense() @ B
     dense_t = st.dense().T @ B
-    st.fast = True
-    try:
-        fast_m = st.mult(B.copy())
-        fast_t = st.tmult(B.copy())
-    finally:
-        st.fast = st.n1 >= 32
+    fast_m = st.mult(B.copy())
+    fast_t = st.tmult(B.copy())
     assert np.max(np.abs(fast_m - dense_m)) < 1e-12
     assert np.max(np.abs(fast_t - dense_t)) < 1e-12
 
 
 def test_fast_path_engaged_at_scale():
-    space, E = _eig(3, 64, (D, D))
-    assert E.sine.fast
+    st = _sine(SplineSpace1D(3, 64, bc=(D, D)))
     rng = np.random.default_rng(12)
-    B = rng.standard_normal((E.n1, 3))
-    assert np.max(np.abs(E.sine.mult(B) - E.sine.dense() @ B)) < 1e-12
+    B = rng.standard_normal((st.n1, 3))
+    assert np.max(np.abs(st.mult(B) - st.dense() @ B)) < 1e-12
 
 
 # ------------------------------------------------------ analytic eigenvalues
 
 
 def test_smooth_eigenvalues_analytic():
-    _, E = _eig(3, 8, (D, D))
-    j = np.arange(1, E.n1 + 1)
-    assert np.allclose(E.lambdas[:E.n1], (j * np.pi) ** 2)
-    _, End = _eig(3, 8, (N, D))
-    j = np.arange(1, End.n1 + 1)
-    assert np.allclose(End.lambdas[:End.n1], ((j - 0.5) * np.pi) ** 2)
-    assert np.all(np.diff(End.lambdas[:End.n1]) > 0)
+    space, E = _eig(3, 8, (D, D))
+    n1, _ = _split(space, E)
+    j = np.arange(1, n1 + 1)
+    assert np.allclose(E.lambdas[:n1], (j * np.pi) ** 2)
+    space_nd, End = _eig(3, 8, (N, D))
+    n1, _ = _split(space_nd, End)
+    j = np.arange(1, n1 + 1)
+    assert np.allclose(End.lambdas[:n1], ((j - 0.5) * np.pi) ** 2)
+    assert np.all(np.diff(End.lambdas[:n1]) > 0)
 
 
 # ----------------------------------------------------------- exact fallback
@@ -137,7 +171,10 @@ def test_exact_path_for_low_degree_and_coarse_spaces():
     for p, n_el in [(1, 8), (2, 8), (3, 3)]:
         space = SplineSpace1D(p, n_el, bc=(D, D))
         E = approx_eigen(space, assemble_pencil(space))
-        assert isinstance(E, ExactEigen1D)
+        assert isinstance(E, Eigen1D)
+        X = exact_eigen(assemble_pencil(space))
+        assert np.array_equal(E.lambdas, X.lambdas)
+        assert np.array_equal(E.U, X.U)
 
 
 def test_exact_path_m_orthonormal_and_diagonalizing():
@@ -149,43 +186,44 @@ def test_exact_path_m_orthonormal_and_diagonalizing():
     assert np.max(np.abs(E.U.T @ M @ E.U - np.eye(E.n))) < 1e-10
     resid = K @ E.U - M @ E.U @ np.diag(E.lambdas)
     assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(K))
-    rng = np.random.default_rng(5)
-    B = rng.standard_normal((E.n, 3))
-    assert np.allclose(E.apply(B), E.U @ B)
-    assert np.allclose(E.apply(B, transpose=True), E.U.T @ B)
 
 
-# ------------------------------------------------- applicator vs dense build
+# --------------------------------------------- transform build vs dense build
 
 
-def test_apply_matches_dense_construction():
+def test_apply_matches_dense_construction(monkeypatch):
     space, E = _eig(3, 8, (D, D))
-    k0, k1 = _phase(space)
-    x = _interpolation_points(space, k0, k1)
-    V1 = E.V1.toarray()
-    C = (space.collocation_matrix(x, deriv=0, reduced=True) @ E.V1).toarray()
-    U1 = np.sqrt(2.0) * np.linalg.solve(C, E.sine.dense())
-    Ut = np.hstack([V1 @ U1, E.V2 @ E.U2])
+    Ut = _dense_construction(space, monkeypatch)
     rng = np.random.default_rng(6)
     B = rng.standard_normal((space.n, 4))
-    assert np.max(np.abs(E.apply(B) - Ut @ B)) < 1e-12
-    assert np.max(np.abs(E.apply(B, transpose=True) - Ut.T @ B)) < 1e-12
+    assert np.max(np.abs(E.U @ B - Ut @ B)) < 1e-12
+    assert np.max(np.abs(E.U.T @ B - Ut.T @ B)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+@pytest.mark.parametrize("bc", ALL_BC)
+@pytest.mark.parametrize("n_el", [8, 16, 64])
+def test_transform_built_u_matches_dense_construction(p, bc, n_el, monkeypatch):
+    # n_el = 64 puts the smooth block above 32 columns
+    space, E = _eig(p, n_el, bc)
+    Ut = _dense_construction(space, monkeypatch)
+    assert np.max(np.abs(E.U - Ut)) < 1e-12
 
 
 def test_approx_not_orthogonal_but_exact_is():
     space, E = _eig(3, 8, (D, D))
-    Ut = E.apply(np.eye(space.n))
+    Ut = E.U
     assert np.max(np.abs(Ut.T @ Ut - np.eye(space.n))) > 1e-6
     space2 = SplineSpace1D(2, 8, bc=(D, D))
     pencil2 = assemble_pencil(space2)
     E2 = exact_eigen(pencil2)
-    U = E2.apply(np.eye(E2.n))
+    U = E2.U
     assert np.max(np.abs(U.T @ pencil2.M.toarray() @ U - np.eye(E2.n))) < 1e-10
 
 
 def test_apply_empty_block():
     _, E = _eig(3, 8, (D, D))
-    out = E.apply(np.zeros((E.n, 0)))
+    out = E.U @ np.zeros((E.n, 0))
     assert out.shape == (E.n, 0)
-    out_t = E.apply(np.zeros((E.n, 0)), transpose=True)
+    out_t = E.U.T @ np.zeros((E.n, 0))
     assert out_t.shape == (E.n, 0)

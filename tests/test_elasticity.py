@@ -24,7 +24,14 @@ from lriga.tucker import (
     vec,
 )
 
-from util import dense_kron_sum, densify_apply, random_operator, random_tucker
+from util import (
+    block_ranks,
+    dense_kron_sum,
+    densify_apply,
+    random_operator,
+    random_tucker,
+    residual_jump,
+)
 
 DD = (BC_DIRICHLET, BC_DIRICHLET)
 NN = (BC_NEUMANN, BC_NEUMANN)
@@ -76,7 +83,7 @@ def test_lam_zero_identity_geometry_matches_dense_oracle():
     assert np.linalg.norm(A - ref) <= 1e-10 * np.linalg.norm(ref)
     # with lam = 0 and the identity map the only off-diagonal coupling is
     # the single mu (d_b v_a)(d_a u_b) term
-    for (a, b), r in system.block_ranks.items():
+    for (a, b), r in block_ranks(system).items():
         assert r == ((3, 3, 3) if a == b else (1, 1, 1))
 
 
@@ -118,13 +125,14 @@ def test_column_block_ranks_near_reference():
     system = assemble_elasticity(
         spaces, get_geometry("deformed_column"), GRAVITY, LAM, MU, 1e-8
     )
+    ranks = block_ranks(system)
     for a in range(3):
-        for got, want in zip(system.block_ranks[(a, a)], (6, 5, 6)):
-            assert abs(got - want) <= 2, system.block_ranks
+        for got, want in zip(ranks[(a, a)], (6, 5, 6)):
+            assert abs(got - want) <= 2, ranks
     for a, b in [(0, 1), (0, 2), (1, 2)]:
-        for got, want in zip(system.block_ranks[(a, b)], (2, 2, 2)):
-            assert abs(got - want) <= 2, ((a, b), system.block_ranks[(a, b)])
-        assert system.block_ranks[(a, b)] == system.block_ranks[(b, a)]
+        for got, want in zip(ranks[(a, b)], (2, 2, 2)):
+            assert abs(got - want) <= 2, ((a, b), ranks[(a, b)])
+        assert ranks[(a, b)] == ranks[(b, a)]
 
 
 def test_block_tpcg_is_the_scalar_solver():
@@ -320,7 +328,7 @@ def test_column_iteration_counts_stay_moderate():
     for n_el in (4, 8):
         _, _, report, _ = solve_column(2, n_el)
         assert report.converged and not report.breakdown
-        assert not report.residual_jump
+        assert not residual_jump(report)
         iters.append(report.iterations)
     assert max(iters) <= 60, iters
 

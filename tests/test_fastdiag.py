@@ -43,7 +43,7 @@ def _dense_lowrank(P):
     """Densify the exponential-sum preconditioner through its sandwich form."""
     mats = []
     for i, e in enumerate(P.eigs):
-        Ut = np.asarray(e.apply(np.eye(e.n)))
+        Ut = e.U
         mats.append([Ut @ np.diag(P.diag[i][j]) @ Ut.T for j in range(P.R)])
     total = 0.0
     for j in range(P.R):

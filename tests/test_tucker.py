@@ -19,12 +19,11 @@ from lriga.tucker import (
     tucker_norm_qr,
     tucker_scale,
     tucker_zero,
-    unvec,
     vec,
 )
 from oracle import dense_operator, kron3
 
-from util import random_operator, random_tucker
+from util import random_operator, random_tucker, unvec
 
 
 def mode_product_loops(X, axis, J):

@@ -2,6 +2,7 @@
 
 import numpy as np
 from numpy.polynomial import polynomial as P
+from numpy.polynomial.chebyshev import chebvander
 from scipy.optimize import nnls
 
 from lriga.eigen import exact_eigen
@@ -13,9 +14,42 @@ from lriga.tucker import (
     TuckerTensor3,
     from_dense,
     mode_product,
+    multi_mode_product,
     to_dense,
     tucker_zero,
 )
+
+
+def unvec(x, dims):
+    """Inverse of ``lriga.tucker.vec`` for the given ``(n1, n2, n3)``."""
+    return np.asarray(x).reshape(dims, order="F")
+
+
+def eval_grid(sf, eta1, eta2, eta3):
+    """A ``SeparableFunction3`` evaluated on the tensor grid eta1 x eta2 x eta3."""
+    mats = [
+        chebvander(2.0 * np.atleast_1d(e) - 1.0, d) @ U
+        for e, d, U in zip((eta1, eta2, eta3), sf.degrees, sf.tensor.factors)
+    ]
+    return multi_mode_product(sf.tensor.core, mats)
+
+
+def block_ranks(system):
+    """{(a, b): operator rank of block (a, b)} of an ``AssembledSystem``."""
+    return {(a, b): block.rank for a, row in enumerate(system.blocks)
+            for b, block in enumerate(row)}
+
+
+def residual_jump(report):
+    """True when some step of a ``SolveReport`` increased the residual norm
+    by more than 10x.
+
+    Truncation makes mild non-monotonicity normal; a jump this large means
+    the truncation tolerances are fighting the iteration.
+    """
+    r = report.res_norms
+    return any(r[k + 1] > 10.0 * r[k] for k in range(len(r) - 1)
+               if r[k] > 0.0)
 
 
 def random_tucker(rng, dims, ranks):
@@ -176,10 +210,10 @@ class ExactFD:
             raise ValueError("expected shape %s, got %s" % (self.dims, S.shape))
         T = S
         for k, e in enumerate(self.eigs):
-            T = mode_product(T, k, np.asarray(e.apply(np.eye(e.n), transpose=True)))
+            T = mode_product(T, k, e.U.T)
         T = T / self.denom
         for k, e in enumerate(self.eigs):
-            T = mode_product(T, k, np.asarray(e.apply(np.eye(e.n))))
+            T = mode_product(T, k, e.U)
         return T
 
     def apply(self, s):
