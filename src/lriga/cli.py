@@ -9,6 +9,8 @@ with the same effective config produces bitwise-identical CSV output.
 
 import argparse
 import configparser
+import io
+import os
 import sys
 
 import numpy as np
@@ -40,7 +42,6 @@ DEFAULTS = {
         "load": "one",
         "tol": "1e-6",
         "restarts": "0",
-        "seed": "0",
     },
     "truncation": {
         "eps0": "1e-1",
@@ -58,6 +59,9 @@ DEFAULTS = {
     "output": {"csv": "", "dir": "."},
 }
 
+# Lame coefficients (E = 1, nu = 0.3) of the paper-tables column by default
+TABLE_LAME = {"lam": 0.3 / 0.52, "mu": 1.0 / 2.6}
+
 
 class ConfigError(Exception):
     pass
@@ -74,29 +78,11 @@ def load_config(path=None):
 
 
 def apply_overrides(cfg, args):
-    """Command-line flags override config-file values."""
-    mapping = [
-        ("geometry", "problem", "geometry"),
-        ("p", "problem", "p"),
-        ("n_el", "problem", "n_el"),
-        ("load", "problem", "load"),
-        ("tol", "problem", "tol"),
-        ("restarts", "problem", "restarts"),
-        ("eps_min", "truncation", "eps_min"),
-        ("max_iterations", "truncation", "max_iterations"),
-        ("eps_prec", "preconditioner", "eps"),
-        ("eps_assembly", "assembly", "eps"),
-        ("lam", "elasticity", "lam"),
-        ("mu", "elasticity", "mu"),
-        ("levels", "convergence", "levels"),
-        ("sweep_n_el", "sweep", "n_el"),
-        ("sweep_p", "sweep", "p"),
-        ("csv", "output", "csv"),
-        ("out_dir", "output", "dir"),
-    ]
-    for attr, section, key in mapping:
-        value = getattr(args, attr, None)
-        if value is not None:
+    """Command-line flags override config-file values: a flag's dest is the
+    "section.key" it sets."""
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
             cfg[section][key] = str(value)
 
 
@@ -112,6 +98,16 @@ def _get(cfg, section, key, conv, required=False):
         raise ConfigError(
             "bad value for [%s] %s: %r (%s)" % (section, key, raw, exc)
         )
+
+
+def _positive(cfg, section, key, conv, or_zero=False):
+    """Required value, or each entry of a list, > 0 (>= 0 with or_zero)."""
+    value = _get(cfg, section, key, conv, required=True)
+    for v in value if isinstance(value, list) else [value]:
+        if not (v > 0 or (or_zero and v == 0)):
+            raise ConfigError("[%s] %s must be %s, got %r" % (
+                section, key, "non-negative" if or_zero else "positive", v))
+    return value
 
 
 def _int_list(raw):
@@ -130,12 +126,6 @@ def _geometry(cfg):
         raise ConfigError(str(exc))
 
 
-def _positive(value, what):
-    if value is None or value <= 0:
-        raise ConfigError("%s must be positive, got %r" % (what, value))
-    return value
-
-
 def _load_function(cfg, geo):
     name = cfg["problem"]["load"]
     if name == "one":
@@ -148,16 +138,15 @@ def _load_function(cfg, geo):
 
 
 def _tpcg_config(cfg, tol_abs):
-    eps_min = _get(cfg, "truncation", "eps_min", float)
     return TpcgConfig(
         tol=tol_abs,
         beta=_get(cfg, "truncation", "beta", float, required=True),
         eps0=_get(cfg, "truncation", "eps0", float, required=True),
         alpha=_get(cfg, "truncation", "alpha", float, required=True),
-        eps_min=eps_min,
+        eps_min=_get(cfg, "truncation", "eps_min", float),
         delta=_get(cfg, "truncation", "delta", float, required=True),
-        max_iterations=_get(
-            cfg, "truncation", "max_iterations", int, required=True
+        max_iterations=_positive(
+            cfg, "truncation", "max_iterations", int, or_zero=True
         ),
     )
 
@@ -169,34 +158,14 @@ def _assembly_eps(cfg, tol_rel):
     return eps
 
 
-def _scalar_setup(cfg):
-    geo = _geometry(cfg)
-    p = _positive(_get(cfg, "problem", "p", int, required=True), "p")
-    n_el = _positive(_get(cfg, "problem", "n_el", int, required=True), "n_el")
-    tol_rel = _positive(_get(cfg, "problem", "tol", float, required=True), "tol")
-    spaces = tuple(SplineSpace1D(p, n_el, DD) for _ in range(3))
-    return geo, p, n_el, tol_rel, spaces
-
-
-def _preconditioner_settings(cfg):
-    """([preconditioner] eps, [preconditioner] r_cap)."""
-    eps_prec = _positive(
-        _get(cfg, "preconditioner", "eps", float, required=True),
-        "preconditioner eps",
-    )
-    r_cap = _positive(
-        _get(cfg, "preconditioner", "r_cap", int, required=True), "r_cap"
-    )
-    return eps_prec, r_cap
-
-
 def _scalar_preconditioner(cfg, spaces):
-    eps_prec, r_cap = _preconditioner_settings(cfg)
+    eps_prec = _positive(cfg, "preconditioner", "eps", float)
+    r_cap = _positive(cfg, "preconditioner", "r_cap", int)
     eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
     return build_lowrank_fd(eigs, eps_prec, r_cap=r_cap)
 
 
-def _solve(cfg, system, precond, tol_rel, restarts=0):
+def _solve(cfg, system, precond, tol_rel, restarts):
     """TPCG to tol_rel * |rhs|, restarted from the iterate after a breakdown."""
     tpcg_cfg = _tpcg_config(cfg, tol_rel * system.rhs.norm())
     x, report = tpcg(system.op, system.rhs, precond, tpcg_cfg)
@@ -206,53 +175,132 @@ def _solve(cfg, system, precond, tol_rel, restarts=0):
     return x, report
 
 
-def _finish_solve(cfg, command, p, n_el, x, report):
-    """Write the report CSV, print the summary line, return the exit code."""
-    _write_report_csv(cfg, report)
-    print(
-        "%s geometry=%s p=%d n_el=%d iterations=%d converged=%s "
-        "max_rank=%d memory=%.6g residual=%.6g wall=%.2fs"
-        % (
-            command,
-            cfg["problem"]["geometry"],
-            p,
-            n_el,
-            report.iterations,
-            report.converged,
-            max(max(c.rank) for c in x.components),
-            report.memory_compression,
-            report.final_residual,
-            report.wall_time,
-        )
-    )
-    return _exit_code(report)
-
-
-def _write_report_csv(cfg, report):
-    path = cfg["output"]["csv"].strip()
-    if path in ("", "-"):
-        report.to_csv(sys.stdout)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            report.to_csv(fh)
-
-
-def _exit_code(report):
-    if report.breakdown:
-        return EXIT_BREAKDOWN
-    if not report.converged:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
-
-
-def cmd_solve(cfg):
-    geo, p, n_el, tol_rel, spaces = _scalar_setup(cfg)
+def _scalar_cell(cfg, geo, p, n_el, tol_rel, restarts=0):
+    """Assemble, precondition and solve one scalar Poisson problem with
+    load [problem] load.  Returns (x, SolveReport, preconditioner)."""
+    spaces = tuple(SplineSpace1D(p, n_el, DD) for _ in range(3))
     f = _load_function(cfg, geo)
     system = assemble_system(spaces, geo, f, _assembly_eps(cfg, tol_rel))
     precond = _scalar_preconditioner(cfg, spaces)
-    restarts = _get(cfg, "problem", "restarts", int, required=True)
     x, report = _solve(cfg, system, precond, tol_rel, restarts)
-    return _finish_solve(cfg, "solve", p, n_el, x, report)
+    return x, report, precond
+
+
+def _column_cell(cfg, geo, p, n_el, tol_rel, restarts=0):
+    """Assemble, precondition and solve the elasticity column: sides free,
+    bottom clamped, top displaced by [elasticity] top_value, load
+    [elasticity] load.  Returns (x, SolveReport, preconditioner)."""
+    lam = _get(cfg, "elasticity", "lam", float, required=True)
+    mu = _get(cfg, "elasticity", "mu", float, required=True)
+    if lam < 0 or mu <= 0:
+        raise ConfigError("need lam >= 0 and mu > 0")
+    load = _get(cfg, "elasticity", "load", _float_list, required=True)
+    if len(load) != 3:
+        raise ConfigError("elasticity load must have three components")
+    top = _get(cfg, "elasticity", "top_value", float, required=True)
+    eps_prec = _positive(cfg, "preconditioner", "eps", float)
+    r_cap = _positive(cfg, "preconditioner", "r_cap", int)
+    spaces = (
+        SplineSpace1D(p, n_el, NN),
+        SplineSpace1D(p, n_el, NN),
+        SplineSpace1D(p, n_el, DD),
+    )
+    system = assemble_elasticity(
+        spaces,
+        geo,
+        tuple(load),
+        lam,
+        mu,
+        _assembly_eps(cfg, tol_rel),
+        dirichlet=((2, 2, 0, 0.0), (2, 2, 1, top)),
+    )
+    precond = block_preconditioner(spaces, lam, mu, eps_prec, r_cap=r_cap)
+    x, report = _solve(cfg, system, precond, tol_rel, restarts)
+    return x, report, precond
+
+
+def _emit(text, path):
+    """Write text to path, or to stdout when path is '' or '-'."""
+    if path in ("", "-"):
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc))
+
+
+def _run_one(cfg, command, cell):
+    """One solve of cell at [problem] p, n_el, tol: write the report CSV,
+    print the summary line, return the exit code."""
+    geo = _geometry(cfg)
+    p = _positive(cfg, "problem", "p", int)
+    n_el = _positive(cfg, "problem", "n_el", int)
+    tol_rel = _positive(cfg, "problem", "tol", float)
+    restarts = _positive(cfg, "problem", "restarts", int, or_zero=True)
+    x, report, _ = cell(cfg, geo, p, n_el, tol_rel, restarts)
+    buf = io.StringIO()
+    report.to_csv(buf)
+    _emit(buf.getvalue(), cfg["output"]["csv"].strip())
+    print(
+        "%s geometry=%s p=%d n_el=%d iterations=%d converged=%s "
+        "max_rank=%d memory=%.6g residual=%.6g wall=%.2fs"
+        % (command, cfg["problem"]["geometry"], p, n_el, report.iterations,
+           report.converged, max(max(c.rank) for c in x.components),
+           report.memory_compression, report.final_residual,
+           report.wall_time)
+    )
+    if report.breakdown:
+        return EXIT_BREAKDOWN
+    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+
+
+def _sweep(cfg, cell, geo, columns):
+    """Solve cell over the [sweep] grid, p outer and n_el inner, at
+    [problem] tol.  columns is (CSV header, row) and row(n_el, p, report,
+    precond) formats one line.  Returns (CSV lines, all converged)."""
+    header, row = columns
+    n_els = _positive(cfg, "sweep", "n_el", _int_list)
+    ps = _positive(cfg, "sweep", "p", _int_list)
+    tol_rel = _positive(cfg, "problem", "tol", float)
+    lines = [header]
+    ok = True
+    for p in ps:
+        for n_el in n_els:
+            _, report, precond = cell(cfg, geo, p, n_el, tol_rel)
+            lines.append(row(n_el, p, report, precond))
+            ok = ok and report.converged
+    return lines, ok
+
+
+def _precond_row(n_el, p, report, precond):
+    diag = precond.diagnostics()
+    return "%d,%d,%.17g,%d,%.17g,%d" % (
+        n_el, p, diag["M_P"], diag["R_P"], diag["expsum_error"],
+        report.iterations)
+
+
+def _iterations_row(n_el, p, report, precond):
+    return "%d,%d,%d,%s" % (n_el, p, report.iterations, report.converged)
+
+
+PRECOND = ("n_el,p,M_P,R_P,expsum_error,iterations", _precond_row)
+ITERS = ("n_el,p,iterations,converged", _iterations_row)
+
+
+def cmd_solve(cfg):
+    return _run_one(cfg, "solve", _scalar_cell)
+
+
+def cmd_elasticity(cfg):
+    return _run_one(cfg, "elasticity", _column_cell)
+
+
+def cmd_precond_study(cfg):
+    lines, ok = _sweep(cfg, _scalar_cell, _geometry(cfg), PRECOND)
+    _emit("\n".join(lines) + "\n", cfg["output"]["csv"].strip())
+    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
 def cmd_convergence(cfg):
@@ -264,8 +312,8 @@ def cmd_convergence(cfg):
     the measured orders.
     """
     geo = _geometry(cfg)
-    p = _positive(_get(cfg, "problem", "p", int, required=True), "p")
-    levels = _get(cfg, "convergence", "levels", _int_list, required=True)
+    p = _positive(cfg, "problem", "p", int)
+    levels = _positive(cfg, "convergence", "levels", _int_list, or_zero=True)
     if not levels:
         raise ConfigError("empty level list")
     bench = poisson_benchmark()
@@ -304,154 +352,71 @@ def cmd_convergence(cfg):
                 np.log2(rows[i - 1][3] / h1),
             )
         lines.append("%d,%d,%.17g,%.17g,%s" % (level, n_el, l2, h1, rates))
-    _emit(cfg, lines)
+    _emit("\n".join(lines) + "\n", cfg["output"]["csv"].strip())
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
-
-
-def _scalar_cell(cfg, geo, p, n_el, tol_rel):
-    """Assemble, precondition and solve one scalar sweep cell.
-
-    Returns (preconditioner diagnostics, SolveReport).
-    """
-    spaces = tuple(SplineSpace1D(p, n_el, DD) for _ in range(3))
-    f = _load_function(cfg, geo)
-    system = assemble_system(spaces, geo, f, _assembly_eps(cfg, tol_rel))
-    precond = _scalar_preconditioner(cfg, spaces)
-    _, report = _solve(cfg, system, precond, tol_rel)
-    return precond.diagnostics(), report
-
-
-def _precond_lines(cfg, geo, ps, n_els, tol_rel):
-    """Preconditioner rank/cost sweep; returns (CSV lines, all converged)."""
-    lines = ["n_el,p,M_P,R_P,expsum_error,iterations"]
-    ok = True
-    for p in ps:
-        for n_el in n_els:
-            diag, report = _scalar_cell(cfg, geo, p, n_el, tol_rel)
-            lines.append("%d,%d,%.17g,%d,%.17g,%d" % (
-                n_el, p, diag["M_P"], diag["R_P"], diag["expsum_error"],
-                report.iterations))
-            ok = ok and report.converged
-    return lines, ok
-
-
-def cmd_precond_study(cfg):
-    geo = _geometry(cfg)
-    tol_rel = _positive(_get(cfg, "problem", "tol", float, required=True), "tol")
-    n_els = _get(cfg, "sweep", "n_el", _int_list, required=True)
-    ps = _get(cfg, "sweep", "p", _int_list, required=True)
-    lines, ok = _precond_lines(cfg, geo, ps, n_els, tol_rel)
-    _emit(cfg, lines)
-    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
-
-
-def _column_cell(cfg, geo, p, n_el, lam, mu, tol_rel, restarts=0):
-    """Assemble, precondition and solve the elasticity column: sides free,
-    bottom clamped, top displaced by [elasticity] top_value, load
-    [elasticity] load.  Returns (x, SolveReport)."""
-    load = _get(cfg, "elasticity", "load", _float_list, required=True)
-    if len(load) != 3:
-        raise ConfigError("elasticity load must have three components")
-    top = _get(cfg, "elasticity", "top_value", float, required=True)
-    eps_prec, r_cap = _preconditioner_settings(cfg)
-    spaces = (
-        SplineSpace1D(p, n_el, NN),
-        SplineSpace1D(p, n_el, NN),
-        SplineSpace1D(p, n_el, DD),
-    )
-    system = assemble_elasticity(
-        spaces,
-        geo,
-        tuple(load),
-        lam,
-        mu,
-        _assembly_eps(cfg, tol_rel),
-        dirichlet=((2, 2, 0, 0.0), (2, 2, 1, top)),
-    )
-    precond = block_preconditioner(spaces, lam, mu, eps_prec, r_cap=r_cap)
-    return _solve(cfg, system, precond, tol_rel, restarts)
-
-
-def cmd_elasticity(cfg):
-    geo = _geometry(cfg)
-    p = _positive(_get(cfg, "problem", "p", int, required=True), "p")
-    n_el = _positive(_get(cfg, "problem", "n_el", int, required=True), "n_el")
-    tol_rel = _positive(_get(cfg, "problem", "tol", float, required=True), "tol")
-    lam = _get(cfg, "elasticity", "lam", float, required=True)
-    mu = _get(cfg, "elasticity", "mu", float, required=True)
-    if lam < 0 or mu <= 0:
-        raise ConfigError("need lam >= 0 and mu > 0")
-    restarts = _get(cfg, "problem", "restarts", int, required=True)
-    x, report = _column_cell(cfg, geo, p, n_el, lam, mu, tol_rel, restarts)
-    return _finish_solve(cfg, "elasticity", p, n_el, x, report)
-
-
-def _emit(cfg, lines, path=None):
-    path = cfg["output"]["csv"].strip() if path is None else path
-    text = "\n".join(lines) + "\n"
-    if path in ("", "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
 
 
 def cmd_paper_tables(cfg):
     """Emit every benchmark result table at desk scale into the output dir."""
-    import os
-
     out_dir = cfg["output"]["dir"].strip() or "."
-    os.makedirs(out_dir, exist_ok=True)
-    n_els = _get(cfg, "sweep", "n_el", _int_list, required=True)
-    ps = _get(cfg, "sweep", "p", _int_list, required=True)
-    tol_rel = _positive(_get(cfg, "problem", "tol", float, required=True), "tol")
-    wrote = []
-
-    def table(name, lines):
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create %s: %s" % (out_dir, exc))
+    for key, value in TABLE_LAME.items():
+        if cfg["elasticity"][key].strip() == "":
+            cfg["elasticity"][key] = repr(value)
+    tables = [
+        ("precond_ranks.csv", "quarter_annulus", _scalar_cell, PRECOND),
+        ("iterations_annulus.csv", "quarter_annulus", _scalar_cell, ITERS),
+        ("iterations_shell.csv", "spherical_shell", _scalar_cell, ITERS),
+        ("iterations_column.csv", "deformed_column", _column_cell, ITERS),
+    ]
+    for name, preset, cell, columns in tables:
+        lines, _ = _sweep(cfg, cell, get_geometry(preset), columns)
         path = os.path.join(out_dir, name)
-        _emit(cfg, [SCALED_DOWN_HEADER] + lines, path=path)
-        wrote.append(path)
-
-    # preconditioner cost/rank sweep on the annulus
-    lines, _ = _precond_lines(
-        cfg, get_geometry("quarter_annulus"), ps, n_els, tol_rel
-    )
-    table("precond_ranks.csv", lines)
-
-    # iteration counts per geometry
-    for name, preset in [
-        ("iterations_annulus.csv", "quarter_annulus"),
-        ("iterations_shell.csv", "spherical_shell"),
-    ]:
-        geo = get_geometry(preset)
-        lines = ["n_el,p,iterations,converged"]
-        for p in ps:
-            for n_el in n_els:
-                _, report = _scalar_cell(cfg, geo, p, n_el, tol_rel)
-                lines.append(
-                    "%d,%d,%d,%s"
-                    % (n_el, p, report.iterations, report.converged)
-                )
-        table(name, lines)
-
-    # elasticity iteration counts on the column
-    lam = _get(cfg, "elasticity", "lam", float)
-    mu = _get(cfg, "elasticity", "mu", float)
-    lam = 0.3 / 0.52 if lam is None else lam
-    mu = 1.0 / 2.6 if mu is None else mu
-    geo = get_geometry("deformed_column")
-    lines = ["n_el,p,iterations,converged"]
-    for p in ps:
-        for n_el in n_els:
-            _, report = _column_cell(cfg, geo, p, n_el, lam, mu, tol_rel)
-            lines.append(
-                "%d,%d,%d,%s" % (n_el, p, report.iterations, report.converged)
-            )
-    table("iterations_column.csv", lines)
-
-    for path in wrote:
+        _emit("\n".join([SCALED_DOWN_HEADER] + lines) + "\n", path)
         print("wrote %s" % path)
     return EXIT_OK
+
+
+# Per subcommand, its flags as (flag, "section.key", type, help): a flag
+# becomes argparse dest "section.key", the config key it overrides, and a
+# subcommand takes only flags whose key it reads.
+GEOMETRY = ("--geometry", "problem.geometry", str, "domain preset")
+P = ("--p", "problem.p", int, "spline degree")
+N_EL = ("--n-el", "problem.n_el", int, "elements per direction")
+TOL = ("--tol", "problem.tol", float, "relative residual target")
+LOAD = ("--load", "problem.load", str, "one|zero|manufactured")
+RESTARTS = ("--restarts", "problem.restarts", int, "restarts after breakdown")
+EPS_ASSEMBLY = ("--eps-assembly", "assembly.eps", float, "fit tolerance")
+SOLVER = [
+    ("--eps-prec", "preconditioner.eps", float, "low-rank inverse accuracy"),
+    ("--eps-min", "truncation.eps_min", float, "absolute truncation floor"),
+    ("--max-iterations", "truncation.max_iterations", int, None),
+    ("--csv", "output.csv", str, "CSV output path ('-' for stdout)"),
+]
+LEVELS = ("--levels", "convergence.levels", str, "e.g. 3,4,5")
+SWEEP_N_EL = ("--sweep-n-el", "sweep.n_el", str, "n_el grid, e.g. 8,16,32")
+SWEEP_P = ("--sweep-p", "sweep.p", str, "p grid, e.g. 2,3")
+LAM = ("--lam", "elasticity.lam", float, "first Lame coefficient")
+MU = ("--mu", "elasticity.mu", float, "second Lame coefficient")
+FLAGS = {
+    "solve": [GEOMETRY, P, N_EL, TOL, LOAD, RESTARTS, EPS_ASSEMBLY] + SOLVER,
+    "convergence": [GEOMETRY, P, LEVELS] + SOLVER,
+    "precond-study": [GEOMETRY, TOL, LOAD, EPS_ASSEMBLY, SWEEP_N_EL, SWEEP_P]
+    + SOLVER,
+    "elasticity": [GEOMETRY, P, N_EL, TOL, RESTARTS, EPS_ASSEMBLY, LAM, MU]
+    + SOLVER,
+}
+COMMANDS = {
+    "solve": (cmd_solve, "single scalar benchmark solve"),
+    "convergence": (
+        cmd_convergence, "refinement study vs the manufactured solution"
+    ),
+    "precond-study": (cmd_precond_study, "preconditioner rank/cost sweep"),
+    "elasticity": (cmd_elasticity, "block elasticity benchmark solve"),
+}
 
 
 def build_parser():
@@ -466,60 +431,16 @@ def build_parser():
         action="store_true",
         help="emit all benchmark result tables at desk scale and exit",
     )
-    parser.add_argument("--out-dir", help="output directory for table mode")
+    parser.add_argument(
+        "--out-dir", dest="output.dir", help="output directory for table mode"
+    )
     sub = parser.add_subparsers(dest="command")
-
-    def common(sp):
+    for name, (_, help_text) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("-c", "--config", help="INI config file")
-        sp.add_argument("--geometry")
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--n-el", dest="n_el", type=int)
-        sp.add_argument("--tol", type=float, help="relative residual target")
-        sp.add_argument("--load", help="one|zero|manufactured")
-        sp.add_argument("--eps-prec", dest="eps_prec", type=float)
-        sp.add_argument("--eps-assembly", dest="eps_assembly", type=float)
-        sp.add_argument(
-            "--eps-min",
-            dest="eps_min",
-            type=float,
-            help="absolute floor of the adaptive iterate-truncation "
-            "tolerance (stagnation remedy)",
-        )
-        sp.add_argument("--max-iterations", dest="max_iterations", type=int)
-        sp.add_argument(
-            "--restarts",
-            type=int,
-            help="restart attempts after a breakdown",
-        )
-        sp.add_argument("--csv", help="CSV output path ('-' for stdout)")
-        sp.add_argument("--out-dir", dest="out_dir")
-
-    sp = sub.add_parser("solve", help="single scalar benchmark solve")
-    common(sp)
-    sp = sub.add_parser(
-        "convergence", help="refinement study vs the manufactured solution"
-    )
-    common(sp)
-    sp.add_argument("--levels", help="comma-separated refinement levels")
-    sp = sub.add_parser(
-        "precond-study", help="preconditioner rank/cost sweep"
-    )
-    common(sp)
-    sp.add_argument("--sweep-n-el", dest="sweep_n_el")
-    sp.add_argument("--sweep-p", dest="sweep_p")
-    sp = sub.add_parser("elasticity", help="block elasticity benchmark solve")
-    common(sp)
-    sp.add_argument("--lam", type=float, help="first Lame coefficient")
-    sp.add_argument("--mu", type=float, help="second Lame coefficient")
+        for flag, dest, conv, flag_help in FLAGS[name]:
+            sp.add_argument(flag, dest=dest, type=conv, help=flag_help)
     return parser
-
-
-COMMANDS = {
-    "solve": cmd_solve,
-    "convergence": cmd_convergence,
-    "precond-study": cmd_precond_study,
-    "elasticity": cmd_elasticity,
-}
 
 
 def main(argv=None):
@@ -533,7 +454,7 @@ def main(argv=None):
         if args.command is None:
             parser.print_help()
             return EXIT_CONFIG
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

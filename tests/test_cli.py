@@ -1,8 +1,11 @@
 """End-to-end CLI runs: exit codes, CSV schemas, determinism."""
 
+import configparser
 import os
 import subprocess
 import sys
+
+import pytest
 
 import lriga
 from lriga import cli
@@ -189,3 +192,112 @@ def test_python_dash_m_runs_the_cli():
     assert out.returncode == 0, out.stderr
     for command in ("solve", "convergence", "precond-study", "elasticity"):
         assert command in out.stdout
+
+
+FLAG_CASES = [
+    (command, flag, dest, conv)
+    for command, flags in cli.FLAGS.items()
+    for flag, dest, conv, _ in flags
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,dest,conv", FLAG_CASES,
+    ids=["%s %s" % case[:2] for case in FLAG_CASES])
+def test_flag_sets_exactly_its_key(command, flag, dest, conv):
+    value = {int: "7", float: "0.25", str: "5,6"}[conv]
+    args = cli.build_parser().parse_args([command, flag, value])
+    cfg = cli.load_config()
+    cli.apply_overrides(cfg, args)
+    section, key = dest.split(".")
+    changed = [
+        (s, k) for s in cli.DEFAULTS for k in cli.DEFAULTS[s]
+        if cfg[s][k] != cli.DEFAULTS[s][k]
+    ]
+    assert changed == [(section, key)]
+    assert conv(cfg[section][key]) == conv(value)
+
+
+class RecordingConfig(configparser.ConfigParser):
+    """Config that records every "section.key" read through cfg[s][k]."""
+
+    def __init__(self):
+        super().__init__()
+        self.read_keys = set()
+
+    def get(self, section, option, **kwargs):
+        self.read_keys.add("%s.%s" % (section, option))
+        return super().get(section, option, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--geometry", "unit_cube", "--n-el", "2"],
+    ["convergence", "--geometry", "unit_cube", "--levels", "1"],
+    ["precond-study", "--sweep-n-el", "2", "--sweep-p", "2"],
+    ["elasticity", "--geometry", "deformed_column", "--n-el", "2",
+     "--lam", "0.5", "--mu", "0.4"],
+], ids=lambda argv: argv[0])
+def test_subcommand_reads_every_key_its_flags_set(argv, tmp_path,
+                                                  monkeypatch):
+    seen = []
+
+    def recording_config(path=None):
+        cfg = RecordingConfig()
+        cfg.read_dict(cli.DEFAULTS)
+        seen.append(cfg)
+        return cfg
+
+    monkeypatch.setattr(cli, "load_config", recording_config)
+    assert run(argv + ["--csv", str(tmp_path / "out.csv")]) == EXIT_OK
+    flag_keys = {dest for _, dest, _, _ in cli.FLAGS[argv[0]]}
+    assert flag_keys - seen[0].read_keys == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["elasticity", "--load", "zero"],
+    ["convergence", "--restarts", "3"],
+    ["convergence", "--load", "zero"],
+    ["precond-study", "--p", "2"],
+    ["solve", "--out-dir", "tables"],
+])
+def test_removed_flag_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["precond-study", "--sweep-n-el", "0", "--sweep-p", "2"],
+    ["precond-study", "--sweep-n-el", "4", "--sweep-p", "0"],
+    ["convergence", "--levels", "-1"],
+    ["solve", "--n-el", "2", "--max-iterations", "-3"],
+    ["solve", "--n-el", "2", "--restarts", "-2"],
+    ["solve", "--n-el", "2", "--tol", "nan"],
+])
+def test_out_of_range_value_is_config_error(argv, capsys):
+    assert run(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_table_mode_checks_lame_parameters(tmp_path, capsys):
+    cfg = tmp_path / "tables.ini"
+    cfg.write_text(
+        "[problem]\ntol = 1e-4\n[sweep]\nn_el = 2\np = 2\n"
+        "[elasticity]\nmu = -1\n"
+    )
+    code = run(["--paper-tables", "-c", str(cfg),
+                "--out-dir", str(tmp_path / "tables")])
+    assert code == EXIT_CONFIG
+    assert "config error: need lam >= 0 and mu > 0" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file.txt"
+    blocker.write_text("not a directory\n")
+    code = run(["solve", "--geometry", "unit_cube", "--n-el", "2",
+                "--csv", str(blocker / "run.csv")])
+    assert code == EXIT_CONFIG
+    assert "config error: cannot write" in capsys.readouterr().err
+    assert run(["--paper-tables", "--out-dir", str(blocker)]) == EXIT_CONFIG
+    assert "config error: cannot create" in capsys.readouterr().err
