@@ -68,7 +68,7 @@ class ConfigError(Exception):
 
 
 def load_config(path=None):
-    cfg = configparser.ConfigParser()
+    cfg = configparser.ConfigParser(interpolation=None)
     cfg.read_dict(DEFAULTS)
     if path is not None:
         read = cfg.read(path)
@@ -101,8 +101,11 @@ def _get(cfg, section, key, conv, required=False):
 
 
 def _positive(cfg, section, key, conv, or_zero=False):
-    """Required value, or each entry of a list, > 0 (>= 0 with or_zero)."""
+    """Required value, or each entry of a non-empty list, > 0 (>= 0 with
+    or_zero)."""
     value = _get(cfg, section, key, conv, required=True)
+    if value == []:
+        raise ConfigError("[%s] %s is an empty list" % (section, key))
     for v in value if isinstance(value, list) else [value]:
         if not (v > 0 or (or_zero and v == 0)):
             raise ConfigError("[%s] %s must be %s, got %r" % (
@@ -314,8 +317,6 @@ def cmd_convergence(cfg):
     geo = _geometry(cfg)
     p = _positive(cfg, "problem", "p", int)
     levels = _positive(cfg, "convergence", "levels", _int_list, or_zero=True)
-    if not levels:
-        raise ConfigError("empty level list")
     bench = poisson_benchmark()
 
     rows = []

@@ -5,11 +5,12 @@ eigenfunctions are close to sines, so the eigenvector matrix is split into
 a large "smooth" block — spline interpolants of sin(mu_j pi x + k0 pi/2)
 at either the interior breakpoints (odd p) or the knot-span midpoints
 (even p) — and a small boundary block obtained from a dense generalized
-eigensolve.  The smooth block is built once at setup from a fast
-sine/cosine transform of the identity and a banded collocation solve; its
-eigenvalues are taken as the analytic values (mu_j pi)^2.  Both
-decompositions are an :class:`Eigen1D` whose eigenvector matrix is then
-applied as a plain matrix.
+eigensolve.  The smooth block is built once at setup from the sine matrix
+S[i, j] = sin(mu_j pi x_i + k0 pi/2), evaluated in closed form, and one
+banded collocation solve; its eigenvalues are taken as the analytic values
+(mu_j pi)^2.  The paper applies these eigenvectors with the FFT; here both
+decompositions are an :class:`Eigen1D` whose eigenvector matrix is applied
+as a plain matrix, which measured faster at the sizes this package runs.
 
 The phase parameters k0, k1 are 1 at a Neumann end and 0 at a Dirichlet
 end, giving mu_j = j - k0/2 - k1/2.  For degrees p <= 2 (or fewer
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy import fft as sfft
+from scipy.linalg import lapack
 
-from .banded import BandedLU
 from .bsplines import BC_NEUMANN
 
 _SQRT2 = np.sqrt(2.0)
@@ -48,67 +48,40 @@ def _interpolation_points(space, k0, k1):
     return (np.arange(N) + 0.5) / N
 
 
-#: (odd p, k0, k1, transpose) -> (transform, type, keep).  With keep None
-#: the transform of B is halved; otherwise the transform is taken of B
-#: halved except for its first (keep[0]) and/or last (keep[1]) row.
-_SINE_TRANSFORMS = {
-    (True, 0, 0, False): (sfft.dst, 1, None),
-    (True, 1, 1, False): (sfft.dct, 1, (True, True)),
-    (True, 1, 0, False): (sfft.dct, 2, None),
-    (True, 0, 1, False): (sfft.dst, 2, None),
-    (False, 0, 0, False): (sfft.dst, 3, (False, True)),
-    (False, 1, 1, False): (sfft.dct, 3, (True, False)),
-    (False, 1, 0, False): (sfft.dct, 4, None),
-    (False, 0, 1, False): (sfft.dst, 4, None),
-    (True, 0, 0, True): (sfft.dst, 1, None),
-    (True, 1, 1, True): (sfft.dct, 1, (True, True)),
-    (True, 1, 0, True): (sfft.dct, 3, (True, False)),
-    (True, 0, 1, True): (sfft.dst, 3, (False, True)),
-    (False, 0, 0, True): (sfft.dst, 2, None),
-    (False, 1, 1, True): (sfft.dct, 2, None),
-    (False, 1, 0, True): (sfft.dct, 4, None),
-    (False, 0, 1, True): (sfft.dst, 4, None),
-}
+class _BandedLU:
+    """LU of a square banded matrix, factored inside its band by LAPACK
+    gbtrf/gbtrs; a band as wide as the matrix is factored densely."""
 
+    def __init__(self, A):
+        self.n = n = A.shape[0]
+        rows, cols = np.nonzero(A)
+        kl = max(int(np.max(rows - cols)), 0)
+        ku = max(int(np.max(cols - rows)), 0)
+        self._dense = None
+        if kl + ku + 1 >= n:
+            self._dense = sla.lu_factor(A)
+            return
+        ab = np.zeros((2 * kl + ku + 1, n))
+        for j in range(n):
+            i0 = max(0, j - ku)
+            i1 = min(n, j + kl + 1)
+            ab[kl + ku + np.arange(i0, i1) - j, j] = A[i0:i1, j]
+        gbtrf, = lapack.get_lapack_funcs(("gbtrf",), (ab,))
+        lu, ipiv, info = gbtrf(ab, kl, ku)
+        if info != 0:
+            raise np.linalg.LinAlgError("banded LU failed with info=%d" % info)
+        self._band = (lu, ipiv, kl, ku)
 
-class SineTransform:
-    """Multiplication by S[i, j] = sin(mu_j pi x_i + k0 pi/2) and its transpose.
-
-    x_i are the interpolation points and mu_j = j - k0/2 - k1/2 for
-    j = 1..n1.  Each (degree parity, k0, k1) combination matches one of the
-    eight standard DST/DCT types up to index shifts and endpoint scaling;
-    the dense matrix is the validation path.
-    """
-
-    def __init__(self, p, k0, k1, x):
-        self.odd = p % 2 == 1
-        self.k0 = k0
-        self.k1 = k1
-        self.x = x
-        self.n1 = len(x)
-
-    def dense(self):
-        j = np.arange(1, self.n1 + 1)
-        mu = j - 0.5 * (self.k0 + self.k1)
-        return np.sin(np.pi * np.outer(self.x, mu) + 0.5 * np.pi * self.k0)
-
-    def _apply(self, B, transpose):
-        transform, kind, keep = _SINE_TRANSFORMS[
-            (self.odd, self.k0, self.k1, transpose)]
-        if keep is None:
-            return transform(B, type=kind, axis=0) / 2.0
-        w = B / 2.0
-        if keep[0]:
-            w[0] = B[0]
-        if keep[1]:
-            w[-1] = B[-1]
-        return transform(w, type=kind, axis=0)
-
-    def mult(self, B):
-        return self._apply(B, transpose=False)
-
-    def tmult(self, B):
-        return self._apply(B, transpose=True)
+    def solve(self, b):
+        """Solve A x = b; b may be a vector or a matrix."""
+        if self._dense is not None:
+            return sla.lu_solve(self._dense, b)
+        lu, ipiv, kl, ku = self._band
+        gbtrs, = lapack.get_lapack_funcs(("gbtrs",), (lu,))
+        x, info = gbtrs(lu, kl, ku, b.reshape(self.n, -1), ipiv)
+        if info != 0:
+            raise np.linalg.LinAlgError("banded solve failed with info=%d" % info)
+        return x.reshape(b.shape)
 
 
 @dataclass(frozen=True)
@@ -157,11 +130,11 @@ def exact_eigen(pencil):
 def approx_eigen(space, pencil):
     """Split (approximate) eigendecomposition of the pencil on the given space.
 
-    U = [V1 U1 | V2 U2] with U1 = sqrt(2) C^-1 S: S is the fast sine
-    transform of the identity and C the collocation matrix of the smooth
-    block, so U costs one transform and one banded solve.  Degrees
-    p <= 2, or spaces with n_el <= p, fall back to the exact dense
-    decomposition.
+    U = [V1 U1 | V2 U2] with U1 = C^-1 (sqrt(2) S): S is the sine matrix
+    S[i, j] = sin(mu_j pi x_i + k0 pi/2) at the interpolation points and C
+    the collocation matrix of the smooth block, so U costs one banded
+    solve.  Degrees p <= 2, or spaces with n_el <= p, fall back to the
+    exact dense decomposition.
     """
     p = space.p
     n = space.n
@@ -203,7 +176,7 @@ def approx_eigen(space, pencil):
 
     # collocation of the smooth block at the interpolation points, factored once
     C = (space.collocation_matrix(x, deriv=0, reduced=True) @ V1).toarray()
-    C_lu = BandedLU(C)
+    C_lu = _BandedLU(C)
     probe = np.cos(np.arange(n1, dtype=float))
     if np.max(np.abs(C @ C_lu.solve(probe) - probe)) > 1e-8 * max(np.max(np.abs(probe)), 1.0):
         raise EigenSetupError("collocation matrix is numerically singular")
@@ -218,7 +191,7 @@ def approx_eigen(space, pencil):
         seeds[c, c] = 1.0
     for c in range(c1):
         seeds[n - c1 + c, c0 + c] = 1.0
-    gram = BandedLU((V1.T @ sp.csr_matrix(M) @ V1).toarray())
+    gram = _BandedLU((V1.T @ sp.csr_matrix(M) @ V1).toarray())
     W = seeds - V1 @ gram.solve(V1.T @ (M @ seeds))
     if np.linalg.matrix_rank(W, tol=1e-10) != n2:
         raise EigenSetupError("projected boundary seeds are linearly dependent")
@@ -226,6 +199,7 @@ def approx_eigen(space, pencil):
 
     mu = np.arange(1, n1 + 1) - 0.5 * (k0 + k1)
     lambdas = np.concatenate([(mu * np.pi) ** 2, lam2])
-    U1 = C_lu.solve(SineTransform(p, k0, k1, x).mult(_SQRT2 * np.eye(n1)))
+    S = np.sin(np.pi * np.outer(x, mu) + 0.5 * np.pi * k0)
+    U1 = C_lu.solve(_SQRT2 * S)
     return Eigen1D(lambdas, np.hstack([V1 @ U1, W @ U2]))
 

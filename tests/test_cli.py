@@ -301,3 +301,37 @@ def test_unwritable_output_is_config_error(tmp_path, capsys):
     assert "config error: cannot write" in capsys.readouterr().err
     assert run(["--paper-tables", "--out-dir", str(blocker)]) == EXIT_CONFIG
     assert "config error: cannot create" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["precond-study", "--sweep-n-el", ",", "--sweep-p", "2"], None),
+    (["precond-study", "--sweep-n-el", "4", "--sweep-p", ","], None),
+    (["convergence", "--levels", ","], None),
+    (["--paper-tables"], "[sweep]\nn_el = ,\np = 2\n"),
+    (["--paper-tables"], "[sweep]\nn_el = 4\np = ,\n"),
+], ids=["sweep-n-el", "sweep-p", "levels", "tables-n_el", "tables-p"])
+def test_empty_list_is_config_error(argv, ini, tmp_path, capsys):
+    out_dir = tmp_path / "tables"
+    if ini is not None:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ini)
+        argv = argv + ["-c", str(cfg), "--out-dir", str(out_dir)]
+    assert run(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "empty list" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_percent_in_value_is_literal(source, tmp_path, monkeypatch):
+    # values are not interpolated: '%' is an ordinary character
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--n-el", "2"]
+    if source == "flag":
+        argv += ["--csv", "r%1.csv"]
+    else:
+        (tmp_path / "run.ini").write_text("[output]\ncsv = r%1.csv\n")
+        argv += ["-c", "run.ini"]
+    assert run(argv) == EXIT_OK
+    assert (tmp_path / "r%1.csv").read_text().startswith("iter,res_norm,")

@@ -2,14 +2,12 @@
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from lriga import eigen
-from lriga.banded import BandedLU
 from lriga.bsplines import BC_DIRICHLET, BC_NEUMANN, SplineSpace1D, assemble_pencil
 from lriga.eigen import (
     Eigen1D,
-    SineTransform,
+    _BandedLU,
     _interpolation_points,
     _phase,
     approx_eigen,
@@ -25,38 +23,30 @@ def _eig(p, n_el, bc):
     return space, approx_eigen(space, assemble_pencil(space))
 
 
-def _sine(space):
-    """The smooth block's sine transform on the space's interpolation points."""
-    k0, k1 = _phase(space)
-    return SineTransform(space.p, k0, k1, _interpolation_points(space, k0, k1))
-
-
 def _split(space, E):
     """Sizes (n1, n2) of the smooth and boundary blocks of E's eigenvectors."""
-    n1 = _sine(space).n1
+    n1 = len(_interpolation_points(space, *_phase(space)))
     return n1, E.n - n1
 
 
-class _DenseCollocationLU(BandedLU):
-    """BandedLU that solves a square right-hand side (the collocation solve
+class _DenseCollocationLU(_BandedLU):
+    """_BandedLU that solves a square right-hand side (the collocation solve
     for the n1 x n1 sine matrix) densely with np.linalg.solve."""
 
     def __init__(self, A):
         super().__init__(A)
-        self.A = np.asarray(A, dtype=float)
+        self.A = A
 
-    def solve(self, b, trans=False):
+    def solve(self, b):
         if np.ndim(b) == 2 and b.shape[1] == self.n:
             return np.linalg.solve(self.A, b)
-        return super().solve(b, trans=trans)
+        return super().solve(b)
 
 
 def _dense_construction(space, monkeypatch):
-    """approx_eigen's U with the sine matrix from SineTransform.dense() and
-    the collocation system solved densely."""
+    """approx_eigen's U with the collocation system solved densely."""
     with monkeypatch.context() as m:
-        m.setattr(SineTransform, "mult", lambda self, B: self.dense() @ B)
-        m.setattr(eigen, "BandedLU", _DenseCollocationLU)
+        m.setattr(eigen, "_BandedLU", _DenseCollocationLU)
         return approx_eigen(space, assemble_pencil(space)).U
 
 
@@ -71,24 +61,29 @@ def test_banded_solve_matches_dense():
         for j in range(max(0, i - 3), min(n, i + 3)):
             A[i, j] = rng.standard_normal()
     A += 8.0 * np.eye(n)
-    lu = BandedLU(A)
-    assert lu._band is not None
+    lu = _BandedLU(A)
+    assert lu._dense is None
     b = rng.standard_normal(n)
     B = rng.standard_normal((n, 4))
     assert np.allclose(lu.solve(b), np.linalg.solve(A, b), atol=1e-12)
     assert np.allclose(lu.solve(B), np.linalg.solve(A, B), atol=1e-12)
-    assert np.allclose(lu.solve(b, trans=True), np.linalg.solve(A.T, b), atol=1e-12)
-    assert np.allclose(lu.solve(B, trans=True), np.linalg.solve(A.T, B), atol=1e-12)
 
 
 def test_banded_full_matrix_uses_dense_path():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((7, 7)) + 7.0 * np.eye(7)
-    lu = BandedLU(A)
+    lu = _BandedLU(A)
     assert lu._dense is not None
     b = rng.standard_normal(7)
     assert np.allclose(lu.solve(b), np.linalg.solve(A, b), atol=1e-12)
-    assert np.allclose(lu.solve(b, trans=True), np.linalg.solve(A.T, b), atol=1e-12)
+
+
+def test_banded_zero_pivot_raises():
+    # tridiagonal with its third column zero: gbtrf meets an exactly zero pivot
+    A = np.diag(np.full(8, 4.0)) + np.diag(np.ones(7), 1) + np.diag(np.ones(7), -1)
+    A[:, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _BandedLU(A)
 
 
 # ------------------------------------------------------------ split sizes
@@ -114,7 +109,7 @@ def test_split_dimensions_odd_even_degree():
 
 @pytest.mark.parametrize("p", [3, 4, 5])
 @pytest.mark.parametrize("bc", ALL_BC)
-@pytest.mark.parametrize("n_el", [8, 16])
+@pytest.mark.parametrize("n_el", [8, 16, 64])
 def test_interpolation_identity(p, bc, n_el):
     space, E = _eig(p, n_el, bc)
     k0, k1 = _phase(space)
@@ -125,28 +120,6 @@ def test_interpolation_identity(p, bc, n_el):
     mu = np.arange(1, n1 + 1) - 0.5 * (k0 + k1)
     exact = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, mu) + 0.5 * np.pi * k0)
     assert np.max(np.abs(vals - exact)) < 1e-10
-
-
-@pytest.mark.parametrize("p", [3, 4, 5])
-@pytest.mark.parametrize("bc", ALL_BC)
-@pytest.mark.parametrize("n_el", [8, 16])
-def test_fast_transform_matches_dense(p, bc, n_el):
-    st = _sine(SplineSpace1D(p, n_el, bc=bc))
-    rng = np.random.default_rng(11)
-    B = rng.standard_normal((st.n1, 5))
-    dense_m = st.dense() @ B
-    dense_t = st.dense().T @ B
-    fast_m = st.mult(B.copy())
-    fast_t = st.tmult(B.copy())
-    assert np.max(np.abs(fast_m - dense_m)) < 1e-12
-    assert np.max(np.abs(fast_t - dense_t)) < 1e-12
-
-
-def test_fast_path_engaged_at_scale():
-    st = _sine(SplineSpace1D(3, 64, bc=(D, D)))
-    rng = np.random.default_rng(12)
-    B = rng.standard_normal((st.n1, 3))
-    assert np.max(np.abs(st.mult(B) - st.dense() @ B)) < 1e-12
 
 
 # ------------------------------------------------------ analytic eigenvalues
@@ -188,7 +161,7 @@ def test_exact_path_m_orthonormal_and_diagonalizing():
     assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(K))
 
 
-# --------------------------------------------- transform build vs dense build
+# ------------------------------------------ banded build vs dense build
 
 
 def test_apply_matches_dense_construction(monkeypatch):
@@ -203,7 +176,7 @@ def test_apply_matches_dense_construction(monkeypatch):
 @pytest.mark.parametrize("p", [3, 4, 5])
 @pytest.mark.parametrize("bc", ALL_BC)
 @pytest.mark.parametrize("n_el", [8, 16, 64])
-def test_transform_built_u_matches_dense_construction(p, bc, n_el, monkeypatch):
+def test_built_u_matches_dense_construction(p, bc, n_el, monkeypatch):
     # n_el = 64 puts the smooth block above 32 columns
     space, E = _eig(p, n_el, bc)
     Ut = _dense_construction(space, monkeypatch)
