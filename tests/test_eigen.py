@@ -176,7 +176,7 @@ def test_apply_matches_dense_construction(monkeypatch):
 @pytest.mark.parametrize("p", [3, 4, 5])
 @pytest.mark.parametrize("bc", ALL_BC)
 @pytest.mark.parametrize("n_el", [8, 16, 64])
-def test_built_u_matches_dense_construction(p, bc, n_el, monkeypatch):
+def test_transform_built_u_matches_dense_construction(p, bc, n_el, monkeypatch):
     # n_el = 64 puts the smooth block above 32 columns
     space, E = _eig(p, n_el, bc)
     Ut = _dense_construction(space, monkeypatch)
