@@ -15,6 +15,13 @@ spaces: the system operator is their restriction to the rows and columns
 that the Dirichlet conditions keep, and inhomogeneous Dirichlet data is
 lifted into the load through the row-restricted blocks.  The load of
 component a is built the same way from omega_a = det(J) f_a.
+
+Every coefficient, load and scale sample is built from J^-1 and det(J),
+and the fits sample a handful of point sets over and over (the Chebyshev
+grids of each degree and the Halton validation sample).  One assembly
+therefore evaluates the map through a per-call memo
+(:func:`geometry.metric_memo`): J, J^-1 and det(J) are computed once per
+distinct point set and dropped when the assembly returns.
 """
 
 from dataclasses import dataclass
@@ -23,7 +30,7 @@ import numpy as np
 
 from .bsplines import assemble_weighted_matrix, assemble_weighted_rhs
 from .chebfit import approximate_function, halton_sample
-from .geometry import metric_data
+from .geometry import metric_memo, metric_tensor
 from .tucker import (
     BlockTuckerOperator,
     BlockTuckerVector,
@@ -62,10 +69,12 @@ class AssembledSystem:
     spaces: tuple
 
 
-def _metric_scale(geo, n_sample=128):
-    """Magnitude of the metric over a low-discrepancy sample."""
+def _metric_scale(metric, n_sample=128):
+    """Magnitude of the metric over a low-discrepancy sample; ``metric``
+    maps points to (J^-1, det J)."""
     pts = halton_sample(n_sample)
-    Q, det = metric_data(geo, pts)
+    Jinv, det = metric(pts)
+    Q = metric_tensor(Jinv, det)
     return float(np.max(np.abs(Q))), float(np.max(np.abs(det)))
 
 
@@ -124,12 +133,13 @@ def assemble_rhs(spaces, load_sf):
     return TuckerTensor3(load_sf.tensor.core.copy(), tuple(factors))
 
 
-def assemble_form(spaces, geo, W, scale, loads, eps):
+def assemble_form(spaces, metric, W, scale, loads, eps):
     """Assemble the system of an m-component form, m = len(loads).
 
     Args:
         spaces: three SplineSpace1D shared by the components.
-        geo: GeometryMap.
+        metric: ``pts -> (J^-1, det J)`` of the geometry, normally the
+            assembly's :func:`geometry.metric_memo`.
         W: ``W(a, b, c, e)`` returns the pointwise evaluator of that
             coefficient on the parametric cube; W^(a,b)_(c,e) =
             W^(b,a)_(e,c), so only a <= b (and c <= e when a = b) is fitted.
@@ -164,14 +174,14 @@ def assemble_form(spaces, geo, W, scale, loads, eps):
             if b > a:
                 blocks[b][a] = operator_transpose(blocks[a][b])
 
-    _, dscale = _metric_scale(geo)
+    _, dscale = _metric_scale(metric)
     load_fits = []
     for f in loads:
         if not callable(f):
             f = lambda pts, val=float(f): np.full(np.asarray(pts).shape[:-1], val)
 
         def omega(pts, f=f):
-            det = metric_data(geo, pts)[1]
+            det = metric(pts)[1]
             return det * np.asarray(f(pts), dtype=float)
 
         load_fits.append(approximate_function(omega, eps, scale=dscale))
@@ -198,11 +208,13 @@ def assemble_system(spaces, geo, f, eps):
         eps: separable-approximation tolerance.
     """
 
-    def Q(a, b, c, e):
-        return lambda pts: metric_data(geo, pts)[0][..., c, e]
+    metric = metric_memo(geo)
 
-    qscale, _ = _metric_scale(geo)
-    return assemble_form(spaces, geo, Q, qscale, (f,), eps)
+    def Q(a, b, c, e):
+        return lambda pts: metric_tensor(*metric(pts))[..., c, e]
+
+    qscale, _ = _metric_scale(metric)
+    return assemble_form(spaces, metric, Q, qscale, (f,), eps)
 
 
 def face_extension(spaces, direction, side, value):

@@ -6,6 +6,7 @@ Weight functions for the weighted matrices are univariate polynomials given
 by Chebyshev coefficients on [0,1] via the affine pullback T_k(2*eta - 1).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -187,13 +188,19 @@ class QuadratureRule1D:
         return self.points.shape[1]
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_rule(n_el, q):
-    """Gauss-Legendre rule with q points on each of n_el uniform spans."""
+    """Gauss-Legendre rule with q points on each of n_el uniform spans.
+
+    Memoized per process: one shared rule with read-only arrays.
+    """
     x, w = np.polynomial.legendre.leggauss(q)
     h = 1.0 / n_el
     starts = np.linspace(0.0, 1.0, n_el + 1)[:-1]
     pts = starts[:, None] + (x[None, :] + 1.0) * (h / 2.0)
     wts = np.tile(w * (h / 2.0), (n_el, 1))
+    pts.setflags(write=False)
+    wts.setflags(write=False)
     return QuadratureRule1D(pts, wts)
 
 
@@ -250,6 +257,8 @@ def assemble_weighted_matrix(
 
     r0, r1 = space_row.trim if reduced_row else (0, 0)
     c0, c1 = space_col.trim if reduced_col else (0, 0)
+    if r0 == r1 == c0 == c1 == 0:
+        return A
     return A[r0 : full - r1, c0 : full - c1]
 
 

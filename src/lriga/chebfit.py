@@ -11,6 +11,7 @@ whose factor columns are univariate Chebyshev coefficient vectors -- the
 exact form consumed by the weighted univariate assembly.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,10 +130,14 @@ class SeparableFunction3:
         return np.einsum("pa,pb,pc,abc->p", Bs[0], Bs[1], Bs[2], self.tensor.core)
 
 
+@functools.lru_cache(maxsize=None)
 def halton_sample(n=512):
     """Fixed low-discrepancy validation sample in [0,1]^3: the first n
     points of the unscrambled Halton sequence (radical inverses of
-    0, 1, ..., n-1 in bases 2, 3 and 5)."""
+    0, 1, ..., n-1 in bases 2, 3 and 5).
+
+    Memoized per process: one shared read-only array per n.
+    """
     pts = np.zeros((n, 3))
     for k, base in enumerate((2, 3, 5)):
         i = np.arange(n)
@@ -141,6 +146,7 @@ def halton_sample(n=512):
             scale /= base
             pts[:, k] += scale * (i % base)
             i //= base
+    pts.setflags(write=False)
     return pts
 
 

@@ -7,7 +7,9 @@ per (a, b, c, e):
 
     W^(a,b)_(c,e) = mu delta_ab Q_ce + mu g B_cb B_ea + lam g B_ca B_eb,
 
-with B = J^-1, g = det J and Q = g B B^T the scalar-problem metric.  The
+with B = J^-1, g = det J and Q = g B B^T the scalar-problem metric; B and
+g come from the assembly's metric memo, so each sample point set is
+evaluated once for all coefficients, loads and the scale.  The
 coefficients go through the scalar problem's assembly
 (:func:`assembly.assemble_form`), so a block is a sum of Tucker-format
 operators and the system is a 3x3 grid of them.  Vectors carry one Tucker
@@ -24,6 +26,7 @@ from .bsplines import assemble_pencil
 from .chebfit import halton_sample
 from .eigen import approx_eigen
 from .fastdiag import build_lowrank_fd
+from .geometry import metric_memo
 from .tpcg import tpcg
 from .truncation import truncate_dynamic
 from .tucker import (  # noqa: F401  (re-exported)
@@ -42,18 +45,12 @@ def block_truncate_dynamic(y_prev, y_prop, eps, alpha, eps_min, delta):
     return truncate_dynamic(y_prev, y_prop, eps, alpha, eps_min, delta)
 
 
-def _metric_pieces(geo, pts):
-    J = geo.jac(pts)
-    det = np.linalg.det(J)
-    B = np.linalg.inv(J)
-    return B, det
-
-
-def _coefficient(geo, a, b, c, e, lam, mu):
-    """Pointwise evaluator of W^(a,b)_(c,e) on the parametric cube."""
+def _coefficient(metric, a, b, c, e, lam, mu):
+    """Pointwise evaluator of W^(a,b)_(c,e) on the parametric cube;
+    ``metric`` maps points to (J^-1, det J)."""
 
     def w(pts):
-        B, g = _metric_pieces(geo, pts)
+        B, g = metric(pts)
         val = mu * g * B[..., c, b] * B[..., e, a]
         val = val + lam * g * B[..., c, a] * B[..., e, b]
         if a == b:
@@ -64,9 +61,9 @@ def _coefficient(geo, a, b, c, e, lam, mu):
     return w
 
 
-def _elastic_scale(geo, lam, mu, n_sample=128):
+def _elastic_scale(metric, lam, mu, n_sample=128):
     pts = halton_sample(n_sample)
-    B, g = _metric_pieces(geo, pts)
+    B, g = metric(pts)
     bmax = float(np.max(np.abs(B)))
     gmax = float(np.max(np.abs(g)))
     return (2.0 * mu + lam) * gmax * max(bmax * bmax, 1.0)
@@ -90,11 +87,13 @@ def assemble_elasticity(spaces, geo, f, lam, mu, eps, dirichlet=()):
     """
     assert mu > 0.0 and lam >= 0.0
 
+    metric = metric_memo(geo)
+
     def W(a, b, c, e):
-        return _coefficient(geo, a, b, c, e, lam, mu)
+        return _coefficient(metric, a, b, c, e, lam, mu)
 
     system = assemble_form(
-        spaces, geo, W, _elastic_scale(geo, lam, mu), tuple(f), eps)
+        spaces, metric, W, _elastic_scale(metric, lam, mu), tuple(f), eps)
     system.rhs = dirichlet_lift(system, dirichlet)
     return system
 

@@ -15,15 +15,22 @@ fitted weight is exactly zero are dropped.  For each candidate rank the
 node interval is tuned by a small deterministic grid search; a rank passes
 when the measured sup-error meets the target and a finer grid confirms it.
 
-The accepted rank is the smallest passing one, found by a bracketed search
-instead of trying every rank: the log-error of the first two ranks is
-extrapolated to the target (never more slowly than half the a-priori rate
-pi^2 / log(8M)), upward steps at most double, and a bracket of a failing
-and a passing rank is closed by log-error interpolation or bisection.  A
-rank R is returned only when R - 1 was tried and failed (or R is the
-a-priori floor), so whenever passing is monotone in R the result is the
-one a rank-by-rank scan would give, bit for bit.  Either way the returned
-sum passed both checks, so its accuracy guarantee is unchanged.
+The accepted rank is the smallest passing one, found by a search that
+starts at a predicted rank instead of trying every rank.  The rank an
+exponential sum needs grows like log(1/tau) log(8M) (Braess & Hackbusch,
+IMA J. Numer. Anal. 2005), and a fitted model of that form lands within
+one of the answer on most intervals.  If the guess passes, the ranks
+below it are tried one by one until one fails.  If it fails, the next
+rank is tried, then the log-error of the last two failures is
+extrapolated to the target (never more slowly than half the a-priori
+rate pi^2 / log(8M)), upward steps at most double, and a bracket of a
+failing and a passing rank is closed by log-error interpolation or
+bisection.  A rank R is returned only when R - 1 was tried and failed
+(or R is the a-priori floor), so whenever passing is monotone in R the
+result is the one a rank-by-rank scan would give, bit for bit.  Either
+way the returned sum passed both checks, so its accuracy guarantee is
+unchanged.  Usually two grid searches decide the rank: the guess and
+its neighbour.
 
 The fit depends only on M and the tolerance, so it is memoized per process
 on (M, eps_rel, r_cap); preconditioners with the same spectral ratio share
@@ -74,14 +81,16 @@ def _check_grid(M, n):
 
 def _sup_error(weights, exponents, M, n):
     lam, target = _check_grid(M, n)
-    # one n x R temporary, exponentiated in place: at n = 100,000 a 34-term
-    # sum takes 27 MB per copy, and extra copies set the fit's peak memory.
+    # one n x R temporary, exponentiated in place, and the residual formed
+    # in place: at n = 100,000 a 34-term sum takes 27 MB per copy, and
+    # extra copies set the fit's peak memory (and so the setup's).
     # Not split into row blocks: freeing one large block raises glibc's
     # dynamic mmap threshold, so later solver temporaries reuse the heap;
     # blocked, the solves that follow took 10x the page faults and ~20% longer
     E = np.outer(lam, -exponents)
     approx = np.exp(E, out=E) @ weights
-    return float(np.max(np.abs(approx - target)))
+    approx -= target
+    return float(np.max(np.abs(approx, out=approx)))
 
 
 def _best_for_rank(R, M, tau):
@@ -155,14 +164,32 @@ def _exp_sum(M, eps_rel, r_cap):
     return es
 
 
-def _fit(M, eps_rel, r_cap):
-    """Smallest passing rank in [r_floor, r_cap] by a bracketed search.
+def _predicted_rank(M, tau, lo, r_cap):
+    """First rank to fit: a least-squares model of the accepted rank,
+    rounded down by a quarter and clamped to [lo, r_cap].
 
-    Each rank is fitted at most once: ``tried`` maps R to the log of its
-    grid-search error and, if R passed, its sum.  ``f`` is the largest
-    failing rank tried so far, ``g`` the one before it.  Raises
-    :class:`ExpSumError` when the floor exceeds ``r_cap`` or ``r_cap``
-    itself fails.
+    The accepted rank grows like log(1/tau) log(8M) (Braess & Hackbusch,
+    IMA J. Numer. Anal. 2005); the coefficients fit the accepted ranks of
+    M = geomspace(1.5, 1e6, 16) x eps_rel in {1e-1, 1e-2, 1e-3}.  A low
+    guess costs one failing fit at a rank below the answer, a high one an
+    extra passing fit above it, so the rounding leans low.
+    """
+    L, ell = np.log(1.0 / tau), np.log(8.0 * M)
+    guess = 1.193 * L * ell / np.pi ** 2 + 1.061 * L - 0.891 * ell - 1.365
+    return min(max(math.floor(guess + 0.25), lo), r_cap)
+
+
+def _fit(M, eps_rel, r_cap):
+    """Smallest passing rank in [r_floor, r_cap], searched from the
+    predicted rank (:func:`_predicted_rank`).
+
+    A passing guess is followed down one rank at a time until a rank
+    fails; a failing one is followed up by extrapolation, and the bracket
+    is then closed.  Each rank is fitted at most once: ``tried`` maps R to
+    the log of its grid-search error and, if R passed, its sum.  ``f`` is
+    the largest failing rank tried so far, ``g`` the one before it, ``p``
+    the smallest passing one.  Raises :class:`ExpSumError` when the floor
+    exceeds ``r_cap`` or ``r_cap`` itself fails.
     """
     if M == 1.0:
         # single-point interval: omega e^{-alpha} = 1 exactly
@@ -192,9 +219,10 @@ def _fit(M, eps_rel, r_cap):
         tried[R] = (np.log(max(err, np.finfo(float).tiny)), es)
         return es is not None
 
-    R, f, g, step = max(1, r_floor), None, None, None
-    if R > r_cap:
+    lo = max(1, r_floor)
+    if lo > r_cap:
         raise failure
+    R, f, g, step = _predicted_rank(M, tau, lo, r_cap), None, None, None
     while not passes(R):
         if R == r_cap:
             raise failure
@@ -209,6 +237,12 @@ def _fit(M, eps_rel, r_cap):
         step = jump if step is None else min(jump, 2 * step)
         R = min(f + step, r_cap)
     p = R
+    # the first guess passed: step down until a rank fails or the floor
+    while f is None and p > lo:
+        if passes(p - 1):
+            p -= 1
+        else:
+            f = p - 1
     while f is not None and p - f > 1:
         lf, lp = tried[f][0], tried[p][0]
         if np.isfinite(lf) and lp < lf:

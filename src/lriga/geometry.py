@@ -1,9 +1,9 @@
 """Analytic geometry maps from the unit cube to physical patches.
 
 Each map supplies vectorized evaluators for F and its Jacobian; the solver
-only ever consumes the pointwise metric Q = det(J) J^-1 J^-T and the
-weight det(J), so analytic maps with closed-form Jacobians are sufficient.
-Any object with ``name``, ``F`` and ``jac`` in the shape of
+only ever consumes J^-1 and det(J) (and from them the metric
+Q = det(J) J^-1 J^-T), so analytic maps with closed-form Jacobians are
+sufficient.  Any object with ``name``, ``F`` and ``jac`` in the shape of
 :class:`GeometryMap` can stand in for a preset.
 """
 
@@ -150,8 +150,8 @@ def get_geometry(name):
         ) from None
 
 
-def metric_data(geo, etas):
-    """Vectorized metric: Q = det(J) J^-1 J^-T and det(J).
+def metric_pieces(geo, etas):
+    """Vectorized J^-1 and det(J), the pieces every metric is built from.
 
     Raises:
         GeometryError: if det(J) <= 0 anywhere in the sample.
@@ -163,6 +163,44 @@ def metric_data(geo, etas):
             "geometry %r has non-positive Jacobian determinant (min %g)"
             % (geo.name, float(np.min(det)))
         )
-    Jinv = np.linalg.inv(J)
-    Q = det[..., None, None] * np.einsum("...ij,...kj->...ik", Jinv, Jinv)
-    return Q, det
+    return np.linalg.inv(J), det
+
+
+def metric_memo(geo):
+    """:func:`metric_pieces` of ``geo`` as ``pts -> (J^-1, det J)``,
+    evaluated once per distinct point set.
+
+    Meant to live for one assembly, in which many coefficients are sampled
+    on the same few point sets.  Entries are keyed by the points' shape and
+    a hit is confirmed by ``np.array_equal`` against the stored points; a
+    miss replaces the entry of that shape.  The shared arrays are
+    read-only.
+    """
+    seen = {}
+
+    def pieces(pts):
+        pts = np.asarray(pts)
+        hit = seen.get(pts.shape)
+        if hit is None or not np.array_equal(hit[0], pts):
+            Jinv, det = metric_pieces(geo, pts)
+            Jinv.setflags(write=False)
+            det.setflags(write=False)
+            hit = seen[pts.shape] = (pts.copy(), (Jinv, det))
+        return hit[1]
+
+    return pieces
+
+
+def metric_tensor(Jinv, det):
+    """Q = det(J) J^-1 J^-T from :func:`metric_pieces`."""
+    return det[..., None, None] * np.einsum("...ij,...kj->...ik", Jinv, Jinv)
+
+
+def metric_data(geo, etas):
+    """Vectorized metric: Q = det(J) J^-1 J^-T and det(J).
+
+    Raises:
+        GeometryError: if det(J) <= 0 anywhere in the sample.
+    """
+    Jinv, det = metric_pieces(geo, etas)
+    return metric_tensor(Jinv, det), det

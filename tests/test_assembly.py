@@ -1,11 +1,13 @@
 """Low-rank assembly vs dense Kronecker and element-loop oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lriga.assembly import assemble_system, dirichlet_lift
+from lriga.elasticity import assemble_elasticity
 from lriga.bsplines import (
     BC_DIRICHLET,
     BC_NEUMANN,
@@ -182,3 +184,50 @@ def test_dirichlet_lift_two_faces_is_sum_of_single_faces():
     want = single[0] + single[1] - to_dense(system.rhs)
     assert np.linalg.norm(both - want) <= 1e-12 * np.linalg.norm(want)
     assert np.linalg.norm(single[0] - single[1]) > 1e-3 * np.linalg.norm(want)
+
+
+def counting_map(geo):
+    """``geo`` with a Jacobian that records every point set it is given."""
+    seen = []
+
+    def jac(pts):
+        seen.append(np.array(pts, copy=True))
+        return geo.jac(pts)
+
+    return dataclasses.replace(geo, jac=jac), seen
+
+
+def distinct(point_sets):
+    out = []
+    for pts in point_sets:
+        if not any(q.shape == pts.shape and np.array_equal(q, pts)
+                   for q in out):
+            out.append(pts)
+    return out
+
+
+def assemble_counted(kind, geo):
+    if kind == "scalar":
+        return assemble_system(make_spaces(2, 6), geo, one, 1e-7)
+    spaces = make_spaces(2, 4, (NN, NN, DD))
+    return assemble_elasticity(spaces, geo, (0.0, 0.0, one), 0.5, 0.4, 1e-7)
+
+
+@pytest.mark.parametrize("kind,preset", [
+    ("scalar", "quarter_annulus"),
+    ("scalar", "spherical_shell"),
+    ("elasticity", "deformed_column"),
+])
+def test_one_jacobian_per_sample_set(kind, preset):
+    geo, seen = counting_map(get_geometry(preset))
+    assemble_counted(kind, geo)
+    # the scale sample, the validation sample and at least one Chebyshev
+    # grid, each evaluated once although many coefficients and the load
+    # are fitted on them
+    assert len(seen) >= 3
+    assert len(distinct(seen)) == len(seen)
+
+    # the memo lives for one call: a second assembly evaluates afresh
+    n = len(seen)
+    assemble_counted(kind, geo)
+    assert len(seen) == 2 * n

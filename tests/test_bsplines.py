@@ -277,3 +277,25 @@ def test_weighted_rhs_equals_loop_accumulation(p, n_el, w_cheb):
     f = assemble_weighted_rhs(space, w_cheb=w_cheb, reduced=False)
     assert np.array_equal(f, ref)
     assert np.array_equal(assemble_weighted_rhs(space, w_cheb=w_cheb), ref[1:-1])
+
+
+def test_gauss_rule_is_shared_and_read_only():
+    rule = gauss_rule(7, 4)
+    assert gauss_rule(7, 4) is rule
+    fresh = gauss_rule.__wrapped__(7, 4)
+    for got, want in ((rule.points, fresh.points), (rule.weights, fresh.weights)):
+        assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+
+
+def test_unreduced_weighted_matrix_equals_sliced():
+    # with nothing trimmed the matrix is returned without the full-range
+    # slice; it must equal the slice bit for bit
+    space = SplineSpace1D(3, 6, DD)
+    A = assemble_weighted_matrix(space, space, 1, 0, w_cheb=[1.0, 0.3],
+                                 reduced_row=False, reduced_col=False)
+    B = A[0:space.full_dim, 0:space.full_dim]
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, name), getattr(B, name))
+    assert A.shape == B.shape == (space.full_dim, space.full_dim)

@@ -140,6 +140,14 @@ def test_halton_sample_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_halton_sample_is_shared_and_read_only():
+    pts = halton_sample(128)
+    assert halton_sample(128) is pts
+    assert np.array_equal(pts, halton_sample.__wrapped__(128))
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("n", [128, 512])
 def test_halton_sample_matches_scipy(n):
     from scipy.stats import qmc

@@ -98,11 +98,13 @@ def assert_same_sum(a, b):
 
 # (4682, 1e-1) fails at 14, then passes at 16 and 15: the search must not
 # return a passing rank before the rank below it has failed
-@pytest.mark.parametrize(
-    "M,eps",
+RANK_SEARCH_CASES = (
     [(M, eps) for M in (3.67, 53.6, 783.0, 1.15e4, 1.67e5) for eps in (1e-1, 1e-3)]
-    + [(4682.0, 1e-1)],
+    + [(4682.0, 1e-1)]
 )
+
+
+@pytest.mark.parametrize("M,eps", RANK_SEARCH_CASES)
 def test_rank_search_equals_linear_scan(M, eps):
     assert_same_sum(expsum._fit(M, eps, 128), linear_scan(M, eps))
 
@@ -121,11 +123,30 @@ def record_ranks(monkeypatch, module, name):
 
 
 def test_rank_search_evaluation_count(monkeypatch):
-    # the linear scan fits ranks 24..40 here (17 grid searches)
+    # the linear scan fits ranks 24..40 here (17 grid searches); the
+    # search from the predicted rank fits 38, 39 and 40
     ranks = record_ranks(monkeypatch, expsum, "_best_for_rank")
     expsum._fit(1.625e5, 1e-3, 128)
-    assert len(ranks) <= 6, ranks
+    assert len(ranks) <= 3, ranks
     assert len(set(ranks)) == len(ranks)
+
+
+@pytest.mark.parametrize("M,eps", RANK_SEARCH_CASES)
+def test_rank_search_from_prediction_is_short(monkeypatch, M, eps):
+    ranks = record_ranks(monkeypatch, expsum, "_best_for_rank")
+    expsum._fit(M, eps, 128)
+    assert len(ranks) <= 3, ranks
+    assert len(set(ranks)) == len(ranks)
+
+
+@pytest.mark.parametrize("M,eps,lo,r_cap,want", [
+    (1.625e5, 1e-3, 24, 128, 38),  # the model gives 38.44
+    (1.625e5, 1e-3, 24, 30, 30),   # clamped to the cap
+    (1.5, 1e-1, 1, 128, 1),        # 0.11, at the floor
+    (1.5, 1e-1, 3, 128, 3),        # raised to the floor
+])
+def test_predicted_rank_is_clamped(M, eps, lo, r_cap, want):
+    assert expsum._predicted_rank(M, eps / M, lo, r_cap) == want
 
 
 def test_rank_cap_edges(monkeypatch):

@@ -9,6 +9,8 @@ from lriga.geometry import (
     PRESETS,
     get_geometry,
     metric_data,
+    metric_memo,
+    metric_pieces,
 )
 
 from util import load_polynomial_map, metric_and_weight, validate_geometry
@@ -81,6 +83,32 @@ def test_metric_vectorized_consistency():
         Q1, det1 = metric_data(geo, eta)
         assert np.allclose(Q1, Qb[i], atol=1e-13)
         assert np.isclose(det1, detb[i])
+
+
+def test_metric_memo_evaluates_each_point_set_once():
+    base = get_geometry("spherical_shell")
+    calls = []
+
+    def jac(pts):
+        calls.append(1)
+        return base.jac(pts)
+
+    geo = GeometryMap(base.name, base.F, jac)
+    metric = metric_memo(geo)
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(0, 1, (2, 30, 3))
+    Jinv, det = metric(a)
+    assert metric(a.copy())[0] is Jinv  # equal points hit
+    assert len(calls) == 1
+    # same shape, other points: recomputed, never served from the memo
+    Jinv_b, det_b = metric(b)
+    assert len(calls) == 2
+    want = metric_pieces(base, b)
+    assert np.array_equal(Jinv_b, want[0]) and np.array_equal(det_b, want[1])
+    with pytest.raises(ValueError):
+        Jinv_b[0, 0, 0] = 0.0
+    Q, d = metric_data(base, b)
+    assert np.array_equal(d, det_b)
 
 
 def test_singular_map_raises():
