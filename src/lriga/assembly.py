@@ -140,7 +140,7 @@ def assemble_form(spaces, metric, W, scale, loads, eps):
         spaces: three SplineSpace1D shared by the components.
         metric: ``pts -> (J^-1, det J)`` of the geometry, normally the
             assembly's :func:`geometry.metric_memo`.
-        W: ``W(a, b, c, e)`` returns the pointwise evaluator of that
+        W: ``W(a, b, c, e)`` returns the vectorized evaluator of that
             coefficient on the parametric cube; W^(a,b)_(c,e) =
             W^(b,a)_(e,c), so only a <= b (and c <= e when a = b) is fitted.
         scale: magnitude of the coefficients; a fit below 1e-14 scale is
@@ -204,7 +204,7 @@ def assemble_system(spaces, geo, f, eps):
     Args:
         spaces: three SplineSpace1D (with the problem's Dirichlet flags).
         geo: GeometryMap.
-        f: load evaluator on the parametric cube (vectorized preferred).
+        f: load on the parametric cube, a vectorized evaluator or a constant.
         eps: separable-approximation tolerance.
     """
 

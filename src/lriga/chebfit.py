@@ -51,19 +51,18 @@ def chebyshev_coefficients(values, axis):
     return a * scale.reshape(shape)
 
 
-def _eval_on_grid(g, grids):
-    """Evaluate g on the tensor grid; vectorized call with pointwise fallback."""
-    E1, E2, E3 = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack([E1, E2, E3], axis=-1)
-    try:
-        vals = np.asarray(g(pts), dtype=float)
-        if vals.shape == E1.shape:
-            return vals
-    except Exception:
-        pass
-    vals = np.empty(E1.shape)
-    for idx in np.ndindex(*E1.shape):
-        vals[idx] = g(pts[idx])
+def _evaluate(g, pts):
+    """g called once on a stack of points with trailing axis 3.
+
+    Raises:
+        ValueError: if g does not return one value per point.
+    """
+    vals = np.asarray(g(pts), dtype=float)
+    if vals.shape != pts.shape[:-1]:
+        raise ValueError(
+            "evaluator returned shape %s for points of shape %s; expected %s"
+            % (vals.shape, pts.shape, pts.shape[:-1])
+        )
     return vals
 
 
@@ -155,14 +154,13 @@ def zero_function():
     return SeparableFunction3((0, 0, 0), tucker_zero((1, 1, 1)), error=0.0)
 
 
-def approximate_function(g, eps, degree_cap=DEGREE_CAP, scale=None):
+def approximate_function(g, eps, scale=None):
     """Separable approximation of ``g`` on [0,1]^3 to relative accuracy eps.
 
     Args:
-        g: trivariate evaluator; ideally vectorized over a trailing-axis-3
-            stack of points, otherwise called pointwise.
+        g: trivariate evaluator, vectorized: called on a stack of points
+            of shape (..., 3), it returns one value per point, shape (...).
         eps: relative target accuracy (coefficient-tensor compression level).
-        degree_cap: maximum Chebyshev coefficients per direction.
         scale: known magnitude of the surrounding problem.  A function whose
             samples stay below 1e-14*scale is numerically zero (e.g. a
             metric entry that cancels exactly); without the hint such noise
@@ -172,12 +170,14 @@ def approximate_function(g, eps, degree_cap=DEGREE_CAP, scale=None):
     recorded; a miss beyond 10*eps*max|g| raises.
 
     Raises:
-        NonSeparableFunctionError: degree cap exceeded or validation failed.
+        NonSeparableFunctionError: :data:`DEGREE_CAP` exceeded or validation
+            failed.
+        ValueError: g returned a value of the wrong shape.
     """
     N = [_START_DEGREE] * 3
     while True:
-        grids = [chebyshev_lobatto(Nk) for Nk in N]
-        vals = _eval_on_grid(g, grids)
+        grids = np.meshgrid(*[chebyshev_lobatto(Nk) for Nk in N], indexing="ij")
+        vals = _evaluate(g, np.stack(grids, axis=-1))
         if not np.all(np.isfinite(vals)):
             raise NonSeparableFunctionError("function returned non-finite values")
         if scale is not None and np.max(np.abs(vals)) <= 1e-14 * scale:
@@ -194,10 +194,10 @@ def approximate_function(g, eps, degree_cap=DEGREE_CAP, scale=None):
             break
         for axis in bad:
             N[axis] *= 2
-        if any(Nk + 1 > degree_cap for Nk in N):
+        if any(Nk + 1 > DEGREE_CAP for Nk in N):
             raise NonSeparableFunctionError(
                 "degree cap %d exceeded (requested grid %s); function is not "
-                "resolvable as a separable interpolant" % (degree_cap, N)
+                "resolvable as a separable interpolant" % (DEGREE_CAP, N)
             )
 
     C = _trim_degrees(C, eps)
@@ -206,13 +206,7 @@ def approximate_function(g, eps, degree_cap=DEGREE_CAP, scale=None):
     sf = SeparableFunction3(degrees, tensor, error=np.nan)
 
     pts = halton_sample()
-    # evaluate g at scattered points (vectorized if possible)
-    try:
-        exact = np.asarray(g(pts), dtype=float)
-        if exact.shape != (len(pts),):
-            raise ValueError
-    except Exception:
-        exact = np.array([float(g(p)) for p in pts])
+    exact = _evaluate(g, pts)
     approx = sf.eval_points(pts)
     err = float(np.max(np.abs(approx - exact)))
     scale = float(np.max(np.abs(exact)))

@@ -15,22 +15,18 @@ fitted weight is exactly zero are dropped.  For each candidate rank the
 node interval is tuned by a small deterministic grid search; a rank passes
 when the measured sup-error meets the target and a finer grid confirms it.
 
-The accepted rank is the smallest passing one, found by a search that
+The accepted rank is the smallest passing one, found by a walk that
 starts at a predicted rank instead of trying every rank.  The rank an
 exponential sum needs grows like log(1/tau) log(8M) (Braess & Hackbusch,
 IMA J. Numer. Anal. 2005), and a fitted model of that form lands within
 one of the answer on most intervals.  If the guess passes, the ranks
-below it are tried one by one until one fails.  If it fails, the next
-rank is tried, then the log-error of the last two failures is
-extrapolated to the target (never more slowly than half the a-priori
-rate pi^2 / log(8M)), upward steps at most double, and a bracket of a
-failing and a passing rank is closed by log-error interpolation or
-bisection.  A rank R is returned only when R - 1 was tried and failed
-(or R is the a-priori floor), so whenever passing is monotone in R the
-result is the one a rank-by-rank scan would give, bit for bit.  Either
-way the returned sum passed both checks, so its accuracy guarantee is
-unchanged.  Usually two grid searches decide the rank: the guess and
-its neighbour.
+below it are tried one by one until one fails; if it fails, the ranks
+above it are tried one by one until one passes.  A rank R is returned
+only when R - 1 was tried and failed (or R is the a-priori floor), so
+whenever passing is monotone in R the result is the one a rank-by-rank
+scan would give, bit for bit.  Either way the returned sum passed both
+checks, so its accuracy guarantee is unchanged.  Usually two grid
+searches decide the rank: the guess and its neighbour.
 
 The fit depends only on M and the tolerance, so it is memoized per process
 on (M, eps_rel, r_cap); preconditioners with the same spectral ratio share
@@ -170,9 +166,10 @@ def _predicted_rank(M, tau, lo, r_cap):
 
     The accepted rank grows like log(1/tau) log(8M) (Braess & Hackbusch,
     IMA J. Numer. Anal. 2005); the coefficients fit the accepted ranks of
-    M = geomspace(1.5, 1e6, 16) x eps_rel in {1e-1, 1e-2, 1e-3}.  A low
-    guess costs one failing fit at a rank below the answer, a high one an
-    extra passing fit above it, so the rounding leans low.
+    M = geomspace(1.5, 1e6, 16) x eps_rel in {1e-1, 1e-2, 1e-3}.  A guess
+    below the answer costs one failing fit per rank it is short, one above
+    it an extra passing fit per rank too many, and the passing fits are
+    the slower ones, so the rounding leans low.
     """
     L, ell = np.log(1.0 / tau), np.log(8.0 * M)
     guess = 1.193 * L * ell / np.pi ** 2 + 1.061 * L - 0.891 * ell - 1.365
@@ -180,16 +177,13 @@ def _predicted_rank(M, tau, lo, r_cap):
 
 
 def _fit(M, eps_rel, r_cap):
-    """Smallest passing rank in [r_floor, r_cap], searched from the
-    predicted rank (:func:`_predicted_rank`).
+    """Smallest passing rank in [max(1, r_floor), r_cap], walked one rank
+    at a time from the predicted rank (:func:`_predicted_rank`).
 
-    A passing guess is followed down one rank at a time until a rank
-    fails; a failing one is followed up by extrapolation, and the bracket
-    is then closed.  Each rank is fitted at most once: ``tried`` maps R to
-    the log of its grid-search error and, if R passed, its sum.  ``f`` is
-    the largest failing rank tried so far, ``g`` the one before it, ``p``
-    the smallest passing one.  Raises :class:`ExpSumError` when the floor
-    exceeds ``r_cap`` or ``r_cap`` itself fails.
+    A passing guess is followed down while the rank below it passes; a
+    failing one is followed up until a rank passes.  Raises
+    :class:`ExpSumError` when the floor exceeds ``r_cap`` or ``r_cap``
+    itself fails.
     """
     if M == 1.0:
         # single-point interval: omega e^{-alpha} = 1 exactly
@@ -201,57 +195,35 @@ def _fit(M, eps_rel, r_cap):
     # even an optimal exponential sum cannot beat ~exp(-pi^2 R / log(8M)),
     # so ranks far below that threshold need not be tried at all
     r_floor = int(np.log(max(16.0 / (100.0 * tau), 1.0)) * np.log(8.0 * M) / np.pi ** 2)
-    rate = np.pi ** 2 / np.log(8.0 * M)
-    target = np.log(0.9 * tau)
     failure = ExpSumError(
         "no exponential sum with <= %d terms reaches %.3e on [1, %.3e]"
         % (r_cap, tau, M)
     )
-    tried = {}
 
-    def passes(R):
+    def passing(R):
+        """The rank-R sum if it passes the grid and the fine check, else None."""
         err, w, al = _best_for_rank(R, M, tau)
-        es = None
         if err <= 0.9 * tau:
             fine = _sup_error(w, al, M, 100_000)
             if fine <= tau:
-                es = ExpSum(w, al, M, fine)
-        tried[R] = (np.log(max(err, np.finfo(float).tiny)), es)
-        return es is not None
+                return ExpSum(w, al, M, fine)
+        return None
 
     lo = max(1, r_floor)
     if lo > r_cap:
         raise failure
-    R, f, g, step = _predicted_rank(M, tau, lo, r_cap), None, None, None
-    while not passes(R):
+    R = _predicted_rank(M, tau, lo, r_cap)
+    es = passing(R)
+    if es is not None:
+        while R > lo:
+            below = passing(R - 1)
+            if below is None:
+                break
+            R, es = R - 1, below
+        return es
+    while es is None:
         if R == r_cap:
             raise failure
-        g, f = f, R
-        if g is None:
-            R = f + 1
-            continue
-        # extrapolate log-error to the target, at least at half the
-        # a-priori rate so that two nearly equal errors cannot jump to r_cap
-        slope = min(-0.5 * rate, (tried[f][0] - tried[g][0]) / (f - g))
-        jump = max(1, math.ceil(min(r_cap, (target - tried[f][0]) / slope)))
-        step = jump if step is None else min(jump, 2 * step)
-        R = min(f + step, r_cap)
-    p = R
-    # the first guess passed: step down until a rank fails or the floor
-    while f is None and p > lo:
-        if passes(p - 1):
-            p -= 1
-        else:
-            f = p - 1
-    while f is not None and p - f > 1:
-        lf, lp = tried[f][0], tried[p][0]
-        if np.isfinite(lf) and lp < lf:
-            R = f + math.ceil((target - lf) / (lp - lf) * (p - f))
-            R = min(max(R, f + 1), p - 1)
-        else:
-            R = (f + p) // 2
-        if passes(R):
-            p = R
-        else:
-            f = R
-    return tried[p][1]
+        R += 1
+        es = passing(R)
+    return es

@@ -59,7 +59,29 @@ class LowRankFD:
         }
 
     def apply(self, s):
-        return apply_lowrank_fd(self, s)
+        """Preconditioner applied to a Tucker tensor.
+
+        Each factor F becomes the R scaled blocks U diag(d_j) U^T F side by
+        side (term index slow); the image of the diagonal core is summed term
+        by term without forming its Kronecker product with the input core.
+        The result is exact, has orthonormal factors and rank
+        (min(n1, R r1), min(n2, R r2), min(n3, R r3)).
+
+        Raises:
+            MemoryGuardError: if the image core would exceed
+                ``tucker.DENSE_GUARD``.
+        """
+        if not isinstance(s, TuckerTensor3):
+            raise TypeError("expected a TuckerTensor3")
+        if s.dims != self.dims:
+            raise ValueError("dims %s do not match preconditioner %s"
+                             % (s.dims, self.dims))
+        factors = []
+        for i, e in enumerate(self.eigs):
+            Z = e.U.T @ s.factors[i]
+            blocks = [self.diag[i][j][:, None] * Z for j in range(self.R)]
+            factors.append(e.U @ np.hstack(blocks))
+        return _kron_image(self.core, factors, s.core)
 
 
 def build_lowrank_fd(eigs, eps_rel, weights=None, r_cap=128):
@@ -88,27 +110,3 @@ def build_lowrank_fd(eigs, eps_rel, weights=None, r_cap=128):
     core = np.zeros((R, R, R))
     core[np.arange(R), np.arange(R), np.arange(R)] = es.weights / lam_min
     return LowRankFD(list(eigs), es, lam_min, lam_max, diag, core)
-
-
-def apply_lowrank_fd(P, s):
-    """Preconditioner applied to a Tucker tensor.
-
-    Each factor F becomes the R scaled blocks U diag(d_j) U^T F side by
-    side (term index slow); the image of the diagonal core is summed term by
-    term without forming its Kronecker product with the input core.  The
-    result is exact, has orthonormal factors and rank
-    (min(n1, R r1), min(n2, R r2), min(n3, R r3)).
-
-    Raises:
-        MemoryGuardError: if the image core would exceed ``tucker.DENSE_GUARD``.
-    """
-    if not isinstance(s, TuckerTensor3):
-        raise TypeError("expected a TuckerTensor3")
-    if s.dims != P.dims:
-        raise ValueError("dims %s do not match preconditioner %s" % (s.dims, P.dims))
-    factors = []
-    for i, e in enumerate(P.eigs):
-        Z = e.U.T @ s.factors[i]
-        blocks = [P.diag[i][j][:, None] * Z for j in range(P.R)]
-        factors.append(e.U @ np.hstack(blocks))
-    return _kron_image(P.core, factors, s.core)

@@ -194,13 +194,3 @@ def metric_memo(geo):
 def metric_tensor(Jinv, det):
     """Q = det(J) J^-1 J^-T from :func:`metric_pieces`."""
     return det[..., None, None] * np.einsum("...ij,...kj->...ik", Jinv, Jinv)
-
-
-def metric_data(geo, etas):
-    """Vectorized metric: Q = det(J) J^-1 J^-T and det(J).
-
-    Raises:
-        GeometryError: if det(J) <= 0 anywhere in the sample.
-    """
-    Jinv, det = metric_pieces(geo, etas)
-    return metric_tensor(Jinv, det), det

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsplines import gauss_rule
-from .geometry import metric_data
+from .geometry import metric_pieces
 from .truncation import truncate_dynamic, truncate_rel
 from .tucker import compression_percent, multi_mode_product
 
@@ -81,7 +81,7 @@ class SolveReport:
     residual_tensor: object = None
     eta_final: float = None
 
-    def record(self, k, res, x, r, p, eps):
+    def record(self, res, x, r, p, eps):
         self.res_norms.append(res)
         self.ranks_x.append(x.rank)
         self.ranks_r.append(r.rank)
@@ -130,7 +130,7 @@ def tpcg(op, rhs, precond, cfg, x0=None):
 
     r = rhs if x0 is None else rhs - op.matvec(x)
     res = r.norm()
-    report.record(0, res, x, r, r, eps)  # no direction yet: rp holds r0's rank
+    report.record(res, x, r, r, eps)  # no direction yet: rp holds r0's rank
     eta = None
     k = 0
     while res > cfg.tol and k < cfg.max_iterations:
@@ -140,7 +140,7 @@ def tpcg(op, rhs, precond, cfg, x0=None):
         q = _truncate(op.matvec(p), eta)
         xi = p.inner(q)
         if k > 0:
-            report.record(k, res, x, r, p, eps)
+            report.record(res, x, r, p, eps)
         if xi <= 0.0:
             report.breakdown = True
             break
@@ -151,7 +151,7 @@ def tpcg(op, rhs, precond, cfg, x0=None):
         res = r.norm()
         k += 1
     if k > 0 and not report.breakdown:
-        report.record(k, res, x, r, p, eps)
+        report.record(res, x, r, p, eps)
 
     report.iterations = k
     report.converged = res <= cfg.tol
@@ -188,6 +188,9 @@ def error_norms(x, spaces, geo, u_exact, grad_exact=None, quad_extra=1):
     Integration runs on per-element Gauss grids, evaluated through the
     factorized basis-times-factor matrices, in slabs along the third
     direction to bound the dense grid size.
+
+    Raises:
+        GeometryError: if det(J) <= 1e-13 at a quadrature point.
     """
     rules = [gauss_rule(s.n_el, s.p + 1 + quad_extra) for s in spaces]
     pts = [r.points.ravel() for r in rules]
@@ -206,8 +209,7 @@ def error_norms(x, spaces, geo, u_exact, grad_exact=None, quad_extra=1):
         sel = slice(start, stop)
         e1, e2, e3 = np.meshgrid(pts[0], pts[1], pts[2][sel], indexing="ij")
         grid = np.stack([e1, e2, e3], axis=-1)
-        J = geo.jac(grid)
-        det = np.linalg.det(J)
+        Jinv, det = metric_pieces(geo, grid)
         phys = geo.F(grid)
         w = (wts[0][:, None, None] * wts[1][None, :, None]
              * wts[2][sel][None, None, :]) * det
@@ -222,7 +224,6 @@ def error_norms(x, spaces, geo, u_exact, grad_exact=None, quad_extra=1):
                 multi_mode_product(x.core, (val[0], der[1], val[2][sel])),
                 multi_mode_product(x.core, (val[0], val[1], der[2][sel])),
             ], axis=-1)
-            Jinv = np.linalg.inv(J)
             g_phys = np.einsum("...ji,...j->...i", Jinv, g_eta)
             gdiff = g_phys - np.asarray(grad_exact(phys), dtype=float)
             h1 += float(np.sum(w * np.sum(gdiff ** 2, axis=-1)))

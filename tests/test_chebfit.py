@@ -15,9 +15,9 @@ from lriga.chebfit import (
     chebyshev_lobatto,
     halton_sample,
 )
-from lriga.geometry import get_geometry, metric_data
+from lriga.geometry import get_geometry
 
-from util import eval_grid
+from util import eval_grid, metric_data
 
 
 def test_chebyshev_coefficient_transform():
@@ -90,17 +90,26 @@ def test_eval_grid_matches_points():
                 assert np.isclose(G[i, j, kk], v, atol=1e-12)
 
 
-def test_pointwise_fallback_evaluator():
-    # a scalar-only callable (raises on arrays) still works
+def test_evaluator_must_be_vectorized():
+    # a pointwise formula indexes the first axis of the stack, not the last:
+    # the wrong shape comes back, and the error names both shapes
     def g(p):
+        return p[0] + 2.0 * p[1] + 3.0 * p[2]
+
+    with pytest.raises(ValueError, match=r"\(9, 9, 3\).*\(9, 9, 9, 3\)"):
+        approximate_function(g, 1e-9)
+
+
+def test_raising_evaluator_is_called_once():
+    calls = []
+
+    def g(p):
+        calls.append(np.shape(p))
         return float(p[0] + 2.0 * p[1] + 3.0 * p[2])
 
-    sf = approximate_function(g, 1e-9)
-    # mode-k fibers of a + b + c span {eta_k, 1}: multilinear rank (2,2,2)
-    assert sf.rank == (2, 2, 2)
-    pts = halton_sample(64)
-    exact = pts @ np.array([1.0, 2.0, 3.0])
-    assert np.max(np.abs(sf.eval_points(pts) - exact)) < 1e-8
+    with pytest.raises(TypeError):
+        approximate_function(g, 1e-9)
+    assert calls == [(9, 9, 9, 3)]
 
 
 def test_degree_cap_raises():

@@ -139,6 +139,15 @@ def test_rank_search_from_prediction_is_short(monkeypatch, M, eps):
     assert len(set(ranks)) == len(ranks)
 
 
+def test_rank_walk_takes_unit_steps(monkeypatch):
+    # the model predicts rank 20 here, eight below the answer: the walk
+    # climbs one rank at a time and stops at the first passing rank
+    ranks = record_ranks(monkeypatch, expsum, "_best_for_rank")
+    expsum._fit(9.1, 1e-6, 128)
+    assert ranks[0] == expsum._predicted_rank(9.1, 1e-6 / 9.1, 1, 128)
+    assert len(ranks) > 2 and ranks == list(range(ranks[0], ranks[-1] + 1)), ranks
+
+
 @pytest.mark.parametrize("M,eps,lo,r_cap,want", [
     (1.625e5, 1e-3, 24, 128, 38),  # the model gives 38.44
     (1.625e5, 1e-3, 24, 30, 30),   # clamped to the cap

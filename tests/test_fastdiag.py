@@ -6,7 +6,7 @@ import pytest
 from lriga.bsplines import BC_DIRICHLET, SplineSpace1D, assemble_pencil
 from lriga.eigen import approx_eigen
 from lriga.expsum import ExpSumError
-from lriga.fastdiag import apply_lowrank_fd, build_lowrank_fd
+from lriga.fastdiag import build_lowrank_fd
 from lriga import tucker
 from oracle import kron3
 from lriga.tucker import (
@@ -153,7 +153,7 @@ def test_apply_matches_dense_kron_oracle():
     dense_P = _dense_lowrank(P)
     rng = np.random.default_rng(2)
     t = random_tucker(rng, (space.n,) * 3, (2, 3, 2))
-    out = apply_lowrank_fd(P, t)
+    out = P.apply(t)
     expect = dense_P @ vec(to_dense(t))
     got = vec(to_dense(out))
     assert np.max(np.abs(got - expect)) < 1e-10 * np.max(np.abs(expect))
@@ -165,7 +165,7 @@ def test_apply_rank_is_product():
     P = build_lowrank_fd(eigs, 1e-1)
     rng = np.random.default_rng(3)
     t = random_tucker(rng, (space.n,) * 3, (2, 3, 1))
-    out = apply_lowrank_fd(P, t)
+    out = P.apply(t)
     # exact image, QR-reduced: rank min(n_k, R r_k), orthonormal factors
     n = space.n
     assert out.rank == (min(n, 2 * P.R), min(n, 3 * P.R), min(n, 1 * P.R))
@@ -184,10 +184,10 @@ def test_image_core_guard(monkeypatch):
                          tuple((pencil.K,) * r for r in (2, 1, 1)))
     pc_core = min(n, P.R) ** 3
     monkeypatch.setattr(tucker, "DENSE_GUARD", pc_core)
-    assert apply_lowrank_fd(P, t).core.size == pc_core
+    assert P.apply(t).core.size == pc_core
     monkeypatch.setattr(tucker, "DENSE_GUARD", pc_core - 1)
     with pytest.raises(tucker.MemoryGuardError):
-        apply_lowrank_fd(P, t)
+        P.apply(t)
     monkeypatch.setattr(tucker, "DENSE_GUARD", 2 * 1 * 1)
     assert tucker.tucker_matvec(op, t).core.size == 2
     monkeypatch.setattr(tucker, "DENSE_GUARD", 1)
@@ -204,8 +204,8 @@ def test_apply_linear():
     y = random_tucker(rng, (space.n,) * 3, (3, 1, 2))
     from lriga.tucker import tucker_add, tucker_scale
     combo = tucker_add(tucker_scale(x, 0.7), tucker_scale(y, -1.3))
-    lhs = to_dense(apply_lowrank_fd(P, combo))
-    rhs = 0.7 * to_dense(apply_lowrank_fd(P, x)) - 1.3 * to_dense(apply_lowrank_fd(P, y))
+    lhs = to_dense(P.apply(combo))
+    rhs = 0.7 * to_dense(P.apply(x)) - 1.3 * to_dense(P.apply(y))
     scale = max(np.max(np.abs(rhs)), 1e-30)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
 
@@ -224,7 +224,7 @@ def test_zero_input_gives_zero():
     eigs = _eigs(space, pencil)
     P = build_lowrank_fd(eigs, 1e-1)
     z = tucker_zero((space.n,) * 3)
-    out = apply_lowrank_fd(P, z)
+    out = P.apply(z)
     assert out.norm() == 0.0
 
 
@@ -235,7 +235,7 @@ def test_lowrank_approaches_exact_fd():
     fd = ExactFD(eigs)
     rng = np.random.default_rng(5)
     t = random_tucker(rng, (space.n,) * 3, (2, 2, 2))
-    got = to_dense(apply_lowrank_fd(P, t))
+    got = to_dense(P.apply(t))
     expect = fd.apply_array(to_dense(t))
     assert np.max(np.abs(got - expect)) < 1e-5 * np.max(np.abs(expect))
 

@@ -8,12 +8,16 @@ from lriga.geometry import (
     GeometryMap,
     PRESETS,
     get_geometry,
-    metric_data,
     metric_memo,
     metric_pieces,
 )
 
-from util import load_polynomial_map, metric_and_weight, validate_geometry
+from util import (
+    load_polynomial_map,
+    metric_and_weight,
+    metric_data,
+    validate_geometry,
+)
 
 
 def fd_jacobian(geo, eta, h=1e-6):

@@ -7,7 +7,7 @@ from scipy.optimize import nnls
 
 from lriga.eigen import exact_eigen
 from lriga.expsum import ExpSum, ExpSumError, _check_grid
-from lriga.geometry import GeometryError, GeometryMap, metric_data
+from lriga.geometry import GeometryError, GeometryMap, metric_pieces, metric_tensor
 from lriga.truncation import _truncation_rank
 from lriga.tucker import (
     TuckerOperator3,
@@ -283,6 +283,16 @@ def exp_sum_linear_scan(M, eps_rel, r_cap=128):
         "no exponential sum with <= %d terms reaches %.3e on [1, %.3e]"
         % (r_cap, tau, M)
     )
+
+
+def metric_data(geo, etas):
+    """Vectorized metric: Q = det(J) J^-1 J^-T and det(J).
+
+    Raises:
+        GeometryError: if det(J) <= 0 anywhere in the sample.
+    """
+    Jinv, det = metric_pieces(geo, etas)
+    return metric_tensor(Jinv, det), det
 
 
 def metric_and_weight(geo, eta, f=None):
