@@ -84,8 +84,13 @@ def assemble_elasticity(spaces, geo, f, lam, mu, eps, dirichlet=()):
 
     Returns:
         AssembledSystem with three components.
+
+    Raises:
+        ValueError: if mu <= 0 or lam < 0.
     """
-    assert mu > 0.0 and lam >= 0.0
+    if not (mu > 0.0 and lam >= 0.0):
+        raise ValueError("need mu > 0 and lam >= 0, got lam = %r, mu = %r"
+                         % (lam, mu))
 
     metric = metric_memo(geo)
 

@@ -14,19 +14,23 @@ halving the number of terms needed for a given accuracy; terms whose
 fitted weight is exactly zero are dropped.  For each candidate rank the
 node interval is tuned by a small deterministic grid search; a rank passes
 when the measured sup-error meets the target and a finer grid confirms it.
+That fine check evaluates the sum at 100,000 points in blocks of
+BLOCK_ROWS rows, so its memory does not grow with the grid.
 
 The accepted rank is the smallest passing one, found by a walk that
 starts at a predicted rank instead of trying every rank.  The rank an
 exponential sum needs grows like log(1/tau) log(8M) (Braess & Hackbusch,
-IMA J. Numer. Anal. 2005), and a fitted model of that form lands within
-one of the answer on most intervals.  If the guess passes, the ranks
-below it are tried one by one until one fails; if it fails, the ranks
-above it are tried one by one until one passes.  A rank R is returned
-only when R - 1 was tried and failed (or R is the a-priori floor), so
-whenever passing is monotone in R the result is the one a rank-by-rank
-scan would give, bit for bit.  Either way the returned sum passed both
-checks, so its accuracy guarantee is unchanged.  Usually two grid
-searches decide the rank: the guess and its neighbour.
+IMA J. Numer. Anal. 2005); a least-squares model built on that term and
+fitted for eps_rel from 1e-1 down to 1e-6 lands on the answer or one
+below it on most intervals, and within two of it on all it was fitted
+on.  If the guess passes, the ranks below it are tried one by one until
+one fails; if it fails, the ranks above it are tried one by one until
+one passes.  A rank R is returned only when R - 1 was tried and failed
+(or R is the a-priori floor), so whenever passing is monotone in R the
+result is the one a rank-by-rank scan would give, bit for bit.  Either
+way the returned sum passed both checks, so its accuracy guarantee is
+unchanged.  Usually two grid searches decide the rank: the guess and its
+neighbour.
 
 The fit depends only on M and the tolerance, so it is memoized per process
 on (M, eps_rel, r_cap); preconditioners with the same spectral ratio share
@@ -66,8 +70,38 @@ class ExpSum:
         return len(self.weights)
 
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        return np.exp(-np.outer(lam, self.exponents)) @ self.weights
+        lam = np.ravel(np.asarray(lam, dtype=float))
+        out = np.empty(lam.size)
+        for rows, values in _blocks(lam, self.weights, self.exponents):
+            out[rows] = values
+        return out
+
+
+#: Rows of lambda evaluated at a time: the scratch of an evaluation is at
+#: most BLOCK_ROWS x R (1.3 MB at R = 40) however long the sample is.
+BLOCK_ROWS = 4096
+
+
+def _blocks(lam, weights, exponents):
+    """The sum at the 1-D sample lam, as ``(rows, values)`` pairs of at most
+    BLOCK_ROWS rows.
+
+    A block is exponentiated in place and reduced by one GEMV.  The GEMV
+    kernel sums groups of four rows in one order and leftover rows in
+    another, so blocks start at multiples of four, and a last row on its
+    own (which numpy hands to BLAS dot) joins the block before it; then
+    every value has the bits of the unblocked
+    ``exp(-outer(lam, exponents)) @ weights`` with one BLAS thread.
+    Negating the exponents before the outer product rounds like negating
+    after it.
+    """
+    start = 0
+    while start < lam.size:
+        stop = start + BLOCK_ROWS + (lam.size - start == BLOCK_ROWS + 1)
+        rows = slice(start, stop)
+        E = np.outer(lam[rows], -exponents)
+        yield rows, np.exp(E, out=E) @ weights
+        start = stop
 
 
 def _check_grid(M, n):
@@ -77,16 +111,14 @@ def _check_grid(M, n):
 
 def _sup_error(weights, exponents, M, n):
     lam, target = _check_grid(M, n)
-    # one n x R temporary, exponentiated in place, and the residual formed
-    # in place: at n = 100,000 a 34-term sum takes 27 MB per copy, and
-    # extra copies set the fit's peak memory (and so the setup's).
-    # Not split into row blocks: freeing one large block raises glibc's
-    # dynamic mmap threshold, so later solver temporaries reuse the heap;
-    # blocked, the solves that follow took 10x the page faults and ~20% longer
-    E = np.outer(lam, -exponents)
-    approx = np.exp(E, out=E) @ weights
-    approx -= target
-    return float(np.max(np.abs(approx, out=approx)))
+    # block by block, so the check's scratch stays BLOCK_ROWS x R: at
+    # n = 100,000 the whole n x R matrix of a 34-term sum takes 27 MB and
+    # set the peak memory of every run.  np.maximum keeps a NaN.
+    err = 0.0
+    for rows, values in _blocks(lam, weights, exponents):
+        values -= target[rows]
+        err = np.maximum(err, np.max(np.abs(values, out=values)))
+    return float(err)
 
 
 def _best_for_rank(R, M, tau):
@@ -146,8 +178,15 @@ def build_exp_sum(lam_min, lam_max, eps_rel, r_cap=128):
 
     Returns:
         A shared :class:`ExpSum` whose arrays are read-only.
+
+    Raises:
+        ValueError: if not 0 < lam_min <= lam_max, or eps_rel <= 0.
     """
-    assert 0 < lam_min <= lam_max
+    if not 0.0 < lam_min <= lam_max:
+        raise ValueError("need 0 < lam_min <= lam_max, got lam_min = %r, "
+                         "lam_max = %r" % (lam_min, lam_max))
+    if not eps_rel > 0.0:
+        raise ValueError("need eps_rel > 0, got %r" % (eps_rel,))
     return _exp_sum(lam_max / lam_min, eps_rel, r_cap)
 
 
@@ -161,18 +200,21 @@ def _exp_sum(M, eps_rel, r_cap):
 
 
 def _predicted_rank(M, tau, lo, r_cap):
-    """First rank to fit: a least-squares model of the accepted rank,
-    rounded down by a quarter and clamped to [lo, r_cap].
+    """First rank to fit: a least-squares model of the accepted rank plus
+    a quarter, rounded down and clamped to [lo, r_cap].
 
     The accepted rank grows like log(1/tau) log(8M) (Braess & Hackbusch,
-    IMA J. Numer. Anal. 2005); the coefficients fit the accepted ranks of
-    M = geomspace(1.5, 1e6, 16) x eps_rel in {1e-1, 1e-2, 1e-3}.  A guess
-    below the answer costs one failing fit per rank it is short, one above
-    it an extra passing fit per rank too many, and the passing fits are
-    the slower ones, so the rounding leans low.
+    IMA J. Numer. Anal. 2005); the tuned sinc sums also need a term in
+    log(1/eps_rel)^2 whose weight grows like log log M.  The coefficients
+    fit the accepted ranks of M = geomspace(1.5, 1e6, 16) x eps_rel in
+    {1e-1, ..., 1e-6} (``accepted_rank_table`` in ``tests/util.py``).  A
+    guess on the answer or one below it takes two fits, the guess and its
+    neighbour; k ranks below takes k + 1, k ranks above k + 2.  The
+    quarter centres the guess on that pair.
     """
-    L, ell = np.log(1.0 / tau), np.log(8.0 * M)
-    guess = 1.193 * L * ell / np.pi ** 2 + 1.061 * L - 0.891 * ell - 1.365
+    L, ell, e = np.log(1.0 / tau), np.log(8.0 * M), np.log(1.0 / (tau * M))
+    guess = (0.12 * L * ell + (0.043 + 0.044 * np.log1p(np.log(M))) * e * e
+             - 0.055)
     return min(max(math.floor(guess + 0.25), lo), r_cap)
 
 

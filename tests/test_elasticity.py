@@ -1,6 +1,7 @@
 """Block elasticity assembly and solver vs dense physical-form oracles."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ def test_lam_zero_identity_geometry_matches_dense_oracle():
     # the single mu (d_b v_a)(d_a u_b) term
     for (a, b), r in block_ranks(system).items():
         assert r == ((3, 3, 3) if a == b else (1, 1, 1))
+
+
+@pytest.mark.parametrize("lam,mu", [(-1.0, 0.0), (LAM, 0.0), (-1.0, MU)])
+def test_bad_lame_coefficients_raise(lam, mu):
+    named = re.escape("lam = %r, mu = %r" % (lam, mu))
+    with pytest.raises(ValueError, match=named):
+        assemble_elasticity(make_spaces(2, 2), get_geometry("deformed_column"),
+                            GRAVITY, lam, mu, 1e-10)
 
 
 def test_column_matches_dense_oracle():

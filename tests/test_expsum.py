@@ -1,7 +1,9 @@
 """Exponential-sum construction: accuracy, ranks, and timing."""
 
 import functools
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,10 +99,11 @@ def assert_same_sum(a, b):
 
 
 # (4682, 1e-1) fails at 14, then passes at 16 and 15: the search must not
-# return a passing rank before the rank below it has failed
+# return a passing rank before the rank below it has failed.  (1e6, 1e-1)
+# keeps 30 terms.
 RANK_SEARCH_CASES = (
     [(M, eps) for M in (3.67, 53.6, 783.0, 1.15e4, 1.67e5) for eps in (1e-1, 1e-3)]
-    + [(4682.0, 1e-1)]
+    + [(4682.0, 1e-1), (1e6, 1e-1)]
 )
 
 
@@ -124,7 +127,7 @@ def record_ranks(monkeypatch, module, name):
 
 def test_rank_search_evaluation_count(monkeypatch):
     # the linear scan fits ranks 24..40 here (17 grid searches); the
-    # search from the predicted rank fits 38, 39 and 40
+    # search from the predicted rank fits 39 and 40
     ranks = record_ranks(monkeypatch, expsum, "_best_for_rank")
     expsum._fit(1.625e5, 1e-3, 128)
     assert len(ranks) <= 3, ranks
@@ -140,7 +143,7 @@ def test_rank_search_from_prediction_is_short(monkeypatch, M, eps):
 
 
 def test_rank_walk_takes_unit_steps(monkeypatch):
-    # the model predicts rank 20 here, eight below the answer: the walk
+    # the model predicts rank 26 here, two below the answer: the walk
     # climbs one rank at a time and stops at the first passing rank
     ranks = record_ranks(monkeypatch, expsum, "_best_for_rank")
     expsum._fit(9.1, 1e-6, 128)
@@ -148,14 +151,88 @@ def test_rank_walk_takes_unit_steps(monkeypatch):
     assert len(ranks) > 2 and ranks == list(range(ranks[0], ranks[-1] + 1)), ranks
 
 
+def test_rank_walk_descends_in_unit_steps(monkeypatch):
+    # the model predicts rank 15 here, two above the answer: the walk
+    # descends one rank at a time until the rank below the answer fails
+    ranks = record_ranks(monkeypatch, expsum, "_best_for_rank")
+    es = expsum._fit(1.5, 1e-6, 128)
+    assert ranks[0] == expsum._predicted_rank(1.5, 1e-6 / 1.5, 1, 128)
+    assert len(ranks) > 2 and ranks == list(range(ranks[0], ranks[-1] - 1, -1)), ranks
+    assert_same_sum(es, linear_scan(1.5, 1e-6))
+
+
+def test_tight_tolerance_fit_is_short(monkeypatch):
+    # fitted on eps_rel 1e-1..1e-3 alone, the model started 14 ranks low
+    # here and the walk fitted 15 ranks
+    ranks = record_ranks(monkeypatch, expsum, "_best_for_rank")
+    expsum._fit(1e4, 1e-6, 128)
+    assert len(ranks) <= 4, ranks
+
+
 @pytest.mark.parametrize("M,eps,lo,r_cap,want", [
-    (1.625e5, 1e-3, 24, 128, 38),  # the model gives 38.44
+    (1.625e5, 1e-3, 24, 128, 39),  # the model gives 39.32
     (1.625e5, 1e-3, 24, 30, 30),   # clamped to the cap
-    (1.5, 1e-1, 1, 128, 1),        # 0.11, at the floor
+    (1.5, 1.0, 1, 128, 1),         # 0.07, raised to the floor
+    (1.5, 1e-1, 1, 128, 1),        # 1.06, at the floor
     (1.5, 1e-1, 3, 128, 3),        # raised to the floor
 ])
 def test_predicted_rank_is_clamped(M, eps, lo, r_cap, want):
     assert expsum._predicted_rank(M, eps / M, lo, r_cap) == want
+
+
+# Accepted ranks at M = geomspace(1.5, 1e6, 16), one row per eps_rel: the
+# table the coefficients of _predicted_rank were fitted on, from
+# util.accepted_rank_table(np.geomspace(1.5, 1e6, 16), list(ACCEPTED_RANKS)).
+ACCEPTED_RANKS = {
+    1e-1: (1, 2, 3, 4, 5, 7, 9, 11, 12, 15, 16, 20, 23, 26, 28, 32),
+    1e-2: (2, 4, 5, 6, 8, 10, 12, 14, 17, 19, 21, 24, 28, 31, 34, 38),
+    1e-3: (4, 7, 9, 11, 13, 15, 18, 20, 23, 26, 29, 33, 36, 40, 43, 47),
+    1e-4: (6, 11, 15, 16, 20, 22, 25, 28, 31, 35, 38, 42, 45, 50, 54, 58),
+    1e-5: (9, 17, 21, 23, 27, 30, 33, 37, 40, 44, 48, 52, 56, 61, 65, 70),
+    1e-6: (13, 23, 28, 31, 35, 39, 43, 46, 50, 55, 59, 63, 68, 73, 78, 83),
+}
+
+
+@pytest.mark.parametrize("eps", list(ACCEPTED_RANKS))
+def test_predicted_rank_matches_table(eps):
+    # two ranks off at most, so no walk over the table fits more than four
+    for M, accepted in zip(np.geomspace(1.5, 1e6, 16), ACCEPTED_RANKS[eps]):
+        guess = expsum._predicted_rank(M, eps / M, 1, 128)
+        assert abs(guess - accepted) <= 2, (M, eps, guess, accepted)
+
+
+def test_sup_error_memory_is_blocked():
+    # the setup sweep's largest sum: as one 100,000 x R matrix the fine
+    # check traced 28 MB
+    es = build_exp_sum(1.0, 1.625e5, 1e-3)
+    assert es.R >= 30
+    tracemalloc.start()
+    try:
+        expsum._sup_error(es.weights, es.exponents, es.M, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak
+
+
+@pytest.mark.parametrize("n", [1, 4095, expsum.BLOCK_ROWS + 1, 100_000])
+def test_call_is_blocked_bit_for_bit(n):
+    es = build_exp_sum(1.0, 1.625e5, 1e-3)
+    lam = np.geomspace(1.0, es.M, n)
+    want = np.exp(-np.outer(lam, es.exponents)) @ es.weights
+    assert np.array_equal(es(lam), want)
+
+
+@pytest.mark.parametrize("lam_min,lam_max,eps_rel,named", [
+    (0.0, 1.0, 0.1, "lam_min = 0.0"),
+    (-1.0, 1.0, 0.1, "lam_min = -1.0"),
+    (2.0, 1.0, 0.1, "lam_min = 2.0, lam_max = 1.0"),
+    (1.0, 2.0, 0.0, "eps_rel > 0, got 0.0"),
+    (1.0, 2.0, -1e-3, "eps_rel > 0, got -0.001"),
+])
+def test_bad_input_raises(lam_min, lam_max, eps_rel, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build_exp_sum(lam_min, lam_max, eps_rel)
 
 
 def test_rank_cap_edges(monkeypatch):

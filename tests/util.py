@@ -5,6 +5,7 @@ from numpy.polynomial import polynomial as P
 from numpy.polynomial.chebyshev import chebvander
 from scipy.optimize import nnls
 
+from lriga import expsum
 from lriga.eigen import exact_eigen
 from lriga.expsum import ExpSum, ExpSumError, _check_grid
 from lriga.geometry import GeometryError, GeometryMap, metric_pieces, metric_tensor
@@ -283,6 +284,38 @@ def exp_sum_linear_scan(M, eps_rel, r_cap=128):
         "no exponential sum with <= %d terms reaches %.3e on [1, %.3e]"
         % (r_cap, tau, M)
     )
+
+
+def accepted_rank_table(Ms, eps_list, r_cap=128):
+    """Rows ``(M, eps_rel, fitted ranks, accepted rank)`` for every M > 1
+    and eps_rel, printed as they finish: the data `_predicted_rank` is
+    fitted on.
+
+    ``lriga.expsum._fit`` runs with ``_best_for_rank`` wrapped to log each
+    rank it grid-searches; the accepted rank is the one whose weights the
+    returned sum holds.  Minutes at eps_rel 1e-6, so no test runs it.
+    """
+    grid_search = expsum._best_for_rank
+    rows = []
+    for eps in eps_list:
+        for M in Ms:
+            fits = []
+
+            def logged(R, M, tau):
+                found = grid_search(R, M, tau)
+                fits.append((R, found[1]))
+                return found
+
+            expsum._best_for_rank = logged
+            try:
+                es = expsum._fit(float(M), eps, r_cap)
+            finally:
+                expsum._best_for_rank = grid_search
+            accepted = next(R for R, w in fits if w is es.weights)
+            rows.append((float(M), eps, [R for R, _ in fits], accepted))
+            print("M = %.6g, eps_rel %.0e: fitted %s, accepted %d" % rows[-1],
+                  flush=True)
+    return rows
 
 
 def metric_data(geo, etas):
