@@ -69,10 +69,10 @@ class AssembledSystem:
     spaces: tuple
 
 
-def _metric_scale(metric, n_sample=128):
-    """Magnitude of the metric over a low-discrepancy sample; ``metric``
-    maps points to (J^-1, det J)."""
-    pts = halton_sample(n_sample)
+def _metric_scale(metric):
+    """Magnitude of the metric over a 128-point low-discrepancy sample;
+    ``metric`` maps points to (J^-1, det J)."""
+    pts = halton_sample(128)
     Jinv, det = metric(pts)
     Q = metric_tensor(Jinv, det)
     return float(np.max(np.abs(Q))), float(np.max(np.abs(det)))

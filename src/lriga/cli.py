@@ -48,7 +48,6 @@ DEFAULTS = {
         "alpha": "0.5",
         "delta": "1e-3",
         "beta": "1e-1",
-        "eps_min": "",
         "max_iterations": "100",
     },
     "preconditioner": {"eps": "1e-1", "r_cap": "128"},
@@ -68,12 +67,19 @@ class ConfigError(Exception):
 
 
 def load_config(path=None):
+    """DEFAULTS overlaid with the INI file at path, which may set only
+    sections and keys that DEFAULTS has (ConfigError otherwise)."""
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.read_dict(DEFAULTS)
     if path is not None:
-        read = cfg.read(path)
-        if not read:
+        if not cfg.read(path):
             raise ConfigError("cannot read config file %r" % path)
+        unknown = ["[%s]" % s for s in cfg.sections() if s not in DEFAULTS]
+        unknown += ["%s.%s" % (s, k) for s in cfg.sections() if s in DEFAULTS
+                    for k in cfg[s] if k not in DEFAULTS[s]]
+        if unknown:
+            raise ConfigError("unknown section or key in %s: %s"
+                              % (path, ", ".join(unknown)))
     return cfg
 
 
@@ -143,15 +149,10 @@ def _load_function(cfg, geo):
 def _tpcg_config(cfg, tol_abs):
     return TpcgConfig(
         tol=tol_abs,
-        beta=_get(cfg, "truncation", "beta", float, required=True),
-        eps0=_get(cfg, "truncation", "eps0", float, required=True),
-        alpha=_get(cfg, "truncation", "alpha", float, required=True),
-        eps_min=_get(cfg, "truncation", "eps_min", float),
-        delta=_get(cfg, "truncation", "delta", float, required=True),
+        **{key: _get(cfg, "truncation", key, float, required=True)
+           for key in ("beta", "eps0", "alpha", "delta")},
         max_iterations=_positive(
-            cfg, "truncation", "max_iterations", int, or_zero=True
-        ),
-    )
+            cfg, "truncation", "max_iterations", int, or_zero=True))
 
 
 def _assembly_eps(cfg, tol_rel):
@@ -278,9 +279,8 @@ def _sweep(cfg, cell, geo, columns):
 
 
 def _precond_row(n_el, p, report, precond):
-    diag = precond.diagnostics()
     return "%d,%d,%.17g,%d,%.17g,%d" % (
-        n_el, p, diag["M_P"], diag["R_P"], diag["expsum_error"],
+        n_el, p, precond.spectral_ratio, precond.R, precond.expsum.error,
         report.iterations)
 
 
@@ -393,7 +393,6 @@ RESTARTS = ("--restarts", "problem.restarts", int, "restarts after breakdown")
 EPS_ASSEMBLY = ("--eps-assembly", "assembly.eps", float, "fit tolerance")
 SOLVER = [
     ("--eps-prec", "preconditioner.eps", float, "low-rank inverse accuracy"),
-    ("--eps-min", "truncation.eps_min", float, "absolute truncation floor"),
     ("--max-iterations", "truncation.max_iterations", int, None),
     ("--csv", "output.csv", str, "CSV output path ('-' for stdout)"),
 ]
@@ -438,7 +437,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
     for name, (_, help_text) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("-c", "--config", help="INI config file")
+        sp.add_argument("-c", "--config", default=argparse.SUPPRESS,
+                        help="INI config file")  # keeps a top-level -c
         for flag, dest, conv, flag_help in FLAGS[name]:
             sp.add_argument(flag, dest=dest, type=conv, help=flag_help)
     return parser

@@ -40,9 +40,9 @@ from .tucker import (  # noqa: F401  (re-exported)
 block_tpcg = tpcg
 
 
-def block_truncate_dynamic(y_prev, y_prop, eps, alpha, eps_min, delta):
+def block_truncate_dynamic(y_prev, step, eps, alpha, eps_min, delta):
     """Former name of :func:`truncation.truncate_dynamic` for block vectors."""
-    return truncate_dynamic(y_prev, y_prop, eps, alpha, eps_min, delta)
+    return truncate_dynamic(y_prev, step, eps, alpha, eps_min, delta)
 
 
 def _coefficient(metric, a, b, c, e, lam, mu):
@@ -61,8 +61,8 @@ def _coefficient(metric, a, b, c, e, lam, mu):
     return w
 
 
-def _elastic_scale(metric, lam, mu, n_sample=128):
-    pts = halton_sample(n_sample)
+def _elastic_scale(metric, lam, mu):
+    pts = halton_sample(128)
     B, g = metric(pts)
     bmax = float(np.max(np.abs(B)))
     gmax = float(np.max(np.abs(g)))
@@ -108,6 +108,11 @@ class BlockDiagPreconditioner:
     """Independent per-component applicators; off-diagonal blocks ignored."""
 
     parts: tuple
+
+    @property
+    def spectral_ratio(self):
+        """Largest ``lam_max / lam_min`` of the parts."""
+        return max(P.spectral_ratio for P in self.parts)
 
     def apply(self, x):
         return BlockTuckerVector(

@@ -49,14 +49,10 @@ class LowRankFD:
     def dims(self):
         return tuple(e.n for e in self.eigs)
 
-    def diagnostics(self):
-        return {
-            "M_P": self.expsum.M,
-            "R_P": self.expsum.R,
-            "expsum_error": self.expsum.error,
-            "lam_min": self.lam_min,
-            "lam_max": self.lam_max,
-        }
+    @property
+    def spectral_ratio(self):
+        """lam_max / lam_min, the right end of the exp-sum interval."""
+        return self.expsum.M
 
     def apply(self, s):
         """Preconditioner applied to a Tucker tensor.

@@ -32,20 +32,15 @@ class TpcgConfig:
     """Solver parameters; tol is the absolute residual target.
 
     Callers working with relative tolerances multiply by the right-hand
-    side norm first.  eps_min defaults to tol/10, which equals the
-    usual choice (relative tolerance) * ||f|| / 10 once tol is absolute.
+    side norm first.  :func:`tpcg` derives the dynamic truncation's floor.
     """
 
     tol: float
     beta: float = 1e-1
     eps0: float = 1e-1
     alpha: float = 0.5
-    eps_min: float = None
     delta: float = 1e-3
     max_iterations: int = 100
-
-    def resolved_eps_min(self):
-        return 0.1 * self.tol if self.eps_min is None else self.eps_min
 
     @classmethod
     def relative(cls, tol_rel, rhs_norm, **kwargs):
@@ -117,8 +112,11 @@ def tpcg(op, rhs, precond, cfg, x0=None):
     or BlockTuckerVector and are handled only through their vector
     interface (``+``, ``-``, scalar ``*``, ``inner``, ``norm``,
     ``norm_qr``, ``map``, ``rank``); op exposes ``.matvec`` and
-    precond ``.apply`` on the same vector type.  Exits when the truncated
-    residual norm drops to cfg.tol; non-convergence within
+    precond ``.apply`` on the same vector type plus ``.spectral_ratio``
+    (its lam_max / lam_min), which sets the dynamic truncation's floor
+    ``0.1 (cfg.tol / |rhs|) / spectral_ratio``: relative, like the
+    tolerances it bounds, so the rhs scale does not matter.  Exits when
+    the truncated residual norm drops to cfg.tol; non-convergence within
     cfg.max_iterations and loss of positivity (xi <= 0, possible through
     truncation) are flagged on the report rather than raised.
     """
@@ -126,7 +124,8 @@ def tpcg(op, rhs, precond, cfg, x0=None):
     report = SolveReport(tol=cfg.tol, rhs_norm=rhs.norm())
     x = rhs.zeros_like() if x0 is None else x0
     eps = cfg.eps0
-    eps_min = cfg.resolved_eps_min()
+    scale = report.rhs_norm * precond.spectral_ratio
+    eps_min = 0.1 * cfg.tol / scale if scale > 0.0 else 0.0
 
     r = rhs if x0 is None else rhs - op.matvec(x)
     res = r.norm()
@@ -146,7 +145,7 @@ def tpcg(op, rhs, precond, cfg, x0=None):
             break
         omega = r.inner(p) / xi
         x, eps = truncate_dynamic(
-            x, x + omega * p, eps, cfg.alpha, eps_min, cfg.delta)
+            x, omega * p, eps, cfg.alpha, eps_min, cfg.delta)
         r = _truncate(rhs - op.matvec(x), eta)
         res = r.norm()
         k += 1
@@ -173,7 +172,7 @@ def _truncate(x, eps):
     return x.map(lambda c: truncate_rel(c, eps))
 
 
-def error_norms(x, spaces, geo, u_exact, grad_exact=None, quad_extra=1):
+def error_norms(x, spaces, geo, u_exact, grad_exact=None):
     """L2 and H1-seminorm errors of the spline solution against a known field.
 
     Args:
@@ -183,16 +182,15 @@ def error_norms(x, spaces, geo, u_exact, grad_exact=None, quad_extra=1):
         u_exact: vectorized evaluator of the solution at physical points (...,3).
         grad_exact: vectorized physical gradient (...,3)->(...,3); when absent
             only the L2 error is computed and the H1 slot is None.
-        quad_extra: Gauss points per element beyond degree+1.
 
-    Integration runs on per-element Gauss grids, evaluated through the
-    factorized basis-times-factor matrices, in slabs along the third
-    direction to bound the dense grid size.
+    Integration runs on per-element Gauss grids of degree + 2 points,
+    evaluated through the factorized basis-times-factor matrices, in slabs
+    along the third direction to bound the dense grid size.
 
     Raises:
         GeometryError: if det(J) <= 1e-13 at a quadrature point.
     """
-    rules = [gauss_rule(s.n_el, s.p + 1 + quad_extra) for s in spaces]
+    rules = [gauss_rule(s.n_el, s.p + 2) for s in spaces]
     pts = [r.points.ravel() for r in rules]
     wts = [r.weights.ravel() for r in rules]
     val = [np.asarray(s.collocation_matrix(pt, deriv=0, reduced=True) @ x.factors[k])

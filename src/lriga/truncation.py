@@ -121,18 +121,19 @@ def truncate_rel(y, eps):
     return TuckerTensor3(z.core, factors)
 
 
-def truncate_dynamic(y_prev, y_prop, eps, alpha, eps_min, delta):
-    """Truncate a proposed iterate, tightening the tolerance if the
-    truncated update loses alignment with the exact one.
+def truncate_dynamic(y_prev, step, eps, alpha, eps_min, delta):
+    """Truncate the iterate ``y_prev + step``, tightening the tolerance if
+    the truncated update loses alignment with the exact step.
 
-    Starting from ``eps``, the proposal ``y_prop`` is truncated and the
-    projection coefficient
+    Starting from ``eps``, the proposal ``y_prev + step`` is truncated and
+    the projection coefficient
 
-        v = <y_prop - y_prev, y_trunc - y_prev> / |y_prop - y_prev|^2
+        v = <step, y_trunc - y_prev> / |step|^2
 
     is tested; ``|v - 1| < delta`` accepts.  Otherwise the tolerance is
     scaled by ``alpha`` while that keeps it above ``eps_min``, and the last
-    truncation is accepted once no further reduction is permitted.
+    truncation is accepted once no further reduction is permitted.  The
+    step is not recovered as ``y_prop - y_prev``, whose norm can cancel.
 
     The iterates may be TuckerTensor3 or BlockTuckerVector: only their
     vector interface is used, so a block vector is tested through its
@@ -145,15 +146,15 @@ def truncate_dynamic(y_prev, y_prop, eps, alpha, eps_min, delta):
         ``eps <= eps_min`` on entry no reduction is permitted and ``eps``
         itself comes back.
     """
-    dy_exact = y_prop - y_prev
-    dd = dy_exact.inner(dy_exact)
+    dd = step.inner(step)
     if dd == 0.0:
         return y_prev, eps
 
+    y_prop = y_prev + step
     eps_new = eps
     while True:
         y_next = y_prop.map(lambda c: truncate_rel(c, eps_new))
-        v = dy_exact.inner(y_next - y_prev) / dd
+        v = step.inner(y_next - y_prev) / dd
         if abs(v - 1.0) < delta:
             break
         if alpha * eps_new > eps_min:

@@ -158,16 +158,16 @@ def from_dense(X):
     return TuckerTensor3(X.copy(), tuple(np.eye(n) for n in X.shape))
 
 
-def to_dense(x, guard=DENSE_GUARD):
+def to_dense(x):
     """Expand a Tucker tensor to a dense ndarray.
 
     Raises:
-        MemoryGuardError: if the dense tensor would exceed ``guard`` entries.
+        MemoryGuardError: if the dense tensor exceeds ``DENSE_GUARD`` entries.
     """
     n1, n2, n3 = x.dims
-    if n1 * n2 * n3 > guard:
+    if n1 * n2 * n3 > DENSE_GUARD:
         raise MemoryGuardError(
-            "dense expansion of size %d x %d x %d exceeds guard %d" % (n1, n2, n3, guard)
+            "dense expansion of size %d x %d x %d exceeds guard %d" % (n1, n2, n3, DENSE_GUARD)
         )
     return multi_mode_product(x.core, x.factors)
 

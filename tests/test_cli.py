@@ -182,6 +182,23 @@ def test_unreadable_config_is_config_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ini,named", [
+    ("[truncation]\nesp0 = 0.5\n", "truncation.esp0"),
+    ("[bogus]\n", "[bogus]"),
+    ("[truncation]\neps_min = 1e-9\n", "truncation.eps_min"),
+], ids=["typo key", "unknown section", "removed eps_min"])
+@pytest.mark.parametrize("top_level", [False, True],
+                         ids=["subcommand -c", "top-level -c"])
+def test_unknown_config_entry_is_config_error(ini, named, top_level,
+                                              tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ini)
+    argv = ["solve", "--geometry", "unit_cube", "--n-el", "2"]
+    argv = ["-c", str(cfg)] + argv if top_level else argv + ["-c", str(cfg)]
+    assert run(argv) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli():
     # `python -m lriga` works from a source checkout, without installing
     src = os.path.dirname(os.path.dirname(os.path.abspath(lriga.__file__)))

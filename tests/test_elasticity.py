@@ -245,6 +245,22 @@ def solve_column(p, n_el, tol_rel=1e-6, eps=None, max_iterations=100,
     return system, x, report, cfg
 
 
+def test_column_solve_does_not_depend_on_rhs_scale():
+    # the dynamic truncation's floor is relative to |rhs|: a load a million
+    # times larger takes the same iterations to the same ranks
+    system = column_system(2, 6, 1e-7)
+    P = block_preconditioner(system.spaces, LAM, MU, 1e-1)
+    runs = []
+    for s in (1.0, 1e6):
+        rhs = s * system.rhs
+        _, report = tpcg(system.op, rhs, P,
+                         TpcgConfig.relative(1e-6, rhs.norm()))
+        assert report.converged, report.iterations
+        assert report.final_residual <= 1e-6 * report.rhs_norm
+        runs.append((report.iterations, report.ranks_x))
+    assert runs[0] == runs[1]
+
+
 def test_tiny_column_matches_dense_block_solve():
     system, x, report, cfg = solve_column(2, 2, eps=1e-10)
     assert report.converged and not report.breakdown

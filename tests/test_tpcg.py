@@ -150,6 +150,38 @@ def test_final_residual_matches_dense(tol_rel):
     assert report.final_residual <= cfg.tol
 
 
+RHS_SCALES = (1e-6, 1.0, 1e6)
+
+
+def solve_scaled(op, rhs, precond, tol_rel):
+    """The system op x = s rhs solved at tol_rel for each s in RHS_SCALES:
+    (iterations, ranks of x, converged, final residual / |s rhs|) each."""
+    out = []
+    for s in RHS_SCALES:
+        b = s * rhs
+        cfg = TpcgConfig.relative(tol_rel, b.norm())
+        _, report = tpcg(op, b, precond, cfg)
+        out.append((report.iterations, report.ranks_x, report.converged,
+                    report.final_residual / report.rhs_norm))
+    return out
+
+
+@pytest.mark.parametrize("tol_rel", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("preset,p,n_el", [
+    ("quarter_annulus", 3, 16), ("spherical_shell", 3, 12)])
+def test_solve_does_not_depend_on_rhs_scale(preset, p, n_el, tol_rel):
+    # every truncation tolerance, the dynamic floor included, is relative,
+    # so scaling the rhs scales the iterates and changes nothing else
+    spaces = make_spaces(p, n_el)
+    system = assemble_system(spaces, get_geometry(preset), one,
+                             max(tol_rel * 1e-1, 1e-12))
+    runs = solve_scaled(system.op, system.rhs, lowrank_pc(spaces), tol_rel)
+    for iterations, ranks, converged, rel_residual in runs:
+        assert converged, (iterations, rel_residual)
+        assert rel_residual <= tol_rel
+        assert (iterations, ranks) == runs[1][:2]
+
+
 def test_residual_jump_flag():
     rep = SolveReport(tol=1e-6, rhs_norm=1.0)
     rep.res_norms = [1.0, 0.5, 6.0]

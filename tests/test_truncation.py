@@ -7,6 +7,7 @@ from lriga import truncation
 from lriga.elasticity import BlockTuckerVector
 from lriga.truncation import sthosvd, truncate_dynamic, truncate_rel
 from lriga.tucker import (
+    TuckerTensor3,
     from_dense,
     identity,
     to_dense,
@@ -269,7 +270,7 @@ def test_truncate_dynamic_accepts_clean_proposal(kind):
     prev = _vector(kind, lambda: random_tucker(rng, (8, 8, 8), (2, 2, 2)))
     step = _vector(kind, lambda: random_tucker(rng, (8, 8, 8), (1, 1, 1)))
     prop = prev + step
-    y, eps_new = truncate_dynamic(prev, prop, 1e-1, 0.5, 1e-6, 1e-3)
+    y, eps_new = truncate_dynamic(prev, step, 1e-1, 0.5, 1e-6, 1e-3)
     assert eps_new == 1e-1
     assert np.allclose(_dense(y), _dense(prop), atol=1e-8)
 
@@ -278,17 +279,17 @@ def test_truncate_dynamic_accepts_clean_proposal(kind):
 def test_truncate_dynamic_stagnant_proposal(kind):
     # an exactly-zero update must be accepted as-is (no division by zero in v)
     prev = _vector(kind, lambda: tucker_zero((6, 6, 6)))
-    prop = _vector(kind, lambda: tucker_zero((6, 6, 6)))
-    y, eps_new = truncate_dynamic(prev, prop, 1e-2, 0.5, 1e-8, 1e-3)
+    step = _vector(kind, lambda: tucker_zero((6, 6, 6)))
+    y, eps_new = truncate_dynamic(prev, step, 1e-2, 0.5, 1e-8, 1e-3)
     assert eps_new == 1e-2
     assert np.all(_dense(y) == 0.0)
 
-    # a proposal differing from the previous iterate only by roundoff is
+    # a step that is an exactly-zero multiple of the previous iterate is
     # still legal input: the result must satisfy the documented invariants
     rng = np.random.default_rng(17)
     prev = _vector(kind, lambda: random_tucker(rng, (6, 6, 6), (2, 2, 2)))
-    prop = prev + 0.0 * prev
-    y, eps_new = truncate_dynamic(prev, prop, 1e-2, 0.5, 1e-8, 1e-3)
+    step = 0.0 * prev
+    y, eps_new = truncate_dynamic(prev, step, 1e-2, 0.5, 1e-8, 1e-3)
     assert 0.5 * 1e-8 <= eps_new <= 1e-2
     assert np.allclose(_dense(y), _dense(prev), atol=1e-10)
 
@@ -322,6 +323,23 @@ def test_truncate_dynamic_floor_blocks_reduction(kind):
     assert eps_new == 0.5
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("size", [1e-8, 1e-10])
+def test_truncate_dynamic_accepts_tight_step(kind, size):
+    # a step in prev's factor span survives the first truncation however
+    # small it is next to prev, so its alignment test passes at once
+    rng = np.random.default_rng(21)
+    prev = _vector(kind, lambda: random_tucker(rng, (8, 8, 8), (2, 2, 2)))
+    prev = (1.0 / prev.norm()) * prev
+    step = [TuckerTensor3(rng.standard_normal((2, 2, 2)),
+                          tuple(F @ rng.standard_normal((2, 2)) for F in c.factors))
+            for c in prev.components]
+    step = step[0] if kind == "tucker" else BlockTuckerVector(tuple(step))
+    step = (size / step.norm()) * step
+    _, eps_new = truncate_dynamic(prev, step, 1e-1, 0.5, 1e-12, 1e-3)
+    assert eps_new == 1e-1
+
+
 def test_truncate_dynamic_block_tests_globally_truncates_per_component():
     # component 0 carries a large, exactly representable update, component
     # 1 a tiny update that truncation at the shared tolerance destroys.
@@ -342,7 +360,7 @@ def test_truncate_dynamic_block_tests_globally_truncates_per_component():
     ))
     prop = prev + step
     eps, delta = 1e-1, 1e-3
-    y, eps_new = truncate_dynamic(prev, prop, eps, 0.5, 1e-6, delta)
+    y, eps_new = truncate_dynamic(prev, step, eps, 0.5, 1e-6, delta)
 
     assert eps_new == eps
     for got, c in zip(y.components, prop.components):

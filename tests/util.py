@@ -204,6 +204,10 @@ class ExactFD:
     def dims(self):
         return tuple(e.n for e in self.eigs)
 
+    @property
+    def spectral_ratio(self):
+        return float(np.max(self.denom) / np.min(self.denom))
+
     def apply_array(self, S):
         """Inverse applied to a dense coefficient array of shape dims."""
         S = np.asarray(S, dtype=float)
