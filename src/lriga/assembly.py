@@ -90,14 +90,7 @@ def block_operator(spaces, sf, k, l):
     for t in range(3):
         mats = [
             assemble_weighted_matrix(
-                spaces[t],
-                spaces[t],
-                1 if t == k else 0,
-                1 if t == l else 0,
-                w_cheb=w,
-                reduced_row=False,
-                reduced_col=False,
-            )
+                spaces[t], 1 if t == k else 0, 1 if t == l else 0, w_cheb=w)
             for w in sf.direction_weights(t)
         ]
         factors.append(tuple(mats))
@@ -109,8 +102,7 @@ def _restrict(op, spaces, cols=True):
     Dirichlet conditions keep."""
 
     def cut(C, space):
-        keep = slice(space.trim[0], space.full_dim - space.trim[1])
-        return C[keep, keep] if cols else C[keep]
+        return C[space.keep, space.keep] if cols else C[space.keep]
 
     return TuckerOperator3(op.core, tuple(
         tuple(cut(C, space) for C in Cs) for Cs, space in zip(op.factors, spaces)))
@@ -122,11 +114,12 @@ def _vector(parts):
 
 
 def assemble_rhs(spaces, load_sf):
-    """Tucker load vector from the separable weight omega."""
+    """Tucker load vector from the separable weight omega, on the kept
+    basis functions."""
     factors = []
     for t in range(3):
         cols = [
-            assemble_weighted_rhs(spaces[t], w_cheb=w)
+            assemble_weighted_rhs(spaces[t], w_cheb=w)[spaces[t].keep]
             for w in load_sf.direction_weights(t)
         ]
         factors.append(np.column_stack(cols))

@@ -91,36 +91,48 @@ def basis_funs_all_ders(knots, p, etas, spans, n_ders):
 class SplineSpace1D:
     """B-spline space of degree p on n_el uniform spans of [0,1].
 
-    Boundary conditions remove the first/last basis function for a
-    Dirichlet end; ``n`` is the dimension after removal and indices in
-    "reduced" numbering refer to the remaining functions in order.
+    A Dirichlet end removes the first/last basis function.  ``full_dim``
+    counts every function, ``n`` the kept ones; ``keep`` is the slice of
+    the kept functions in the full numbering.  Evaluation
+    (:meth:`eval_basis`, :meth:`collocation_matrix`) numbers the kept
+    functions in order; the weighted assembly routines return the full
+    basis, and callers trim it with ``keep``.
+
+    Raises:
+        ValueError: if p < 1, n_el < 1, or bc is not a pair of
+            BC_DIRICHLET / BC_NEUMANN.
     """
 
     def __init__(self, p, n_el, bc=(BC_DIRICHLET, BC_DIRICHLET)):
-        assert p >= 1 and n_el >= 1
-        assert all(b in (BC_DIRICHLET, BC_NEUMANN) for b in bc) and len(bc) == 2
+        for name, value in (("p", p), ("n_el", n_el)):
+            if not value >= 1:
+                raise ValueError("need %s >= 1, got %r" % (name, value))
+        bc = tuple(bc)
+        if len(bc) != 2 or any(b not in (BC_DIRICHLET, BC_NEUMANN) for b in bc):
+            raise ValueError("need bc = two of %r, %r; got %r"
+                             % (BC_DIRICHLET, BC_NEUMANN, bc))
         self.p = p
         self.n_el = n_el
-        self.bc = tuple(bc)
+        self.bc = bc
         self.knots = open_uniform_knots(p, n_el)
-        self.h = 1.0 / n_el
         self.full_dim = n_el + p
         self.trim = (
             1 if bc[0] == BC_DIRICHLET else 0,
             1 if bc[1] == BC_DIRICHLET else 0,
         )
+        self.keep = slice(self.trim[0], self.full_dim - self.trim[1])
         self.n = self.full_dim - self.trim[0] - self.trim[1]
         self._basis_cache = {}
 
     def __repr__(self):
         return "SplineSpace1D(p=%d, n_el=%d, bc=%s)" % (self.p, self.n_el, self.bc)
 
-    def _active(self, etas, deriv, reduced):
+    def _active(self, etas, deriv):
         """Indices and values of the p+1 functions active at each point.
 
         Returns:
-            (idx, vals, keep): arrays of shape (N, p+1); ``idx`` in reduced
-            numbering when ``reduced``, and ``keep`` masks the entries of
+            (idx, vals, kept): arrays of shape (N, p+1); ``idx`` numbers
+            the kept functions, and ``kept`` masks the entries of
             functions that the boundary conditions keep.
         """
         bad = ~((etas >= 0.0) & (etas <= 1.0))
@@ -129,29 +141,28 @@ class SplineSpace1D:
         spans = find_span(self.p, self.n_el, etas)
         vals = basis_funs_all_ders(self.knots, self.p, etas, spans, deriv)[deriv].T
         idx = spans[:, None] + np.arange(-self.p, 1)
-        t0, t1 = self.trim if reduced else (0, 0)
-        keep = (idx >= t0) & (idx < self.full_dim - t1)
-        return idx - t0, vals, keep
+        kept = (idx >= self.keep.start) & (idx < self.keep.stop)
+        return idx - self.keep.start, vals, kept
 
-    def eval_basis(self, eta, deriv=0, reduced=True):
-        """Nonzero basis values at a point.
+    def eval_basis(self, eta, deriv=0):
+        """Nonzero values of the kept basis functions at a point.
 
         Returns:
-            (indices, values): global indices (reduced numbering when
-            ``reduced``) and the corresponding basis values; at most p+1
-            entries, fewer when constrained functions are dropped.
+            (indices, values): indices among the kept functions and the
+            corresponding basis values; at most p+1 entries, fewer when
+            constrained functions are dropped.
         """
-        idx, vals, keep = self._active(np.array([eta], dtype=float), deriv, reduced)
-        return idx[0][keep[0]], vals[0][keep[0]]
+        idx, vals, kept = self._active(np.array([eta], dtype=float), deriv)
+        return idx[0][kept[0]], vals[0][kept[0]]
 
-    def collocation_matrix(self, etas, deriv=0, reduced=True):
-        """Sparse matrix of basis (derivative) values at many points."""
+    def collocation_matrix(self, etas, deriv=0):
+        """Sparse matrix of kept basis (derivative) values at many points,
+        shape (len(etas), n)."""
         etas = np.atleast_1d(np.asarray(etas, dtype=float))
-        idx, vals, keep = self._active(etas, deriv, reduced)
+        idx, vals, kept = self._active(etas, deriv)
         rows = np.broadcast_to(np.arange(len(etas))[:, None], idx.shape)
-        ncols = self.n if reduced else self.full_dim
         return sp.csr_matrix(
-            (vals[keep], (rows[keep], idx[keep])), shape=(len(etas), ncols)
+            (vals[kept], (rows[kept], idx[kept])), shape=(len(etas), self.n)
         )
 
     def element_basis(self, rule, deriv):
@@ -218,31 +229,23 @@ def _weight_values(rule, w_cheb):
     return chebval(2.0 * rule.points - 1.0, np.asarray(w_cheb, dtype=float))
 
 
-def assemble_weighted_matrix(
-    space_row,
-    space_col,
-    deriv_row,
-    deriv_col,
-    w_cheb=None,
-    reduced_row=True,
-    reduced_col=True,
-):
-    """Galerkin matrix with a polynomial weight:
+def assemble_weighted_matrix(space, deriv_row, deriv_col, w_cheb=None):
+    """Galerkin matrix with a polynomial weight on the full basis:
 
         A[i,j] = int_0^1 w(eta) * D^{dr} b_i(eta) * D^{dc} b_j(eta) deta
 
-    Row/column spaces must share degree and mesh (they may differ in
-    boundary conditions).  Quadrature order is chosen exact for the
-    polynomial integrand.
+    for every basis function of ``space``, Dirichlet ends included: a
+    ``full_dim`` square CSR matrix, which ``[space.keep, space.keep]``
+    trims to the kept functions.  Quadrature order is chosen exact for
+    the polynomial integrand.
     """
-    assert space_row.p == space_col.p and space_row.n_el == space_col.n_el
-    p, n_el = space_row.p, space_row.n_el
+    p, n_el = space.p, space.n_el
     t_max = 0 if w_cheb is None else max(len(np.atleast_1d(w_cheb)) - 1, 0)
     q = p + 1 + math.ceil(t_max / 2)
     rule = gauss_rule(n_el, q)
 
-    Br = space_row.element_basis(rule, deriv_row)
-    Bc = space_col.element_basis(rule, deriv_col)
+    Br = space.element_basis(rule, deriv_row)
+    Bc = space.element_basis(rule, deriv_col)
     wv = _weight_values(rule, w_cheb)
     local = np.einsum("eqi,eqj,eq,eq->eij", Br, Bc, wv, rule.weights)
 
@@ -250,20 +253,15 @@ def assemble_weighted_matrix(
     i = np.arange(p + 1)
     rows = np.broadcast_to(e + i[None, :, None], local.shape)
     cols = np.broadcast_to(e + i[None, None, :], local.shape)
-    full = space_row.full_dim
-    A = sp.coo_matrix(
+    full = space.full_dim
+    return sp.coo_matrix(
         (local.ravel(), (rows.ravel(), cols.ravel())), shape=(full, full)
     ).tocsr()
 
-    r0, r1 = space_row.trim if reduced_row else (0, 0)
-    c0, c1 = space_col.trim if reduced_col else (0, 0)
-    if r0 == r1 == c0 == c1 == 0:
-        return A
-    return A[r0 : full - r1, c0 : full - c1]
 
-
-def assemble_weighted_rhs(space, w_cheb=None, reduced=True):
-    """Load vector f[i] = int_0^1 w(eta) b_i(eta) deta."""
+def assemble_weighted_rhs(space, w_cheb=None):
+    """Load vector f[i] = int_0^1 w(eta) b_i(eta) deta on the full basis
+    (length ``full_dim``; ``[space.keep]`` trims it)."""
     p, n_el = space.p, space.n_el
     t_max = 0 if w_cheb is None else max(len(np.atleast_1d(w_cheb)) - 1, 0)
     q = p + 1 + math.ceil(t_max / 2)
@@ -273,13 +271,12 @@ def assemble_weighted_rhs(space, w_cheb=None, reduced=True):
     local = np.einsum("eqi,eq,eq->ei", B, wv, rule.weights)
     f = np.zeros(space.full_dim)
     np.add.at(f, np.arange(n_el)[:, None] + np.arange(p + 1), local)
-    if reduced:
-        f = f[space.trim[0] : space.full_dim - space.trim[1]]
     return f
 
 
 def assemble_pencil(space):
-    """Mass and stiffness matrices of the (reduced) space."""
-    M = assemble_weighted_matrix(space, space, 0, 0)
-    K = assemble_weighted_matrix(space, space, 1, 1)
+    """Mass and stiffness matrices of the kept basis functions."""
+    keep = space.keep
+    M = assemble_weighted_matrix(space, 0, 0)[keep, keep]
+    K = assemble_weighted_matrix(space, 1, 1)[keep, keep]
     return UnivariatePencil(M, K)

@@ -43,15 +43,8 @@ DEFAULTS = {
         "tol": "1e-6",
         "restarts": "0",
     },
-    "truncation": {
-        "eps0": "1e-1",
-        "alpha": "0.5",
-        "delta": "1e-3",
-        "beta": "1e-1",
-        "max_iterations": "100",
-    },
-    "preconditioner": {"eps": "1e-1", "r_cap": "128"},
-    "assembly": {"eps": ""},
+    "truncation": {"max_iterations": "100"},
+    "preconditioner": {"eps": "1e-1"},
     "elasticity": {"lam": "", "mu": "", "load": "0,0,-1", "top_value": "-0.5"},
     "convergence": {"levels": "3,4,5"},
     "sweep": {"n_el": "8,16,32", "p": "2,3"},
@@ -67,12 +60,17 @@ class ConfigError(Exception):
 
 
 def load_config(path=None):
-    """DEFAULTS overlaid with the INI file at path, which may set only
-    sections and keys that DEFAULTS has (ConfigError otherwise)."""
+    """DEFAULTS overlaid with the INI file at path, which must parse and
+    may set only sections and keys that DEFAULTS has (ConfigError
+    otherwise)."""
     cfg = configparser.ConfigParser(interpolation=None)
     cfg.read_dict(DEFAULTS)
     if path is not None:
-        if not cfg.read(path):
+        try:
+            found = cfg.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError("cannot parse config file %r: %s" % (path, exc))
+        if not found:
             raise ConfigError("cannot read config file %r" % path)
         unknown = ["[%s]" % s for s in cfg.sections() if s not in DEFAULTS]
         unknown += ["%s.%s" % (s, k) for s in cfg.sections() if s in DEFAULTS
@@ -92,12 +90,10 @@ def apply_overrides(cfg, args):
             cfg[section][key] = str(value)
 
 
-def _get(cfg, section, key, conv, required=False):
+def _get(cfg, section, key, conv):
     raw = cfg[section][key].strip()
     if raw == "":
-        if required:
-            raise ConfigError("missing required key [%s] %s" % (section, key))
-        return None
+        raise ConfigError("missing required key [%s] %s" % (section, key))
     try:
         return conv(raw)
     except ValueError as exc:
@@ -109,7 +105,7 @@ def _get(cfg, section, key, conv, required=False):
 def _positive(cfg, section, key, conv, or_zero=False):
     """Required value, or each entry of a non-empty list, > 0 (>= 0 with
     or_zero)."""
-    value = _get(cfg, section, key, conv, required=True)
+    value = _get(cfg, section, key, conv)
     if value == []:
         raise ConfigError("[%s] %s is an empty list" % (section, key))
     for v in value if isinstance(value, list) else [value]:
@@ -147,26 +143,20 @@ def _load_function(cfg, geo):
 
 
 def _tpcg_config(cfg, tol_abs):
-    return TpcgConfig(
-        tol=tol_abs,
-        **{key: _get(cfg, "truncation", key, float, required=True)
-           for key in ("beta", "eps0", "alpha", "delta")},
-        max_iterations=_positive(
-            cfg, "truncation", "max_iterations", int, or_zero=True))
+    return TpcgConfig(tol=tol_abs, max_iterations=_positive(
+        cfg, "truncation", "max_iterations", int, or_zero=True))
 
 
-def _assembly_eps(cfg, tol_rel):
-    eps = _get(cfg, "assembly", "eps", float)
-    if eps is None:
-        eps = max(1e-1 * tol_rel, 1e-12)
-    return eps
+def _assembly_eps(tol_rel):
+    """Separable-fit tolerance of a solve to tol_rel: a tenth of it, and
+    at least 1e-12."""
+    return max(1e-1 * tol_rel, 1e-12)
 
 
 def _scalar_preconditioner(cfg, spaces):
     eps_prec = _positive(cfg, "preconditioner", "eps", float)
-    r_cap = _positive(cfg, "preconditioner", "r_cap", int)
     eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
-    return build_lowrank_fd(eigs, eps_prec, r_cap=r_cap)
+    return build_lowrank_fd(eigs, eps_prec)
 
 
 def _solve(cfg, system, precond, tol_rel, restarts):
@@ -184,7 +174,7 @@ def _scalar_cell(cfg, geo, p, n_el, tol_rel, restarts=0):
     load [problem] load.  Returns (x, SolveReport, preconditioner)."""
     spaces = tuple(SplineSpace1D(p, n_el, DD) for _ in range(3))
     f = _load_function(cfg, geo)
-    system = assemble_system(spaces, geo, f, _assembly_eps(cfg, tol_rel))
+    system = assemble_system(spaces, geo, f, _assembly_eps(tol_rel))
     precond = _scalar_preconditioner(cfg, spaces)
     x, report = _solve(cfg, system, precond, tol_rel, restarts)
     return x, report, precond
@@ -194,16 +184,15 @@ def _column_cell(cfg, geo, p, n_el, tol_rel, restarts=0):
     """Assemble, precondition and solve the elasticity column: sides free,
     bottom clamped, top displaced by [elasticity] top_value, load
     [elasticity] load.  Returns (x, SolveReport, preconditioner)."""
-    lam = _get(cfg, "elasticity", "lam", float, required=True)
-    mu = _get(cfg, "elasticity", "mu", float, required=True)
+    lam = _get(cfg, "elasticity", "lam", float)
+    mu = _get(cfg, "elasticity", "mu", float)
     if lam < 0 or mu <= 0:
         raise ConfigError("need lam >= 0 and mu > 0")
-    load = _get(cfg, "elasticity", "load", _float_list, required=True)
+    load = _get(cfg, "elasticity", "load", _float_list)
     if len(load) != 3:
         raise ConfigError("elasticity load must have three components")
-    top = _get(cfg, "elasticity", "top_value", float, required=True)
+    top = _get(cfg, "elasticity", "top_value", float)
     eps_prec = _positive(cfg, "preconditioner", "eps", float)
-    r_cap = _positive(cfg, "preconditioner", "r_cap", int)
     spaces = (
         SplineSpace1D(p, n_el, NN),
         SplineSpace1D(p, n_el, NN),
@@ -215,10 +204,10 @@ def _column_cell(cfg, geo, p, n_el, tol_rel, restarts=0):
         tuple(load),
         lam,
         mu,
-        _assembly_eps(cfg, tol_rel),
+        _assembly_eps(tol_rel),
         dirichlet=((2, 2, 0, 0.0), (2, 2, 1, top)),
     )
-    precond = block_preconditioner(spaces, lam, mu, eps_prec, r_cap=r_cap)
+    precond = block_preconditioner(spaces, lam, mu, eps_prec)
     x, report = _solve(cfg, system, precond, tol_rel, restarts)
     return x, report, precond
 
@@ -390,7 +379,6 @@ N_EL = ("--n-el", "problem.n_el", int, "elements per direction")
 TOL = ("--tol", "problem.tol", float, "relative residual target")
 LOAD = ("--load", "problem.load", str, "one|zero|manufactured")
 RESTARTS = ("--restarts", "problem.restarts", int, "restarts after breakdown")
-EPS_ASSEMBLY = ("--eps-assembly", "assembly.eps", float, "fit tolerance")
 SOLVER = [
     ("--eps-prec", "preconditioner.eps", float, "low-rank inverse accuracy"),
     ("--max-iterations", "truncation.max_iterations", int, None),
@@ -402,12 +390,10 @@ SWEEP_P = ("--sweep-p", "sweep.p", str, "p grid, e.g. 2,3")
 LAM = ("--lam", "elasticity.lam", float, "first Lame coefficient")
 MU = ("--mu", "elasticity.mu", float, "second Lame coefficient")
 FLAGS = {
-    "solve": [GEOMETRY, P, N_EL, TOL, LOAD, RESTARTS, EPS_ASSEMBLY] + SOLVER,
+    "solve": [GEOMETRY, P, N_EL, TOL, LOAD, RESTARTS] + SOLVER,
     "convergence": [GEOMETRY, P, LEVELS] + SOLVER,
-    "precond-study": [GEOMETRY, TOL, LOAD, EPS_ASSEMBLY, SWEEP_N_EL, SWEEP_P]
-    + SOLVER,
-    "elasticity": [GEOMETRY, P, N_EL, TOL, RESTARTS, EPS_ASSEMBLY, LAM, MU]
-    + SOLVER,
+    "precond-study": [GEOMETRY, TOL, LOAD, SWEEP_N_EL, SWEEP_P] + SOLVER,
+    "elasticity": [GEOMETRY, P, N_EL, TOL, RESTARTS, LAM, MU] + SOLVER,
 }
 COMMANDS = {
     "solve": (cmd_solve, "single scalar benchmark solve"),

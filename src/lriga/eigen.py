@@ -108,11 +108,11 @@ def _constraint_orders(p, neumann):
 
 
 def _endpoint_derivatives(space, eta, orders, window):
-    """Matrix of the given derivative orders of the reduced functions in window."""
+    """Matrix of the given derivative orders of the kept functions in window."""
     G = np.zeros((len(orders), len(window)))
     pos = {g: c for c, g in enumerate(window)}
     for r, d in enumerate(orders):
-        idx, vals = space.eval_basis(eta, deriv=d, reduced=True)
+        idx, vals = space.eval_basis(eta, deriv=d)
         for g, v in zip(idx, vals):
             if g in pos:
                 G[r, pos[g]] = v
@@ -175,7 +175,7 @@ def approx_eigen(space, pencil):
     V1 = sp.csr_matrix(V1)
 
     # collocation of the smooth block at the interpolation points, factored once
-    C = (space.collocation_matrix(x, deriv=0, reduced=True) @ V1).toarray()
+    C = (space.collocation_matrix(x, deriv=0) @ V1).toarray()
     C_lu = _BandedLU(C)
     probe = np.cos(np.arange(n1, dtype=float))
     if np.max(np.abs(C @ C_lu.solve(probe) - probe)) > 1e-8 * max(np.max(np.abs(probe)), 1.0):

@@ -120,7 +120,7 @@ class BlockDiagPreconditioner:
         )
 
 
-def block_preconditioner(spaces, lam, mu, eps_rel, r_cap=128):
+def block_preconditioner(spaces, lam, mu, eps_rel):
     """Block-diagonal fast-diagonalization preconditioner.
 
     Component i uses the parametric (identity-geometry) diagonal block,
@@ -132,6 +132,5 @@ def block_preconditioner(spaces, lam, mu, eps_rel, r_cap=128):
     parts = []
     for i in range(3):
         weights = [2.0 * mu + lam if d == i else mu for d in range(3)]
-        parts.append(build_lowrank_fd(eigs, eps_rel, weights=weights,
-                                      r_cap=r_cap))
+        parts.append(build_lowrank_fd(eigs, eps_rel, weights=weights))
     return BlockDiagPreconditioner(tuple(parts))

@@ -33,7 +33,7 @@ unchanged.  Usually two grid searches decide the rank: the guess and its
 neighbour.
 
 The fit depends only on M and the tolerance, so it is memoized per process
-on (M, eps_rel, r_cap); preconditioners with the same spectral ratio share
+on (M, eps_rel); preconditioners with the same spectral ratio share
 one read-only :class:`ExpSum`.
 """
 
@@ -47,6 +47,10 @@ from scipy.optimize import nnls
 
 class ExpSumError(RuntimeError):
     """Raised when no admissible exponential sum exists within the rank cap."""
+
+
+#: Largest admissible number of exponential terms.
+R_CAP = 128
 
 
 @dataclass(frozen=True)
@@ -167,33 +171,33 @@ def _best_for_rank(R, M, tau):
     return err, w[keep], al[keep]
 
 
-def build_exp_sum(lam_min, lam_max, eps_rel, r_cap=128):
+def build_exp_sum(lam_min, lam_max, eps_rel):
     """Exponential sum with sup-error at most eps_rel / M on [1, M].
 
     Args:
         lam_min, lam_max: spectral interval (0 < lam_min <= lam_max); the
             sum approximates 1/lambda on [1, M] with M = lam_max/lam_min.
         eps_rel: relative tolerance; the absolute target is eps_rel / M.
-        r_cap: largest admissible number of terms.
 
     Returns:
         A shared :class:`ExpSum` whose arrays are read-only.
 
     Raises:
         ValueError: if not 0 < lam_min <= lam_max, or eps_rel <= 0.
+        ExpSumError: if no sum of at most R_CAP terms meets the target.
     """
     if not 0.0 < lam_min <= lam_max:
         raise ValueError("need 0 < lam_min <= lam_max, got lam_min = %r, "
                          "lam_max = %r" % (lam_min, lam_max))
     if not eps_rel > 0.0:
         raise ValueError("need eps_rel > 0, got %r" % (eps_rel,))
-    return _exp_sum(lam_max / lam_min, eps_rel, r_cap)
+    return _exp_sum(lam_max / lam_min, eps_rel)
 
 
 @functools.lru_cache(maxsize=None)
-def _exp_sum(M, eps_rel, r_cap):
+def _exp_sum(M, eps_rel):
     """Memoized fit on [1, M]; raised errors are not cached."""
-    es = _fit(M, eps_rel, r_cap)
+    es = _fit(M, eps_rel, R_CAP)
     es.weights.setflags(write=False)
     es.exponents.setflags(write=False)
     return es

@@ -80,7 +80,7 @@ class LowRankFD:
         return _kron_image(self.core, factors, s.core)
 
 
-def build_lowrank_fd(eigs, eps_rel, weights=None, r_cap=128):
+def build_lowrank_fd(eigs, eps_rel, weights=None):
     """Low-rank fast-diagonalization preconditioner from three eigendecompositions.
 
     Args:
@@ -88,7 +88,6 @@ def build_lowrank_fd(eigs, eps_rel, weights=None, r_cap=128):
         eps_rel: relative accuracy of the exponential-sum inverse.
         weights: optional positive per-direction scalings of the eigenvalues
             (the separable-coefficient case, e.g. elasticity diagonal blocks).
-        r_cap: largest admissible number of exponential terms.
     """
     if weights is None:
         weights = (1.0, 1.0, 1.0)
@@ -100,7 +99,7 @@ def build_lowrank_fd(eigs, eps_rel, weights=None, r_cap=128):
     lam_max = sum(float(np.max(v)) for v in lam)
     if lam_min <= 0.0:
         raise FastDiagError("eigenvalue sums must be positive")
-    es = build_exp_sum(lam_min, lam_max, eps_rel, r_cap=r_cap)
+    es = build_exp_sum(lam_min, lam_max, eps_rel)
     diag = [np.exp(-np.outer(es.exponents, v) / lam_min) for v in lam]
     R = es.R
     core = np.zeros((R, R, R))

@@ -26,20 +26,30 @@ from .tucker import compression_percent, multi_mode_product
 # slab size (elements in the third direction) for quadrature-grid chunking
 _ERROR_CHUNK = 8
 
+# Truncation parameters of the loop.  BETA sets the loop tolerance
+# eta = BETA tol / res of residual, direction and operator image; EPS0 is
+# the dynamic truncation's tolerance at the first step (later steps start
+# from the one the step before used); ALPHA is the factor by which it
+# shrinks after a rejected step; DELTA is the update-ratio threshold that
+# accepts a truncated step (see truncation.truncate_dynamic).
+BETA = 1e-1
+EPS0 = 1e-1
+ALPHA = 0.5
+DELTA = 1e-3
+
 
 @dataclass
 class TpcgConfig:
-    """Solver parameters; tol is the absolute residual target.
+    """Solver stopping rule: tol is the absolute residual target and
+    max_iterations the iteration budget.
 
     Callers working with relative tolerances multiply by the right-hand
-    side norm first.  :func:`tpcg` derives the dynamic truncation's floor.
+    side norm first.  The truncation parameters are the module constants
+    BETA, EPS0, ALPHA and DELTA; :func:`tpcg` derives the dynamic
+    truncation's floor.
     """
 
     tol: float
-    beta: float = 1e-1
-    eps0: float = 1e-1
-    alpha: float = 0.5
-    delta: float = 1e-3
     max_iterations: int = 100
 
     @classmethod
@@ -73,8 +83,6 @@ class SolveReport:
     final_residual: float = None
     memory_compression: float = None
     wall_time: float = None
-    residual_tensor: object = None
-    eta_final: float = None
 
     def record(self, res, x, r, p, eps):
         self.res_norms.append(res)
@@ -123,17 +131,16 @@ def tpcg(op, rhs, precond, cfg, x0=None):
     t0 = time.perf_counter()
     report = SolveReport(tol=cfg.tol, rhs_norm=rhs.norm())
     x = rhs.zeros_like() if x0 is None else x0
-    eps = cfg.eps0
+    eps = EPS0
     scale = report.rhs_norm * precond.spectral_ratio
     eps_min = 0.1 * cfg.tol / scale if scale > 0.0 else 0.0
 
     r = rhs if x0 is None else rhs - op.matvec(x)
     res = r.norm()
     report.record(res, x, r, r, eps)  # no direction yet: rp holds r0's rank
-    eta = None
     k = 0
     while res > cfg.tol and k < cfg.max_iterations:
-        eta = cfg.beta * cfg.tol / res
+        eta = BETA * cfg.tol / res
         z = _truncate(precond.apply(r), eta)
         p = z if k == 0 else _truncate(z + (-z.inner(q) / xi) * p, eta)
         q = _truncate(op.matvec(p), eta)
@@ -144,8 +151,7 @@ def tpcg(op, rhs, precond, cfg, x0=None):
             report.breakdown = True
             break
         omega = r.inner(p) / xi
-        x, eps = truncate_dynamic(
-            x, omega * p, eps, cfg.alpha, eps_min, cfg.delta)
+        x, eps = truncate_dynamic(x, omega * p, eps, ALPHA, eps_min, DELTA)
         r = _truncate(rhs - op.matvec(x), eta)
         res = r.norm()
         k += 1
@@ -154,11 +160,9 @@ def tpcg(op, rhs, precond, cfg, x0=None):
 
     report.iterations = k
     report.converged = res <= cfg.tol
-    report.residual_tensor = r
     report.final_residual = (rhs - op.matvec(x)).norm_qr()
     report.memory_compression = compression_percent(x)
     report.wall_time = time.perf_counter() - t0
-    report.eta_final = eta
     return x, report
 
 
@@ -176,7 +180,7 @@ def error_norms(x, spaces, geo, u_exact, grad_exact=None):
     """L2 and H1-seminorm errors of the spline solution against a known field.
 
     Args:
-        x: TuckerTensor3 of coefficients in the (reduced) spline basis.
+        x: TuckerTensor3 of coefficients in the kept spline basis.
         spaces: the three SplineSpace1D.
         geo: GeometryMap from the parametric cube to the physical domain.
         u_exact: vectorized evaluator of the solution at physical points (...,3).
@@ -193,9 +197,9 @@ def error_norms(x, spaces, geo, u_exact, grad_exact=None):
     rules = [gauss_rule(s.n_el, s.p + 2) for s in spaces]
     pts = [r.points.ravel() for r in rules]
     wts = [r.weights.ravel() for r in rules]
-    val = [np.asarray(s.collocation_matrix(pt, deriv=0, reduced=True) @ x.factors[k])
+    val = [np.asarray(s.collocation_matrix(pt, deriv=0) @ x.factors[k])
            for k, (s, pt) in enumerate(zip(spaces, pts))]
-    der = [np.asarray(s.collocation_matrix(pt, deriv=1, reduced=True) @ x.factors[k])
+    der = [np.asarray(s.collocation_matrix(pt, deriv=1) @ x.factors[k])
            for k, (s, pt) in enumerate(zip(spaces, pts))]
 
     q3 = len(pts[2]) // spaces[2].n_el

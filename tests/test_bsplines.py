@@ -36,6 +36,19 @@ def test_knots_and_dimensions():
     assert SplineSpace1D(3, 8, (BC_NEUMANN, BC_DIRICHLET)).n == 10
 
 
+@pytest.mark.parametrize("args,named", [
+    ((0, 4), "p >= 1"),
+    ((3, 0), "n_el >= 1"),
+    ((3, 4, (BC_DIRICHLET, "neuman")), "neuman"),
+    ((3, 4, (BC_DIRICHLET,)), "bc"),
+], ids=["p", "n_el", "misspelled bc", "one bc"])
+def test_bad_space_arguments_raise(args, named):
+    # a check that raises, not an assert: under python -O a misspelled end
+    # would otherwise become a Neumann end
+    with pytest.raises(ValueError, match=named):
+        SplineSpace1D(*args)
+
+
 def test_partition_of_unity_and_nonnegativity():
     rng = np.random.default_rng(20)
     for p in range(1, 6):
@@ -93,11 +106,9 @@ def test_hat_pencil_stencils():
 def test_total_mass_is_one():
     for p in (1, 2, 3):
         space = SplineSpace1D(p, 8, NN)
-        M_full = assemble_weighted_matrix(
-            space, space, 0, 0, reduced_row=False, reduced_col=False
-        )
+        M_full = assemble_weighted_matrix(space, 0, 0)
         assert np.isclose(M_full.sum(), 1.0, atol=1e-13)
-        f = assemble_weighted_rhs(space, reduced=False)
+        f = assemble_weighted_rhs(space)
         assert np.isclose(f.sum(), 1.0, atol=1e-13)
 
 
@@ -129,8 +140,9 @@ def test_pencil_spectrum():
 def test_weighted_matrix_unit_weight_identical():
     space = SplineSpace1D(3, 6)
     pencil = assemble_pencil(space)
-    M1 = assemble_weighted_matrix(space, space, 0, 0, w_cheb=[1.0])
-    K1 = assemble_weighted_matrix(space, space, 1, 1, w_cheb=[1.0])
+    keep = space.keep
+    M1 = assemble_weighted_matrix(space, 0, 0, w_cheb=[1.0])[keep, keep]
+    K1 = assemble_weighted_matrix(space, 1, 1, w_cheb=[1.0])[keep, keep]
     assert (M1 != pencil.M).nnz == 0
     assert (K1 != pencil.K).nnz == 0
 
@@ -151,11 +163,12 @@ def quad_oracle_matrix(space, dr, dc, wfun, q=20):
 def test_weighted_matrix_linear_weight_vs_oracle():
     space = SplineSpace1D(2, 4)
     # w(eta) = eta expressed in Chebyshev form on [0,1]
-    A = assemble_weighted_matrix(space, space, 0, 0, w_cheb=[0.5, 0.5])
+    keep = space.keep
+    A = assemble_weighted_matrix(space, 0, 0, w_cheb=[0.5, 0.5])[keep, keep]
     ref = quad_oracle_matrix(space, 0, 0, lambda eta: eta)
     assert np.max(np.abs(A.toarray() - ref)) < 1e-13
 
-    B = assemble_weighted_matrix(space, space, 1, 0, w_cheb=[0.5, 0.5])
+    B = assemble_weighted_matrix(space, 1, 0, w_cheb=[0.5, 0.5])[keep, keep]
     refB = quad_oracle_matrix(space, 1, 0, lambda eta: eta)
     assert np.max(np.abs(B.toarray() - refB)) < 1e-13
 
@@ -185,18 +198,6 @@ def test_collocation_matrix_matches_eval():
         row = np.zeros(space.n)
         row[idx] = vals
         assert np.allclose(C[i], row, atol=1e-14)
-
-
-def test_mixed_bc_weighted_matrix_shape():
-    row = SplineSpace1D(2, 4, DD)
-    col = SplineSpace1D(2, 4, NN)
-    A = assemble_weighted_matrix(row, col, 0, 0)
-    assert A.shape == (row.n, col.n)
-    # the full-basis matrix restricted by hand must agree
-    F = assemble_weighted_matrix(
-        row, col, 0, 0, reduced_row=False, reduced_col=False
-    ).toarray()
-    assert np.allclose(A.toarray(), F[1:-1, :], atol=0)
 
 
 def _kernel_points(p, n_el):
@@ -243,8 +244,6 @@ def test_element_basis_and_collocation_equal_oracle(n_el):
                 full[i, span - p : span + 1] = util.basis_funs_all_ders(
                     space.knots, p, eta, span, deriv
                 )[deriv]
-            C = space.collocation_matrix(etas, deriv=deriv, reduced=False)
-            assert np.array_equal(C.toarray(), full), (p, deriv)
             C = space.collocation_matrix(etas, deriv=deriv)
             assert np.array_equal(C.toarray(), full[:, 1:-1]), (p, deriv)
 
@@ -274,9 +273,7 @@ def test_weighted_rhs_equals_loop_accumulation(p, n_el, w_cheb):
     ref = np.zeros(space.full_dim)
     for e in range(n_el):
         ref[e : e + p + 1] += local[e]
-    f = assemble_weighted_rhs(space, w_cheb=w_cheb, reduced=False)
-    assert np.array_equal(f, ref)
-    assert np.array_equal(assemble_weighted_rhs(space, w_cheb=w_cheb), ref[1:-1])
+    assert np.array_equal(assemble_weighted_rhs(space, w_cheb=w_cheb), ref)
 
 
 def test_gauss_rule_is_shared_and_read_only():
@@ -290,12 +287,16 @@ def test_gauss_rule_is_shared_and_read_only():
 
 
 def test_unreduced_weighted_matrix_equals_sliced():
-    # with nothing trimmed the matrix is returned without the full-range
-    # slice; it must equal the slice bit for bit
-    space = SplineSpace1D(3, 6, DD)
-    A = assemble_weighted_matrix(space, space, 1, 0, w_cheb=[1.0, 0.3],
-                                 reduced_row=False, reduced_col=False)
-    B = A[0:space.full_dim, 0:space.full_dim]
-    for name in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(A, name), getattr(B, name))
-    assert A.shape == B.shape == (space.full_dim, space.full_dim)
+    # the full matrix, cut by hand to the functions the ends keep, is the
+    # pencil bit for bit; with nothing to trim the cut spans the matrix
+    for bc, rows in ((DD, slice(1, 8)), (NN, slice(0, 9)),
+                     ((BC_NEUMANN, BC_DIRICHLET), slice(0, 8))):
+        space = SplineSpace1D(3, 6, bc)
+        pencil = assemble_pencil(space)
+        for deriv, P in ((0, pencil.M), (1, pencil.K)):
+            A = assemble_weighted_matrix(space, deriv, deriv)
+            assert A.shape == (space.full_dim, space.full_dim) == (9, 9)
+            B = A[rows, rows]
+            assert B.shape == P.shape == (space.n, space.n)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(B, name), getattr(P, name))

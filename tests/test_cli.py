@@ -155,25 +155,25 @@ def test_table_mode_writes_labeled_files(tmp_path, capsys):
 
 
 def test_table_mode_honours_preconditioner_settings(tmp_path, monkeypatch):
-    # the column table builds its preconditioner from [preconditioner] eps
-    # and r_cap, as `lriga elasticity` does
+    # the column table builds its preconditioner from [preconditioner] eps,
+    # as `lriga elasticity` does
     seen = []
     real = cli.block_preconditioner
 
-    def recording(spaces, lam, mu, eps_rel, r_cap=128):
-        seen.append((eps_rel, r_cap))
-        return real(spaces, lam, mu, eps_rel, r_cap=r_cap)
+    def recording(spaces, lam, mu, eps_rel):
+        seen.append(eps_rel)
+        return real(spaces, lam, mu, eps_rel)
 
     monkeypatch.setattr(cli, "block_preconditioner", recording)
     cfg = tmp_path / "tables.ini"
     cfg.write_text(
         "[problem]\ntol = 1e-4\n[sweep]\nn_el = 2\np = 2\n"
-        "[preconditioner]\neps = 0.5\nr_cap = 64\n"
+        "[preconditioner]\neps = 0.5\n"
     )
     code = run(["--paper-tables", "-c", str(cfg),
                 "--out-dir", str(tmp_path / "tables")])
     assert code == EXIT_OK
-    assert seen == [(0.5, 64)]
+    assert seen == [0.5]
 
 
 def test_unreadable_config_is_config_error(tmp_path, capsys):
@@ -186,7 +186,11 @@ def test_unreadable_config_is_config_error(tmp_path, capsys):
     ("[truncation]\nesp0 = 0.5\n", "truncation.esp0"),
     ("[bogus]\n", "[bogus]"),
     ("[truncation]\neps_min = 1e-9\n", "truncation.eps_min"),
-], ids=["typo key", "unknown section", "removed eps_min"])
+    ("[truncation]\neps0 = 1e-2\n", "truncation.eps0"),
+    ("[preconditioner]\nr_cap = 64\n", "preconditioner.r_cap"),
+    ("[assembly]\neps = 1e-7\n", "[assembly]"),
+], ids=["typo key", "unknown section", "removed eps_min", "removed eps0",
+        "removed r_cap", "removed assembly"])
 @pytest.mark.parametrize("top_level", [False, True],
                          ids=["subcommand -c", "top-level -c"])
 def test_unknown_config_entry_is_config_error(ini, named, top_level,
@@ -197,6 +201,27 @@ def test_unknown_config_entry_is_config_error(ini, named, top_level,
     argv = ["-c", str(cfg)] + argv if top_level else argv + ["-c", str(cfg)]
     assert run(argv) == EXIT_CONFIG
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ini,named", [
+    ("tol = 1e-6\n", "no section headers"),
+    ("[problem]\np = 2\np = 3\n", "already exists"),
+    ("[problem]\np\n", "parsing errors"),
+    ("[problem]\np = \xff\n", "can't decode"),
+], ids=["key before section", "duplicate key", "key without value",
+        "not utf-8"])
+@pytest.mark.parametrize("top_level", [False, True],
+                         ids=["subcommand -c", "top-level -c"])
+def test_malformed_config_is_config_error(ini, named, top_level, tmp_path,
+                                          capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(ini.encode("latin-1"))
+    argv = ["solve", "--geometry", "unit_cube", "--n-el", "2"]
+    argv = ["-c", str(cfg)] + argv if top_level else argv + ["-c", str(cfg)]
+    assert run(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse config file")
+    assert named in err
 
 
 def test_python_dash_m_runs_the_cli():
@@ -276,6 +301,9 @@ def test_subcommand_reads_every_key_its_flags_set(argv, tmp_path,
     ["convergence", "--load", "zero"],
     ["precond-study", "--p", "2"],
     ["solve", "--out-dir", "tables"],
+    ["solve", "--eps-assembly", "1e-7"],
+    ["precond-study", "--eps-assembly", "1e-7"],
+    ["elasticity", "--eps-assembly", "1e-7"],
 ])
 def test_removed_flag_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as info:

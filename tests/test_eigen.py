@@ -116,7 +116,7 @@ def test_interpolation_identity(p, bc, n_el):
     x = _interpolation_points(space, k0, k1)
     n1, _ = _split(space, E)
     coeffs = E.U[:, :n1]  # columns of V1 U1
-    vals = space.collocation_matrix(x, deriv=0, reduced=True) @ coeffs
+    vals = space.collocation_matrix(x, deriv=0) @ coeffs
     mu = np.arange(1, n1 + 1) - 0.5 * (k0 + k1)
     exact = np.sqrt(2.0) * np.sin(np.pi * np.outer(x, mu) + 0.5 * np.pi * k0)
     assert np.max(np.abs(vals - exact)) < 1e-10

@@ -55,15 +55,15 @@ def test_error_decreases_with_tighter_tolerance():
 
 
 def test_rank_cap_raises():
+    # the a-priori floor here is 133 terms, above R_CAP = 128, so no fit runs
     with pytest.raises(ExpSumError):
-        build_exp_sum(1.0, 1e12, 1e-8, r_cap=3)
+        build_exp_sum(1.0, 1e12, 1e-8)
 
 
 def test_same_ratio_returns_the_shared_instance():
     es = build_exp_sum(1.0, 1e3, 1e-1)
     assert build_exp_sum(4.0, 4e3, 1e-1) is es
-    assert _exp_sum(1e3, 1e-1, 128) is es
-    assert build_exp_sum(1.0, 1e3, 1e-1, r_cap=64) is not es
+    assert _exp_sum(1e3, 1e-1) is es
 
 
 def test_shared_arrays_are_read_only():
@@ -77,7 +77,7 @@ def test_shared_arrays_are_read_only():
 def test_cached_fit_equals_fresh_fit():
     for M, eps in ((1.0, 1e-1), (3e3, 1e-1), (5e4, 1e-3)):
         cached = build_exp_sum(1.0, M, eps)
-        fresh = _exp_sum.__wrapped__(M, eps, 128)
+        fresh = _exp_sum.__wrapped__(M, eps)
         assert fresh is not cached
         assert np.array_equal(fresh.weights, cached.weights)
         assert np.array_equal(fresh.exponents, cached.exponents)
@@ -88,7 +88,7 @@ def test_errors_are_not_cached():
     size = _exp_sum.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ExpSumError):
-            build_exp_sum(1.0, 1e12, 1e-8, r_cap=2)
+            build_exp_sum(1.0, 1e12, 1e-8)
     assert _exp_sum.cache_info().currsize == size
 
 

@@ -139,8 +139,10 @@ def test_weighted_directions_shift_interval():
 def test_expsum_failure_propagates():
     space, pencil = _cube(4, 32)
     eigs = _eigs(space, pencil)
+    # M is about 2.5e3 here, so the a-priori floor of eps_rel 1e-60 is
+    # 144 terms, above expsum.R_CAP = 128, so no fit runs
     with pytest.raises(ExpSumError):
-        build_lowrank_fd(eigs, 1e-8, r_cap=3)
+        build_lowrank_fd(eigs, 1e-60)
 
 
 # --------------------------------------------------------- low-rank apply

@@ -33,3 +33,25 @@ def test_ini_example_loads(tmp_path):
         for key in example[section]:
             assert key in cli.DEFAULTS[section], (section, key)
             assert cfg[section][key] == example[section][key]
+
+
+def test_config_only_keys_match_cli():
+    # the keys README says are "set only in the config file" are the
+    # DEFAULTS keys that no subcommand flag and no top-level option sets
+    sentence = re.search(r"([^.]*) are set only in the config file",
+                         README).group(1)
+    named = set()
+    section = None
+    for token in re.findall(r"`([^`]*)`", sentence):
+        match = re.fullmatch(r"\[(\w+)\] (\w+)", token)
+        if match:
+            section, key = match.groups()
+        else:
+            key = token
+        named.add("%s.%s" % (section, key))
+    flagged = {dest for flags in cli.FLAGS.values() for _, dest, _, _ in flags}
+    flagged |= {dest for dest in vars(cli.build_parser().parse_args([]))
+                if "." in dest}
+    config_only = {"%s.%s" % (s, k) for s in cli.DEFAULTS
+                   for k in cli.DEFAULTS[s]} - flagged
+    assert named == config_only

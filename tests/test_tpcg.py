@@ -1,5 +1,6 @@
 """Truncated PCG against dense direct solves plus solver-report contracts."""
 
+import importlib
 import io
 
 import numpy as np
@@ -22,7 +23,6 @@ from lriga.tpcg import (
     error_norms,
     tpcg,
 )
-from lriga.truncation import truncate_rel
 from lriga.tucker import (
     TuckerTensor3,
     compression_percent,
@@ -34,6 +34,8 @@ from lriga.tucker import (
 
 from util import exact_fd, residual_jump
 
+# the module, not the function that the package re-exports under its name
+TPCG_MODULE = importlib.import_module("lriga.tpcg")
 DD = (BC_DIRICHLET, BC_DIRICHLET)
 
 
@@ -50,13 +52,13 @@ def lowrank_pc(spaces, eps=1e-1):
     return build_lowrank_fd(eigs, eps)
 
 
-def solve_poisson(preset, p, n_el, tol_rel=1e-6, eps0=1e-1, precond=None):
+def solve_poisson(preset, p, n_el, tol_rel=1e-6, precond=None):
     spaces = make_spaces(p, n_el)
     geo = get_geometry(preset)
     system = assemble_system(spaces, geo, one, max(tol_rel * 1e-1, 1e-12))
     if precond is None:
         precond = lowrank_pc(spaces)
-    cfg = TpcgConfig.relative(tol_rel, system.rhs.norm(), eps0=eps0)
+    cfg = TpcgConfig.relative(tol_rel, system.rhs.norm())
     x, report = tpcg(system.op, system.rhs, precond, cfg)
     return system, x, report, cfg
 
@@ -121,21 +123,15 @@ def test_annulus_sweep_preview():
     assert max(iters) <= 30
 
 
-def test_eps0_independence_on_cube():
-    _, xa, ra, cfg = solve_poisson("unit_cube", 2, 8, eps0=1e-1)
-    _, xb, rb, _ = solve_poisson("unit_cube", 2, 8, eps0=1e-2)
+def test_eps0_independence_on_cube(monkeypatch):
+    monkeypatch.setattr(TPCG_MODULE, "EPS0", 1e-1)
+    _, xa, ra, cfg = solve_poisson("unit_cube", 2, 8)
+    monkeypatch.setattr(TPCG_MODULE, "EPS0", 1e-2)
+    _, xb, rb, _ = solve_poisson("unit_cube", 2, 8)
     assert ra.converged and rb.converged
+    assert (ra.eps_history[0], rb.eps_history[0]) == (1e-1, 1e-2)
     diff = tucker_add(xa, tucker_scale(xb, -1.0)).norm()
     assert diff <= 10.0 * cfg.tol
-
-
-def test_final_residual_retruncation_contract():
-    _, _, report, _ = solve_poisson("quarter_annulus", 2, 8)
-    r = report.residual_tensor
-    eta = report.eta_final
-    again = truncate_rel(r, eta)
-    moved = tucker_add(again, tucker_scale(r, -1.0)).norm()
-    assert moved <= eta * r.norm() * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("tol_rel", [1e-8, 1e-10])

@@ -272,7 +272,7 @@ def best_for_rank_full_grid(R, M, tau):
     return err, w[keep], al[keep]
 
 
-def exp_sum_linear_scan(M, eps_rel, r_cap=128):
+def exp_sum_linear_scan(M, eps_rel, r_cap=expsum.R_CAP):
     """Oracle for ``lriga.expsum._fit``: every rank from the a-priori floor
     upward until the first one passes both checks."""
     tau = eps_rel / M
@@ -290,7 +290,7 @@ def exp_sum_linear_scan(M, eps_rel, r_cap=128):
     )
 
 
-def accepted_rank_table(Ms, eps_list, r_cap=128):
+def accepted_rank_table(Ms, eps_list, r_cap=expsum.R_CAP):
     """Rows ``(M, eps_rel, fitted ranks, accepted rank)`` for every M > 1
     and eps_rel, printed as they finish: the data `_predicted_rank` is
     fitted on.
