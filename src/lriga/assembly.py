@@ -218,10 +218,13 @@ def face_extension(spaces, direction, side, value):
     the first/last basis function of the face direction.  The extension is
     constant along the transversal directions, forced to zero at their
     Dirichlet ends so homogeneous data there stays intact.
+
+    Raises:
+        ValueError: if the face does not carry a Dirichlet condition.
     """
-    assert spaces[direction].trim[1 if side else 0] == 1, (
-        "face (%d, %d) does not carry a Dirichlet condition" % (direction, side)
-    )
+    if spaces[direction].trim[1 if side else 0] != 1:
+        raise ValueError("face (%d, %d) does not carry a Dirichlet condition"
+                         % (direction, side))
     factors = []
     for t, space in enumerate(spaces):
         if t == direction:

@@ -93,10 +93,9 @@ class SplineSpace1D:
 
     A Dirichlet end removes the first/last basis function.  ``full_dim``
     counts every function, ``n`` the kept ones; ``keep`` is the slice of
-    the kept functions in the full numbering.  Evaluation
-    (:meth:`eval_basis`, :meth:`collocation_matrix`) numbers the kept
-    functions in order; the weighted assembly routines return the full
-    basis, and callers trim it with ``keep``.
+    the kept functions in the full numbering.  :meth:`collocation_matrix`
+    numbers the kept functions in order; the weighted assembly routines
+    return the full basis, and callers trim it with ``keep``.
 
     Raises:
         ValueError: if p < 1, n_el < 1, or bc is not a pair of
@@ -127,14 +126,14 @@ class SplineSpace1D:
     def __repr__(self):
         return "SplineSpace1D(p=%d, n_el=%d, bc=%s)" % (self.p, self.n_el, self.bc)
 
-    def _active(self, etas, deriv):
-        """Indices and values of the p+1 functions active at each point.
+    def collocation_matrix(self, etas, deriv=0):
+        """Sparse matrix of kept basis (derivative) values at many points,
+        shape (len(etas), n).
 
-        Returns:
-            (idx, vals, kept): arrays of shape (N, p+1); ``idx`` numbers
-            the kept functions, and ``kept`` masks the entries of
-            functions that the boundary conditions keep.
+        Raises:
+            ValueError: if a point lies outside [0, 1].
         """
+        etas = np.atleast_1d(np.asarray(etas, dtype=float))
         bad = ~((etas >= 0.0) & (etas <= 1.0))
         if bad.any():
             raise ValueError("evaluation point %g outside [0, 1]" % etas[bad][0])
@@ -142,27 +141,10 @@ class SplineSpace1D:
         vals = basis_funs_all_ders(self.knots, self.p, etas, spans, deriv)[deriv].T
         idx = spans[:, None] + np.arange(-self.p, 1)
         kept = (idx >= self.keep.start) & (idx < self.keep.stop)
-        return idx - self.keep.start, vals, kept
-
-    def eval_basis(self, eta, deriv=0):
-        """Nonzero values of the kept basis functions at a point.
-
-        Returns:
-            (indices, values): indices among the kept functions and the
-            corresponding basis values; at most p+1 entries, fewer when
-            constrained functions are dropped.
-        """
-        idx, vals, kept = self._active(np.array([eta], dtype=float), deriv)
-        return idx[0][kept[0]], vals[0][kept[0]]
-
-    def collocation_matrix(self, etas, deriv=0):
-        """Sparse matrix of kept basis (derivative) values at many points,
-        shape (len(etas), n)."""
-        etas = np.atleast_1d(np.asarray(etas, dtype=float))
-        idx, vals, kept = self._active(etas, deriv)
         rows = np.broadcast_to(np.arange(len(etas))[:, None], idx.shape)
         return sp.csr_matrix(
-            (vals[kept], (rows[kept], idx[kept])), shape=(len(etas), self.n)
+            (vals[kept], (rows[kept], idx[kept] - self.keep.start)),
+            shape=(len(etas), self.n),
         )
 
     def element_basis(self, rule, deriv):

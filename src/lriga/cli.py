@@ -323,8 +323,8 @@ def cmd_convergence(cfg):
         l2_est, _ = error_norms(x, spaces, geo, bench.u)
 
         tol_abs = l2_est / 100.0
-        eps = max(tol_abs / (10.0 * rhs_norm), 1e-12)
-        system = assemble_system(spaces, geo, f, eps)
+        system = assemble_system(
+            spaces, geo, f, _assembly_eps(tol_abs / rhs_norm))
         final_cfg = _tpcg_config(cfg, tol_abs)
         x, report = tpcg(system.op, system.rhs, precond, final_cfg)
         all_converged = all_converged and report.converged

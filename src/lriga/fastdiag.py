@@ -4,12 +4,12 @@ Fast diagonalization inverts a Kronecker sum through the eigenvectors of
 its three univariate pencils and the sums lam1+lam2+lam3 of their
 eigenvalues.  The low-rank version here replaces 1/(lam1+lam2+lam3) by an
 exponential sum, which turns the inverse into a short sum of Kronecker
-products.  Each direction's eigenvector matrix U_k is built once at setup
-(see :mod:`lriga.eigen`); applied to a Tucker tensor, the preconditioner
-multiplies each factor by U_k^T, scales it by the R exponential terms and
-multiplies the block row by U_k, then sums the diagonal core's terms into
-an exact image with orthonormal factors, whose rank is min(n_k, R r_k) for
-R exponential terms.
+products.  Each direction's exact eigenvector matrix U_k is computed once
+at setup (see :mod:`lriga.eigen`); applied to a Tucker tensor, the
+preconditioner multiplies each factor by U_k^T, scales it by the R
+exponential terms and multiplies the block row by U_k, then sums the
+diagonal core's terms into an exact image with orthonormal factors, whose
+rank is min(n_k, R r_k) for R exponential terms.
 """
 
 import numpy as np

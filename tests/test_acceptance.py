@@ -14,7 +14,7 @@ from lriga.bsplines import (
     SplineSpace1D,
     assemble_pencil,
 )
-from lriga.eigen import _interpolation_points, _phase, approx_eigen
+from lriga.eigen import approx_eigen
 from lriga.elasticity import (
     BlockTuckerVector,
     assemble_elasticity,
@@ -239,24 +239,22 @@ def test_criterion_08_end_to_end_vs_dense():
 
 
 def test_criterion_09_eigen_construction():
+    # exact eigenbasis: U^T M U = I and K U = M U diag(lambdas)
     failures = []
     for p in (3, 4, 5):
         for bc in [(D, D), (N, N), (N, D), (D, N)]:
             for n_el in (8, 16):
                 space = SplineSpace1D(p, n_el, bc)
-                E = approx_eigen(space, assemble_pencil(space))
-                k0, k1 = _phase(space)
-                x = _interpolation_points(space, k0, k1)
-                n1 = len(x)
-                coeffs = E.U[:, :n1]
-                vals = space.collocation_matrix(x, deriv=0) @ coeffs
-                mu = np.arange(1, n1 + 1) - 0.5 * (k0 + k1)
-                exact = np.sqrt(2.0) * np.sin(
-                    np.pi * np.outer(x, mu) + 0.5 * np.pi * k0
-                )
-                err = np.max(np.abs(vals - exact))
-                if err > 1e-10:
-                    failures.append((p, bc, n_el, "identity", err))
+                pencil = assemble_pencil(space)
+                E = approx_eigen(space, pencil)
+                M, K = pencil.M.toarray(), pencil.K.toarray()
+                U = E.U
+                ortho = np.linalg.norm(U.T @ M @ U - np.eye(E.n))
+                resid = np.linalg.norm(K @ U - M @ U * E.lambdas)
+                if ortho > 1e-10:
+                    failures.append((p, bc, n_el, "M-orthonormal", ortho))
+                if resid > 1e-8 * np.linalg.norm(K):
+                    failures.append((p, bc, n_el, "eigen residual", resid))
     report(9, "eigen construction", failures)
 
 

@@ -186,6 +186,16 @@ def test_dirichlet_lift_two_faces_is_sum_of_single_faces():
     assert np.linalg.norm(single[0] - single[1]) > 1e-3 * np.linalg.norm(want)
 
 
+def test_dirichlet_lift_on_neumann_face_raises():
+    # a raise, not an assert: under python -O the face would be lifted
+    # silently on its Neumann end
+    spaces = make_spaces(2, 4, bcs=(NN, NN, DD))
+    with pytest.raises(ValueError, match=r"face \(1, 1\)"):
+        assemble_elasticity(spaces, get_geometry("deformed_column"),
+                            (0.0, 0.0, -1.0), 0.5, 0.4, 1e-7,
+                            dirichlet=((2, 1, 1, -0.5),))
+
+
 def counting_map(geo):
     """``geo`` with a Jacobian that records every point set it is given."""
     seen = []

@@ -53,33 +53,31 @@ def test_partition_of_unity_and_nonnegativity():
     rng = np.random.default_rng(20)
     for p in range(1, 6):
         space = SplineSpace1D(p, 8, NN)
-        for eta in rng.uniform(0, 1, 2000):
-            idx, vals = space.eval_basis(eta)
-            assert np.all(vals >= -1e-14)
-            assert np.isclose(vals.sum(), 1.0, atol=1e-12)
-            assert len(idx) <= p + 1
+        C = space.collocation_matrix(rng.uniform(0, 1, 2000))
+        assert np.all(C.data >= -1e-14)
+        assert np.allclose(C.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(np.diff(C.indptr) <= p + 1)
 
 
 def test_derivative_sums_to_zero_inside():
     rng = np.random.default_rng(21)
     for p in (2, 4):
         space = SplineSpace1D(p, 8, NN)
-        for eta in rng.uniform(0.05, 0.95, 200):
-            _, dvals = space.eval_basis(eta, deriv=1)
-            assert np.isclose(dvals.sum(), 0.0, atol=1e-10)
+        C = space.collocation_matrix(rng.uniform(0.05, 0.95, 200), deriv=1)
+        assert np.allclose(C.sum(axis=1), 0.0, atol=1e-10)
 
 
 def test_hat_function_values():
     space = SplineSpace1D(1, 2, NN)
-    idx, vals = space.eval_basis(0.25)
-    assert idx.tolist() == [0, 1]
-    assert np.allclose(vals, [0.5, 0.5])
+    C = space.collocation_matrix([0.25])
+    assert C.indices.tolist() == [0, 1]
+    assert np.allclose(C.data, [0.5, 0.5])
 
 
 def test_eval_outside_domain_raises():
     space = SplineSpace1D(2, 4)
     with pytest.raises(ValueError):
-        space.eval_basis(1.5)
+        space.collocation_matrix([1.5])
 
 
 def test_gauss_rule_exactness():
@@ -148,15 +146,15 @@ def test_weighted_matrix_unit_weight_identical():
 
 
 def quad_oracle_matrix(space, dr, dc, wfun, q=20):
-    """Pointwise quadrature using the one-point evaluator only."""
+    """Pointwise quadrature, evaluating the basis one point at a time."""
     rule = gauss_rule(space.n_el, q)
     A = np.zeros((space.n, space.n))
     for e in range(space.n_el):
         for k in range(rule.q):
             eta, wt = rule.points[e, k], rule.weights[e, k]
-            ir, vr = space.eval_basis(eta, deriv=dr)
-            ic, vc = space.eval_basis(eta, deriv=dc)
-            A[np.ix_(ir, ic)] += wt * wfun(eta) * np.outer(vr, vc)
+            vr = space.collocation_matrix([eta], deriv=dr).toarray()[0]
+            vc = space.collocation_matrix([eta], deriv=dc).toarray()[0]
+            A += wt * wfun(eta) * np.outer(vr, vc)
     return A
 
 
@@ -182,9 +180,9 @@ def test_weighted_rhs_vs_oracle():
     for e in range(space.n_el):
         for k in range(rule.q):
             eta, wt = rule.points[e, k], rule.weights[e, k]
-            idx, vals = space.eval_basis(eta)
+            vals = space.collocation_matrix([eta]).toarray()[0]
             x = 2 * eta - 1
-            ref[idx] += wt * (2 * x * x - 1) * vals
+            ref += wt * (2 * x * x - 1) * vals
     assert np.max(np.abs(f - ref)) < 1e-13
     assert np.all(assemble_weighted_rhs(space, w_cheb=[0.0]) == 0.0)
 
@@ -194,9 +192,7 @@ def test_collocation_matrix_matches_eval():
     etas = np.linspace(0, 1, 17)
     C = space.collocation_matrix(etas, deriv=1).toarray()
     for i, eta in enumerate(etas):
-        idx, vals = space.eval_basis(eta, deriv=1)
-        row = np.zeros(space.n)
-        row[idx] = vals
+        row = space.collocation_matrix([eta], deriv=1).toarray()[0]
         assert np.allclose(C[i], row, atol=1e-14)
 
 

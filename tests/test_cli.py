@@ -63,6 +63,35 @@ def test_trivial_preconditioner_tolerance_gives_tiny_rank(tmp_path):
         assert 1 <= int(r[3]) <= 3  # R_P column
 
 
+# (n_el, p): (M_P, R_P, iterations) of the exact-eigenbasis preconditioner
+PRECOND_STUDY = {
+    (8, 2): (64.843344567984346, 6, 15),
+    (16, 2): (259.38169023494311, 9, 19),
+    (32, 2): (1037.5287863559927, 11, 21),
+    (8, 3): (97.095977467496709, 7, 16),
+    (16, 3): (377.93366974112053, 9, 19),
+    (32, 3): (1510.2255765035791, 11, 21),
+    (8, 4): (162.78415240243899, 7, 17),
+    (16, 4): (635.68488371301771, 10, 19),
+    (32, 4): (2540.9503575824488, 14, 21),
+}
+
+
+def test_precond_study_pins_ranks_and_iterations(tmp_path):
+    path = tmp_path / "study.csv"
+    code = run([
+        "precond-study", "--sweep-n-el", "8,16,32", "--sweep-p", "2,3,4",
+        "--csv", str(path),
+    ])
+    assert code == EXIT_OK
+    rows = [r.split(",") for r in path.read_text().strip().split("\n")[1:]]
+    assert len(rows) == len(PRECOND_STUDY)
+    for r in rows:
+        M_P, R_P, iterations = PRECOND_STUDY[int(r[0]), int(r[1])]
+        assert float(r[2]) == pytest.approx(M_P, rel=1e-12)
+        assert (int(r[3]), int(r[5])) == (R_P, iterations)
+
+
 def test_bad_geometry_is_config_error(capsys):
     code = run(["solve", "--geometry", "moebius_strip"])
     assert code == EXIT_CONFIG
