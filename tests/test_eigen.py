@@ -1,6 +1,7 @@
 """Eigendecompositions of univariate pencils."""
 
 import numpy as np
+import pytest
 
 from lriga.bsplines import BC_DIRICHLET, BC_NEUMANN, SplineSpace1D, assemble_pencil
 from lriga.eigen import Eigen1D, approx_eigen, exact_eigen
@@ -48,6 +49,47 @@ def test_exact_path_m_orthonormal_and_diagonalizing():
     assert np.max(np.abs(E.U.T @ M @ E.U - np.eye(E.n))) < 1e-10
     resid = K @ E.U - M @ E.U @ np.diag(E.lambdas)
     assert np.max(np.abs(resid)) < 1e-8 * np.max(np.abs(K))
+
+
+# ------------------------------------- eigenbasis vs dense construction
+
+
+def _dense_construction(pencil):
+    """M^{-1} and (K + M)^{-1} by dense LU solves, without an eigensolve."""
+    M, K = pencil.M.toarray(), pencil.K.toarray()
+    eye = np.eye(M.shape[0])
+    return np.linalg.solve(M, eye), np.linalg.solve(K + M, eye)
+
+
+def _rel(A, B):
+    return np.linalg.norm(A - B) / np.linalg.norm(B)
+
+
+def test_apply_matches_dense_construction():
+    # applying U^T then U to a block: U U^T = M^{-1} and
+    # U (Lambda + 1)^{-1} U^T = (K + M)^{-1}
+    space = SplineSpace1D(3, 8, bc=(D, D))
+    pencil = assemble_pencil(space)
+    E = approx_eigen(space, pencil)
+    Minv, Sinv = _dense_construction(pencil)
+    B = np.random.default_rng(6).standard_normal((space.n, 4))
+    assert _rel(E.U @ (E.U.T @ B), Minv @ B) < 1e-9
+    assert _rel(E.U @ ((E.U.T @ B) / (E.lambdas + 1.0)[:, None]), Sinv @ B) < 1e-9
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+@pytest.mark.parametrize("bc", ALL_BC)
+@pytest.mark.parametrize("n_el", [8, 16, 64])
+def test_transform_built_u_matches_dense_construction(p, bc, n_el):
+    # the U and lambdas the preconditioner uses reproduce M^{-1} and
+    # (K + M)^{-1} from dense solves; this holds for any sign or ordering
+    # of the eigenvectors, and fails for a basis that is not M-orthonormal
+    space = SplineSpace1D(p, n_el, bc=bc)
+    pencil = assemble_pencil(space)
+    E = approx_eigen(space, pencil)
+    Minv, Sinv = _dense_construction(pencil)
+    assert _rel(E.U @ E.U.T, Minv) < 1e-9
+    assert _rel((E.U / (E.lambdas + 1.0)) @ E.U.T, Sinv) < 1e-9
 
 
 def test_apply_empty_block():
