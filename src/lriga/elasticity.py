@@ -105,7 +105,13 @@ def assemble_elasticity(spaces, geo, f, lam, mu, eps, dirichlet=()):
 
 @dataclass(frozen=True)
 class BlockDiagPreconditioner:
-    """Independent per-component applicators; off-diagonal blocks ignored."""
+    """Independent per-component applicators; off-diagonal blocks ignored.
+
+    Each part is a :class:`lriga.fastdiag.LowRankFD` with its own direction
+    weights, so below the memory guard a part applies its own weighted
+    Kronecker sum's exact inverse, and fits its exponential sum only when
+    that sum is first read.
+    """
 
     parts: tuple
 
@@ -125,8 +131,9 @@ def block_preconditioner(spaces, lam, mu, eps_rel):
 
     Component i uses the parametric (identity-geometry) diagonal block,
     a Kronecker sum whose direction-i stiffness is weighted 2 mu + lam
-    and the transversal ones mu; each inverse is the low-rank FD
-    applicator at relative accuracy eps_rel.
+    and the transversal ones mu; each inverse is the fast-diagonalization
+    applicator, with an exponential sum at relative accuracy eps_rel above
+    the memory guard.
     """
     eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
     parts = []

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 
 class ExpSumError(RuntimeError):
@@ -127,6 +126,10 @@ def _sup_error(weights, exponents, M, n):
 
 def _best_for_rank(R, M, tau):
     """Tune R sinc nodes and refit their weights; returns (error, w, alpha)."""
+    # imported here, not at the top: loading scipy.optimize costs about
+    # 15 MB, and a solve whose preconditioner never fits a sum never needs it
+    from scipy.optimize import nnls
+
     # truncating int exp(-lam e^s + s) ds at a leaves an absolute error of
     # about e^a (any lam), and at b about exp(-e^b); center the search there
     a0 = np.log(tau)
@@ -184,14 +187,15 @@ def build_exp_sum(lam_min, lam_max, eps_rel):
 
     Raises:
         ValueError: if not 0 < lam_min <= lam_max, or eps_rel <= 0.
-        ExpSumError: if no sum of at most R_CAP terms meets the target.
+        ExpSumError: if no sum of at most R_CAP terms meets the target
+            (raised before any fit when :func:`rank_floor` exceeds R_CAP).
     """
     if not 0.0 < lam_min <= lam_max:
         raise ValueError("need 0 < lam_min <= lam_max, got lam_min = %r, "
                          "lam_max = %r" % (lam_min, lam_max))
-    if not eps_rel > 0.0:
-        raise ValueError("need eps_rel > 0, got %r" % (eps_rel,))
-    return _exp_sum(lam_max / lam_min, eps_rel)
+    M = lam_max / lam_min
+    rank_floor(M, eps_rel)
+    return _exp_sum(M, eps_rel)
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,6 +205,38 @@ def _exp_sum(M, eps_rel):
     es.weights.setflags(write=False)
     es.exponents.setflags(write=False)
     return es
+
+
+def _cap_error(M, tau, r_cap):
+    return ExpSumError(
+        "no exponential sum with <= %d terms reaches %.3e on [1, %.3e]"
+        % (r_cap, tau, M)
+    )
+
+
+def rank_floor(M, eps_rel, r_cap=R_CAP):
+    """Smallest rank worth fitting on [1, M] at eps_rel, checked without a fit.
+
+    Even an optimal exponential sum cannot beat ~exp(-pi^2 R / log(8M)), so
+    ranks far below that threshold need not be tried at all.  On M = 1 one
+    term is exact.  :func:`_fit` starts its walk here, and
+    :func:`lriga.fastdiag.build_lowrank_fd` calls it so that a target no sum
+    can meet fails at construction, not at the first use of the sum.
+
+    Raises:
+        ValueError: if eps_rel <= 0.
+        ExpSumError: if the floor exceeds ``r_cap``.
+    """
+    if not eps_rel > 0.0:
+        raise ValueError("need eps_rel > 0, got %r" % (eps_rel,))
+    if M == 1.0:
+        return 1
+    tau = eps_rel / M
+    lo = max(1, int(np.log(max(16.0 / (100.0 * tau), 1.0)) * np.log(8.0 * M)
+                    / np.pi ** 2))
+    if lo > r_cap:
+        raise _cap_error(M, tau, r_cap)
+    return lo
 
 
 def _predicted_rank(M, tau, lo, r_cap):
@@ -223,8 +259,8 @@ def _predicted_rank(M, tau, lo, r_cap):
 
 
 def _fit(M, eps_rel, r_cap):
-    """Smallest passing rank in [max(1, r_floor), r_cap], walked one rank
-    at a time from the predicted rank (:func:`_predicted_rank`).
+    """Smallest passing rank in [rank_floor(M, eps_rel), r_cap], walked one
+    rank at a time from the predicted rank (:func:`_predicted_rank`).
 
     A passing guess is followed down while the rank below it passes; a
     failing one is followed up until a rank passes.  Raises
@@ -237,14 +273,8 @@ def _fit(M, eps_rel, r_cap):
         err = abs(float(es(np.array([1.0]))[0]) - 1.0)
         return ExpSum(es.weights, es.exponents, 1.0, err)
 
+    lo = rank_floor(M, eps_rel, r_cap)
     tau = eps_rel / M
-    # even an optimal exponential sum cannot beat ~exp(-pi^2 R / log(8M)),
-    # so ranks far below that threshold need not be tried at all
-    r_floor = int(np.log(max(16.0 / (100.0 * tau), 1.0)) * np.log(8.0 * M) / np.pi ** 2)
-    failure = ExpSumError(
-        "no exponential sum with <= %d terms reaches %.3e on [1, %.3e]"
-        % (r_cap, tau, M)
-    )
 
     def passing(R):
         """The rank-R sum if it passes the grid and the fine check, else None."""
@@ -255,9 +285,6 @@ def _fit(M, eps_rel, r_cap):
                 return ExpSum(w, al, M, fine)
         return None
 
-    lo = max(1, r_floor)
-    if lo > r_cap:
-        raise failure
     R = _predicted_rank(M, tau, lo, r_cap)
     es = passing(R)
     if es is not None:
@@ -269,7 +296,7 @@ def _fit(M, eps_rel, r_cap):
         return es
     while es is None:
         if R == r_cap:
-            raise failure
+            raise _cap_error(M, tau, r_cap)
         R += 1
         es = passing(R)
     return es

@@ -2,20 +2,28 @@
 
 Fast diagonalization inverts a Kronecker sum through the eigenvectors of
 its three univariate pencils and the sums lam1+lam2+lam3 of their
-eigenvalues.  The low-rank version here replaces 1/(lam1+lam2+lam3) by an
+eigenvalues.  Each direction's exact eigenvector matrix U_k is computed
+once at setup (see :mod:`lriga.eigen`), so one pass in that basis is the
+inverse itself: whenever the dense image fits under ``tucker.DENSE_GUARD``
+the preconditioner multiplies the input by U_k^T, divides by the
+eigenvalue sums and multiplies by U_k, with identity factors at the cap.
+
+Above the guard the low-rank version replaces 1/(lam1+lam2+lam3) by an
 exponential sum, which turns the inverse into a short sum of Kronecker
-products.  Each direction's exact eigenvector matrix U_k is computed once
-at setup (see :mod:`lriga.eigen`); applied to a Tucker tensor, the
-preconditioner multiplies each factor by U_k^T, scales it by the R
-exponential terms and multiplies the block row by U_k, then sums the
-diagonal core's terms into an exact image with orthonormal factors, whose
-rank is min(n_k, R r_k) for R exponential terms.
+products: each factor is multiplied by U_k^T, scaled by the R exponential
+terms and the block row multiplied by U_k, then the diagonal core's terms
+are summed into an exact image with orthonormal factors, whose rank is
+min(n_k, R r_k) for R exponential terms.  The sum is fitted on first use,
+so a preconditioner that stays below the guard never fits one.
 """
+
+from functools import cached_property
 
 import numpy as np
 
-from .expsum import build_exp_sum
-from .tucker import TuckerTensor3, _kron_image
+from . import tucker
+from .expsum import build_exp_sum, rank_floor
+from .tucker import TuckerTensor3, _kron_image, identity, mode_product
 
 
 class FastDiagError(RuntimeError):
@@ -23,27 +31,47 @@ class FastDiagError(RuntimeError):
 
 
 class LowRankFD:
-    """Exponential-sum fast-diagonalization preconditioner in Tucker form.
+    """Fast-diagonalization preconditioner in Tucker form: exact below the
+    memory guard, an exponential sum above it.
 
     Attributes:
         eigs: per-direction eigendecompositions (:class:`lriga.eigen.Eigen1D`).
-        expsum: ExpSum approximating 1/lambda on [1, lam_max/lam_min].
+        lam: per-direction eigenvalues times the direction weights.
         lam_min, lam_max: extreme eigenvalue sums (after direction weights).
+        eps_rel: relative accuracy of the exponential sum.
+        expsum: ExpSum approximating 1/lambda on [1, lam_max/lam_min],
+            fitted on first use, like ``R``, ``diag`` and ``core``.
         diag: diag[i][j] = exp(-(alpha_j/lam_min) * Lambda_i), shape (R, n_i).
         core: diagonal (R, R, R) core with entries omega_j / lam_min.
     """
 
-    def __init__(self, eigs, expsum, lam_min, lam_max, diag, core):
+    def __init__(self, eigs, lam, eps_rel):
         self.eigs = eigs
-        self.expsum = expsum
-        self.lam_min = lam_min
-        self.lam_max = lam_max
-        self.diag = diag
-        self.core = core
+        self.lam = lam
+        self.lam_min = sum(float(np.min(v)) for v in lam)
+        self.lam_max = sum(float(np.max(v)) for v in lam)
+        self.eps_rel = eps_rel
+
+    @cached_property
+    def expsum(self):
+        return build_exp_sum(self.lam_min, self.lam_max, self.eps_rel)
 
     @property
     def R(self):
         return self.expsum.R
+
+    @cached_property
+    def diag(self):
+        return [np.exp(-np.outer(self.expsum.exponents, v) / self.lam_min)
+                for v in self.lam]
+
+    @cached_property
+    def core(self):
+        R = self.R
+        core = np.zeros((R, R, R))
+        core[np.arange(R), np.arange(R), np.arange(R)] = (
+            self.expsum.weights / self.lam_min)
+        return core
 
     @property
     def dims(self):
@@ -52,10 +80,33 @@ class LowRankFD:
     @property
     def spectral_ratio(self):
         """lam_max / lam_min, the right end of the exp-sum interval."""
-        return self.expsum.M
+        return self.lam_max / self.lam_min
 
     def apply(self, s):
         """Preconditioner applied to a Tucker tensor.
+
+        While ``n1 n2 n3 <= tucker.DENSE_GUARD`` this is the exact inverse
+        ``Y = s.core x_k (U_k^T F_k)``, divided slab by slab by the weighted
+        eigenvalue sums and returned as ``Y x_k U_k`` with identity factors
+        (rank (n1, n2, n3)).  Above the guard it is :meth:`apply_expsum`.
+        """
+        self._check(s)
+        n1, n2, n3 = self.dims
+        if n1 * n2 * n3 > tucker.DENSE_GUARD:
+            return self.apply_expsum(s)
+        Y = s.core
+        for k, e in enumerate(self.eigs):
+            Y = mode_product(Y, k, e.U.T @ s.factors[k])
+        lam1, lam2, lam3 = self.lam
+        # slab by slab, so no n1 x n2 x n3 array of eigenvalue sums is kept
+        for i in range(n1):
+            Y[i] /= (lam1[i] + lam2)[:, None] + lam3
+        for k, e in enumerate(self.eigs):
+            Y = mode_product(Y, k, e.U)
+        return TuckerTensor3(Y, tuple(identity(n) for n in self.dims))
+
+    def apply_expsum(self, s):
+        """Exponential-sum preconditioner applied to a Tucker tensor.
 
         Each factor F becomes the R scaled blocks U diag(d_j) U^T F side by
         side (term index slow); the image of the diagonal core is summed term
@@ -67,11 +118,7 @@ class LowRankFD:
             MemoryGuardError: if the image core would exceed
                 ``tucker.DENSE_GUARD``.
         """
-        if not isinstance(s, TuckerTensor3):
-            raise TypeError("expected a TuckerTensor3")
-        if s.dims != self.dims:
-            raise ValueError("dims %s do not match preconditioner %s"
-                             % (s.dims, self.dims))
+        self._check(s)
         factors = []
         for i, e in enumerate(self.eigs):
             Z = e.U.T @ s.factors[i]
@@ -79,15 +126,32 @@ class LowRankFD:
             factors.append(e.U @ np.hstack(blocks))
         return _kron_image(self.core, factors, s.core)
 
+    def _check(self, s):
+        if not isinstance(s, TuckerTensor3):
+            raise TypeError("expected a TuckerTensor3")
+        if s.dims != self.dims:
+            raise ValueError("dims %s do not match preconditioner %s"
+                             % (s.dims, self.dims))
+
 
 def build_lowrank_fd(eigs, eps_rel, weights=None):
-    """Low-rank fast-diagonalization preconditioner from three eigendecompositions.
+    """Fast-diagonalization preconditioner from three eigendecompositions.
+
+    Stores the weighted eigenvalues and their extreme sums; the exponential
+    sum is fitted only when an apply above the memory guard, or a reader of
+    ``expsum``, ``R``, ``diag`` or ``core``, first needs it.  Its a-priori
+    rank floor is checked here, so a target no sum can meet fails now.
 
     Args:
         eigs: three eigendecompositions with .lambdas and an n x n matrix .U.
         eps_rel: relative accuracy of the exponential-sum inverse.
         weights: optional positive per-direction scalings of the eigenvalues
             (the separable-coefficient case, e.g. elasticity diagonal blocks).
+
+    Raises:
+        FastDiagError: on a negative eigenvalue or a non-positive sum.
+        ValueError: if eps_rel <= 0.
+        ExpSumError: if the rank floor exceeds ``expsum.R_CAP``.
     """
     if weights is None:
         weights = (1.0, 1.0, 1.0)
@@ -95,13 +159,8 @@ def build_lowrank_fd(eigs, eps_rel, weights=None):
     for v in lam:
         if np.min(v) < -1e-12 * max(np.max(v), 1.0):
             raise FastDiagError("negative eigenvalue in a direction pencil")
-    lam_min = sum(float(np.min(v)) for v in lam)
-    lam_max = sum(float(np.max(v)) for v in lam)
-    if lam_min <= 0.0:
+    P = LowRankFD(list(eigs), lam, eps_rel)
+    if P.lam_min <= 0.0:
         raise FastDiagError("eigenvalue sums must be positive")
-    es = build_exp_sum(lam_min, lam_max, eps_rel)
-    diag = [np.exp(-np.outer(es.exponents, v) / lam_min) for v in lam]
-    R = es.R
-    core = np.zeros((R, R, R))
-    core[np.arange(R), np.arange(R), np.arange(R)] = es.weights / lam_min
-    return LowRankFD(list(eigs), es, lam_min, lam_max, diag, core)
+    rank_floor(P.spectral_ratio, eps_rel)
+    return P

@@ -132,7 +132,7 @@ def test_criterion_04_spectral_sandwich():
         assert tuple(s.n for s in spaces) == (6, 6, 6)
         eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
         P = build_lowrank_fd(eigs, 1e-1)
-        Pd = densify_apply(P.apply, (6, 6, 6))
+        Pd = densify_apply(P.apply_expsum, (6, 6, 6))
         Dd = dense_kron_sum(spaces, (1.0, 1.0, 1.0))
         ev = np.linalg.eigvals(Pd @ Dd)
         if np.max(np.abs(ev.imag)) > 1e-8:

@@ -3,15 +3,25 @@
 import numpy as np
 import pytest
 
-from lriga.bsplines import BC_DIRICHLET, SplineSpace1D, assemble_pencil
+from lriga.assembly import assemble_system
+from lriga.bsplines import (
+    BC_DIRICHLET,
+    BC_NEUMANN,
+    SplineSpace1D,
+    assemble_pencil,
+)
 from lriga.eigen import approx_eigen
+from lriga.elasticity import block_preconditioner
 from lriga.expsum import ExpSumError
 from lriga.fastdiag import build_lowrank_fd
+from lriga.geometry import get_geometry
+from lriga.tpcg import TpcgConfig, tpcg
 from lriga import tucker
 from oracle import kron3
 from lriga.tucker import (
     TuckerOperator3,
     from_dense,
+    identity,
     to_dense,
     tucker_zero,
     vec,
@@ -19,7 +29,7 @@ from lriga.tucker import (
 
 from util import ExactFD, exact_fd, random_tucker
 
-D = BC_DIRICHLET
+D, N = BC_DIRICHLET, BC_NEUMANN
 
 
 def _cube(p, n_el):
@@ -145,6 +155,82 @@ def test_expsum_failure_propagates():
         build_lowrank_fd(eigs, 1e-60)
 
 
+def test_bad_eps_rel_raises_at_construction():
+    space, pencil = _cube(2, 4)
+    for eps in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="eps_rel > 0"):
+            build_lowrank_fd(_eigs(space, pencil), eps)
+
+
+# ------------------------------------------------------------ exact apply
+
+
+def _inputs(dims):
+    """A low-rank Tucker tensor and one at the cap, whose factors are the
+    shared ``identity(n)`` in one copy and plain ``np.eye(n)`` in another."""
+    rng = np.random.default_rng(11)
+    capped = tucker.TuckerTensor3(rng.standard_normal(dims),
+                                  tuple(identity(n) for n in dims))
+    return [random_tucker(rng, dims, (2, 3, 1)), capped, from_dense(to_dense(capped))]
+
+
+def _assert_exact(P, fd):
+    for t in _inputs(P.dims):
+        out = P.apply(t)
+        assert out.rank == P.dims
+        assert all(F is identity(n) for F, n in zip(out.factors, P.dims))
+        want = fd.apply_array(to_dense(t))
+        err = np.linalg.norm(to_dense(out) - want)
+        assert err <= 1e-12 * np.linalg.norm(want)
+
+
+def test_exact_apply_matches_exact_fd():
+    spaces = (SplineSpace1D(3, 5, (D, D)), SplineSpace1D(3, 6, (N, D)),
+              SplineSpace1D(2, 7, (D, N)))
+    eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
+    _assert_exact(build_lowrank_fd(eigs, 1e-1), ExactFD(eigs))
+
+
+def test_exact_apply_matches_weighted_elasticity_parts():
+    lam, mu = 0.3 / 0.52, 1.0 / 2.6
+    spaces = (SplineSpace1D(2, 5, (N, N)), SplineSpace1D(2, 4, (N, N)),
+              SplineSpace1D(2, 6, (D, D)))
+    P = block_preconditioner(spaces, lam, mu, 1e-1)
+    for i, part in enumerate(P.parts):
+        weights = [2.0 * mu + lam if d == i else mu for d in range(3)]
+        _assert_exact(part, ExactFD(part.eigs, weights))
+
+
+def test_apply_above_guard_is_the_expsum_image(monkeypatch):
+    # n = 32 and 2R < n, so a rank-(1, 1, 1) or (1, 2, 1) input has an
+    # exp-sum image below the lowered guard
+    space, pencil = _cube(2, 32)
+    P = build_lowrank_fd(_eigs(space, pencil), 1e-1)
+    n1, n2, n3 = P.dims
+    assert 2 * P.R < n2
+    rng = np.random.default_rng(8)
+    inputs = [random_tucker(rng, P.dims, r) for r in ((1, 1, 1), (1, 2, 1))]
+    monkeypatch.setattr(tucker, "DENSE_GUARD", n1 * n2 * n3 - 1)
+    for t in inputs:
+        got, want = P.apply(t), P.apply_expsum(t)
+        assert got.rank != P.dims
+        assert np.array_equal(got.core, want.core)
+        for F, G in zip(got.factors, want.factors):
+            assert np.array_equal(F, G)
+
+
+def test_solve_below_guard_fits_no_sum():
+    spaces = tuple(SplineSpace1D(2, 6, (D, D)) for _ in range(3))
+    system = assemble_system(spaces, get_geometry("quarter_annulus"),
+                             lambda pts: np.ones(pts.shape[:-1]), 1e-7)
+    P = build_lowrank_fd(
+        [approx_eigen(s, assemble_pencil(s)) for s in spaces], 1e-1)
+    _, rep = tpcg(system.op, system.rhs, P,
+                  TpcgConfig.relative(1e-6, system.rhs.norm()))
+    assert rep.converged
+    assert not {"expsum", "diag", "core"} & set(vars(P))
+
+
 # --------------------------------------------------------- low-rank apply
 
 
@@ -155,7 +241,7 @@ def test_apply_matches_dense_kron_oracle():
     dense_P = _dense_lowrank(P)
     rng = np.random.default_rng(2)
     t = random_tucker(rng, (space.n,) * 3, (2, 3, 2))
-    out = P.apply(t)
+    out = P.apply_expsum(t)
     expect = dense_P @ vec(to_dense(t))
     got = vec(to_dense(out))
     assert np.max(np.abs(got - expect)) < 1e-10 * np.max(np.abs(expect))
@@ -167,7 +253,7 @@ def test_apply_rank_is_product():
     P = build_lowrank_fd(eigs, 1e-1)
     rng = np.random.default_rng(3)
     t = random_tucker(rng, (space.n,) * 3, (2, 3, 1))
-    out = P.apply(t)
+    out = P.apply_expsum(t)
     # exact image, QR-reduced: rank min(n_k, R r_k), orthonormal factors
     n = space.n
     assert out.rank == (min(n, 2 * P.R), min(n, 3 * P.R), min(n, 1 * P.R))
@@ -186,10 +272,10 @@ def test_image_core_guard(monkeypatch):
                          tuple((pencil.K,) * r for r in (2, 1, 1)))
     pc_core = min(n, P.R) ** 3
     monkeypatch.setattr(tucker, "DENSE_GUARD", pc_core)
-    assert P.apply(t).core.size == pc_core
+    assert P.apply_expsum(t).core.size == pc_core
     monkeypatch.setattr(tucker, "DENSE_GUARD", pc_core - 1)
     with pytest.raises(tucker.MemoryGuardError):
-        P.apply(t)
+        P.apply_expsum(t)
     monkeypatch.setattr(tucker, "DENSE_GUARD", 2 * 1 * 1)
     assert tucker.tucker_matvec(op, t).core.size == 2
     monkeypatch.setattr(tucker, "DENSE_GUARD", 1)
@@ -237,7 +323,7 @@ def test_lowrank_approaches_exact_fd():
     fd = ExactFD(eigs)
     rng = np.random.default_rng(5)
     t = random_tucker(rng, (space.n,) * 3, (2, 2, 2))
-    got = to_dense(P.apply(t))
+    got = to_dense(P.apply_expsum(t))
     expect = fd.apply_array(to_dense(t))
     assert np.max(np.abs(got - expect)) < 1e-5 * np.max(np.abs(expect))
 
@@ -247,11 +333,9 @@ def test_lowrank_approaches_exact_fd():
 
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_cube_preconditioned_spectrum_tight(p):
-    # The exact-eigen path (p=2) reproduces the operator up to the
-    # exponential-sum tolerance.  The split path interpolates sines at about
-    # one point per half-period for the top smooth mode, whose lost mass-norm
-    # (Gram diagonal ~0.6) widens the preconditioned spectrum to ~4.7 here;
-    # that still costs only a handful of CG iterations.
+    # The exp-sum sandwich (built from the sum itself, not through apply,
+    # which is exact below the memory guard) reproduces the operator up to
+    # the exponential-sum tolerance in the exact eigenbasis of every degree.
     space, pencil = _cube(p, 8)
     eigs = _eigs(space, pencil)
     P = build_lowrank_fd(eigs, 1e-2)

@@ -1,9 +1,12 @@
 """Static checks of the package source: no module imports a name it never
-uses, and nothing is defined that neither the package nor the benchmark
-refers to."""
+uses, nothing is defined that neither the package nor the benchmark
+refers to, and importing the package loads no optional heavy module."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -123,3 +126,15 @@ def test_no_code_without_a_caller():
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
     assert unreferenced(sources, bench) == []
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize (about 15 MB) serves only the exponential-sum fit,
+    # which a solve below the memory guard never runs
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, lriga; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -190,12 +190,13 @@ def sthosvd_full_svd(X, eps):
 
 
 class ExactFD:
-    """Exact inverse of the Kronecker sum K1 (x) M2 (x) M3 + ... (dense path),
-    the oracle for the low-rank fast-diagonalization preconditioner."""
+    """Exact inverse of the Kronecker sum w1 K1 (x) M2 (x) M3 + ... (dense
+    path), the oracle for the fast-diagonalization preconditioner; the
+    direction weights ``w`` scale each pencil's eigenvalues."""
 
-    def __init__(self, eigs):
+    def __init__(self, eigs, weights=(1.0, 1.0, 1.0)):
         self.eigs = eigs
-        lam = [np.asarray(e.lambdas) for e in eigs]
+        lam = [w * np.asarray(e.lambdas) for w, e in zip(weights, eigs)]
         self.denom = (lam[0][:, None, None] + lam[1][None, :, None]
                       + lam[2][None, None, :])
         assert np.min(self.denom) > 0.0, "eigenvalue sums must be positive"
