@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .tucker import (  # noqa: F401
     TuckerTensor3,
     TuckerOperator3,
-    from_dense,
     to_dense,
     tucker_add,
     tucker_inner,

@@ -21,7 +21,7 @@ from .eigen import approx_eigen
 from .elasticity import assemble_elasticity, block_preconditioner
 from .fastdiag import build_lowrank_fd
 from .geometry import GeometryError, get_geometry
-from .manufactured import poisson_benchmark
+from . import manufactured
 from .tpcg import TpcgConfig, error_norms, tpcg
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def _load_function(cfg, geo):
     if name == "zero":
         return lambda pts: np.zeros(np.asarray(pts).shape[:-1])
     if name == "manufactured":
-        return poisson_benchmark().parametric_load(geo)
+        return manufactured.parametric_load(geo)
     raise ConfigError("unknown load %r (one|zero|manufactured)" % name)
 
 
@@ -169,10 +169,21 @@ def _solve(cfg, system, precond, tol_rel, restarts):
     return x, report
 
 
+def _spaces(p, n_el, bcs):
+    """One SplineSpace1D per direction, with the boundary conditions bcs;
+    a space that keeps no basis function (p = 1 on one element between
+    two Dirichlet ends) is a ConfigError."""
+    spaces = tuple(SplineSpace1D(p, n_el, bc) for bc in bcs)
+    for space in spaces:
+        if space.n < 1:
+            raise ConfigError("%r keeps no basis function" % space)
+    return spaces
+
+
 def _scalar_cell(cfg, geo, p, n_el, tol_rel, restarts=0):
     """Assemble, precondition and solve one scalar Poisson problem with
     load [problem] load.  Returns (x, SolveReport, preconditioner)."""
-    spaces = tuple(SplineSpace1D(p, n_el, DD) for _ in range(3))
+    spaces = _spaces(p, n_el, (DD, DD, DD))
     f = _load_function(cfg, geo)
     system = assemble_system(spaces, geo, f, _assembly_eps(tol_rel))
     precond = _scalar_preconditioner(cfg, spaces)
@@ -193,11 +204,7 @@ def _column_cell(cfg, geo, p, n_el, tol_rel, restarts=0):
         raise ConfigError("elasticity load must have three components")
     top = _get(cfg, "elasticity", "top_value", float)
     eps_prec = _positive(cfg, "preconditioner", "eps", float)
-    spaces = (
-        SplineSpace1D(p, n_el, NN),
-        SplineSpace1D(p, n_el, NN),
-        SplineSpace1D(p, n_el, DD),
-    )
+    spaces = _spaces(p, n_el, (NN, NN, DD))
     system = assemble_elasticity(
         spaces,
         geo,
@@ -306,21 +313,20 @@ def cmd_convergence(cfg):
     geo = _geometry(cfg)
     p = _positive(cfg, "problem", "p", int)
     levels = _positive(cfg, "convergence", "levels", _int_list, or_zero=True)
-    bench = poisson_benchmark()
 
     rows = []
     all_converged = True
     for level in levels:
         n_el = 2 ** level
-        spaces = tuple(SplineSpace1D(p, n_el, DD) for _ in range(3))
-        f = bench.parametric_load(geo)
+        spaces = _spaces(p, n_el, (DD, DD, DD))
+        f = manufactured.parametric_load(geo)
         precond = _scalar_preconditioner(cfg, spaces)
 
         system = assemble_system(spaces, geo, f, 1e-6)
         rhs_norm = system.rhs.norm()
         boot_cfg = _tpcg_config(cfg, 1e-4 * rhs_norm)
         x, report = tpcg(system.op, system.rhs, precond, boot_cfg)
-        l2_est, _ = error_norms(x, spaces, geo, bench.u)
+        l2_est, _ = error_norms(x, spaces, geo, manufactured.u)
 
         tol_abs = l2_est / 100.0
         system = assemble_system(
@@ -329,7 +335,8 @@ def cmd_convergence(cfg):
         x, report = tpcg(system.op, system.rhs, precond, final_cfg)
         all_converged = all_converged and report.converged
 
-        l2, h1 = error_norms(x, spaces, geo, bench.u, bench.grad)
+        l2, h1 = error_norms(x, spaces, geo, manufactured.u,
+                             manufactured.grad)
         rows.append((level, n_el, l2, h1))
 
     lines = ["level,n_el,l2_error,h1_error,l2_rate,h1_rate"]

@@ -4,60 +4,58 @@ The field u = (x^2+y^2-1)(x^2+y^2-4) sin(pi z) sin(7xy) vanishes on every
 face of the quarter annulus with radii 1..2 and height 1 (the radial
 factor kills r=1 and r=2, sin(7xy) kills the two straight sides, and
 sin(pi z) the top and bottom), so the associated Poisson problem has
-homogeneous Dirichlet data everywhere.  The load is derived symbolically
-and compiled once on first use.
+homogeneous Dirichlet data everywhere.
+
+With s = x^2+y^2, A = (s-1)(s-4), S = sin(7xy), C = cos(7xy) and
+Z = sin(pi z): grad A = 2(2s-5)(x, y), lap A = 16s-20, grad S = 7C(y, x)
+and lap S = -49 s S, so
+
+    -lap u = Z [(49 s + pi^2) A S - (16s-20) S - 56 xy (2s-5) C].
+
+The functions below spell u, grad u and -lap u term by term in the order
+sympy's expansion gives them, which reproduces its values bit for bit; a
+regrouped form such as the one above differs in the last bit, which would
+move the convergence CSV digits.
+All take points of shape (..., 3).
 """
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
+from numpy import cos, pi, sin
 
 
-@dataclass(frozen=True)
-class ManufacturedSolution:
-    """Exact solution, physical gradient, and matching Poisson load.
-
-    All three are vectorized over point arrays of shape (..., 3); ``grad``
-    returns shape (..., 3).
-    """
-
-    u: object
-    grad: object
-    f: object
-
-    def parametric_load(self, geo):
-        """The load pulled back to the parametric cube through ``geo``."""
-        return lambda etas: self.f(geo.F(etas))
+def _terms(pts):
+    """x, y, z and the factors s-1, s-4, sin(7xy), sin(pi z)."""
+    x, y, z = np.moveaxis(np.asarray(pts, dtype=float), -1, 0)
+    return (x, y, z, x**2 + y**2 - 1, x**2 + y**2 - 4, sin(7*x*y),
+            sin(pi*z))
 
 
-@functools.lru_cache(maxsize=1)
-def poisson_benchmark():
-    import sympy as sym
+def u(pts):
+    """The exact solution, shape (...)."""
+    _, _, _, a1, a4, S, Z = _terms(pts)
+    return a4*a1*Z*S
 
-    x, y, z = sym.symbols("x y z")
-    r2 = x**2 + y**2
-    u = (r2 - 1) * (r2 - 4) * sym.sin(sym.pi * z) * sym.sin(7 * x * y)
-    grad = [sym.diff(u, v) for v in (x, y, z)]
-    f = -sum(sym.diff(g, v) for g, v in zip(grad, (x, y, z)))
 
-    u_fn = sym.lambdify((x, y, z), u, modules="numpy")
-    g_fn = [sym.lambdify((x, y, z), g, modules="numpy") for g in grad]
-    f_fn = sym.lambdify((x, y, z), sym.simplify(f), modules="numpy")
+def grad(pts):
+    """The physical gradient of u, shape (..., 3)."""
+    x, y, z, a1, a4, S, Z = _terms(pts)
+    C = cos(7*x*y)
+    return np.stack([
+        2*x*a4*Z*S + 2*x*a1*Z*S + 7*y*a4*a1*Z*C,
+        7*x*a4*a1*Z*C + 2*y*a4*Z*S + 2*y*a1*Z*S,
+        pi*a4*a1*S*cos(pi*z),
+    ], axis=-1)
 
-    def split(pts):
-        pts = np.asarray(pts, dtype=float)
-        return pts[..., 0], pts[..., 1], pts[..., 2]
 
-    def u_eval(pts):
-        return u_fn(*split(pts))
+def load(pts):
+    """The Poisson load -lap u, shape (...)."""
+    x, y, _, a1, a4, S, Z = _terms(pts)
+    C = cos(7*x*y)
+    return (49*x**2*a4*a1*S - 8*x**2*S - 56*x*y*a4*C - 56*x*y*a1*C
+            + 49*y**2*a4*a1*S - 8*y**2*S - 4*a1*S - 4*a4*S
+            + pi**2*a4*a1*S)*Z
 
-    def grad_eval(pts):
-        xs = split(pts)
-        return np.stack([np.broadcast_to(g(*xs), xs[0].shape) for g in g_fn],
-                        axis=-1)
 
-    def f_eval(pts):
-        return f_fn(*split(pts))
-
-    return ManufacturedSolution(u_eval, grad_eval, f_eval)
+def parametric_load(geo):
+    """The load pulled back to the parametric cube through ``geo``."""
+    return lambda etas: load(geo.F(etas))

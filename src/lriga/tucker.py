@@ -151,13 +151,6 @@ class TuckerTensor3:
         return tucker_scale(self, a)
 
 
-def from_dense(X):
-    """Wrap a dense tensor as a full-rank Tucker tensor (identity factors)."""
-    X = np.asarray(X, dtype=float)
-    assert X.ndim == 3
-    return TuckerTensor3(X.copy(), tuple(np.eye(n) for n in X.shape))
-
-
 def to_dense(x):
     """Expand a Tucker tensor to a dense ndarray.
 

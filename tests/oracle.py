@@ -8,10 +8,17 @@ solver itself never imports this module.
 import numpy as np
 
 from lriga.bsplines import gauss_rule
-from lriga.tucker import MemoryGuardError
+from lriga.tucker import MemoryGuardError, TuckerTensor3
 
 #: Largest vec-space dimension the dense expansions will build.
 ORACLE_GUARD = 4096
+
+
+def from_dense(X):
+    """Wrap a dense tensor as a full-rank Tucker tensor (identity factors)."""
+    X = np.asarray(X, dtype=float)
+    assert X.ndim == 3
+    return TuckerTensor3(X.copy(), tuple(np.eye(n) for n in X.shape))
 
 
 def _densify(C):

@@ -24,7 +24,7 @@ from lriga.elasticity import (
 from lriga.expsum import build_exp_sum
 from lriga.fastdiag import build_lowrank_fd
 from lriga.geometry import get_geometry
-from lriga.manufactured import poisson_benchmark
+from lriga import manufactured as bench
 from oracle import dense_operator
 from lriga.tpcg import TpcgConfig, error_norms, tpcg
 from lriga.tucker import (
@@ -161,7 +161,6 @@ def test_criterion_05_annulus_iteration_sweep():
 
 def _convergence_errors(p, levels):
     geo = get_geometry("quarter_annulus")
-    bench = poisson_benchmark()
     out = []
     for level in levels:
         n_el = 2 ** level

@@ -49,6 +49,15 @@ def test_bad_space_arguments_raise(args, named):
         SplineSpace1D(*args)
 
 
+def test_one_linear_element_keeps_what_its_ends_leave():
+    # one linear element has two functions and two Dirichlet ends remove
+    # both; the space stays valid for the full-basis routines, and the CLI
+    # refuses it as a configuration
+    assert SplineSpace1D(1, 1).n == 0
+    assert SplineSpace1D(1, 1, (BC_NEUMANN, BC_DIRICHLET)).n == 1
+    assert SplineSpace1D(2, 1).n == 1
+
+
 def test_partition_of_unity_and_nonnegativity():
     rng = np.random.default_rng(20)
     for p in range(1, 6):

@@ -354,6 +354,17 @@ def test_out_of_range_value_is_config_error(argv, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--p", "1", "--n-el", "1"],
+    ["elasticity", "--p", "1", "--n-el", "1", "--lam", "0.5", "--mu", "0.4"],
+    ["convergence", "--p", "1", "--levels", "0"],
+], ids=["solve", "elasticity", "convergence"])
+def test_space_with_no_kept_function_is_config_error(argv, capsys):
+    # p = 1 on one element with two Dirichlet ends keeps no basis function
+    assert run(argv) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_table_mode_checks_lame_parameters(tmp_path, capsys):
     cfg = tmp_path / "tables.ini"
     cfg.write_text(

@@ -17,10 +17,9 @@ from lriga.fastdiag import build_lowrank_fd
 from lriga.geometry import get_geometry
 from lriga.tpcg import TpcgConfig, tpcg
 from lriga import tucker
-from oracle import kron3
+from oracle import from_dense, kron3
 from lriga.tucker import (
     TuckerOperator3,
-    from_dense,
     identity,
     to_dense,
     tucker_zero,

@@ -1,10 +1,12 @@
 """Static checks of the package source: no module imports a name it never
 uses, nothing is defined that neither the package nor the benchmark
-refers to, and importing the package loads no optional heavy module."""
+refers to, the third-party packages it imports are the declared
+dependencies, and importing the package loads no optional heavy module."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -122,19 +124,71 @@ def test_dead_code_checker_flags_unreferenced():
 
 
 def test_no_code_without_a_caller():
-    # code that only tests use belongs in tests/
-    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    # code that only tests use belongs in tests/; a re-export in the
+    # package __init__ is not a caller
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"]
     bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
     assert unreferenced(sources, bench) == []
 
 
-def test_import_does_not_load_scipy_optimize():
+def third_party_imports(sources):
+    """Top-level names of the absolute imports in ``sources`` that are not
+    in the standard library."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def declared_dependencies(pyproject):
+    """Package names in the ``dependencies`` list of a pyproject.toml text,
+    read without tomllib, which Python 3.10 lacks."""
+    block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", pyproject,
+                      re.MULTILINE | re.DOTALL).group(1)
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
+            for spec in re.findall(r'"([^"]*)"', block)}
+
+
+def test_dependency_checkers_skip_stdlib_relative_and_extras():
+    source = (
+        "import os.path\n"
+        "import numpy as np\n"
+        "from scipy.linalg import eigh\n"
+        "from . import tucker\n"
+        "from .geometry import metric_data\n"
+    )
+    assert third_party_imports([source]) == {"numpy", "scipy"}
+    pyproject = (
+        '[project]\ndependencies = [\n    "NumPy>=1.24",\n    "scipy",\n]\n'
+        '[project.optional-dependencies]\ntest = ["pytest>=7"]\n'
+    )
+    assert declared_dependencies(pyproject) == {"numpy", "scipy"}
+
+
+def test_declared_dependencies_match_imports():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    declared = declared_dependencies((ROOT / "pyproject.toml").read_text())
+    assert third_party_imports(sources) == declared == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("code, module", [
     # scipy.optimize (about 15 MB) serves only the exponential-sum fit,
     # which a solve below the memory guard never runs
+    ("import lriga", "scipy.optimize"),
+    # the manufactured solution is closed-form numpy
+    ("import numpy, lriga.cli, lriga.manufactured as m; "
+     "m.load(numpy.ones((2, 3)))", "sympy"),
+], ids=["scipy.optimize", "sympy"])
+def test_import_does_not_load(code, module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    code = "import sys, lriga; print('scipy.optimize' in sys.modules)"
+    code = "import sys; %s; print(%r in sys.modules)" % (code, module)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"

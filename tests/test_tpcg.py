@@ -15,7 +15,7 @@ from lriga.bsplines import (
 from lriga.eigen import approx_eigen
 from lriga.fastdiag import build_lowrank_fd
 from lriga.geometry import get_geometry
-from lriga.manufactured import poisson_benchmark
+from lriga import manufactured as bench
 from oracle import dense_operator
 from lriga.tpcg import (
     SolveReport,
@@ -279,7 +279,6 @@ def test_error_norms_zero_vs_zero():
 
 
 def test_manufactured_error_drops_with_refinement():
-    bench = poisson_benchmark()
     geo = get_geometry("quarter_annulus")
     errs = []
     for n_el in (8, 16):

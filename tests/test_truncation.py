@@ -8,7 +8,6 @@ from lriga.elasticity import BlockTuckerVector
 from lriga.truncation import sthosvd, truncate_dynamic, truncate_rel
 from lriga.tucker import (
     TuckerTensor3,
-    from_dense,
     identity,
     to_dense,
     tucker_add,
@@ -17,6 +16,7 @@ from lriga.tucker import (
     vec,
 )
 
+from oracle import from_dense
 from util import random_operator, random_tucker, sthosvd_full_svd
 
 

@@ -7,7 +7,6 @@ from lriga.tucker import (
     MemoryGuardError,
     TuckerTensor3,
     compression_percent,
-    from_dense,
     identity,
     mode_product,
     multi_mode_product,
@@ -21,7 +20,7 @@ from lriga.tucker import (
     tucker_zero,
     vec,
 )
-from oracle import dense_operator, kron3
+from oracle import dense_operator, from_dense, kron3
 
 from util import random_operator, random_tucker, unvec
 

@@ -13,12 +13,13 @@ from lriga.truncation import _truncation_rank
 from lriga.tucker import (
     TuckerOperator3,
     TuckerTensor3,
-    from_dense,
     mode_product,
     multi_mode_product,
     to_dense,
     tucker_zero,
 )
+
+from oracle import from_dense
 
 
 def unvec(x, dims):
