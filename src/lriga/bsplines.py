@@ -176,10 +176,6 @@ class QuadratureRule1D:
     points: np.ndarray  # (n_el, q)
     weights: np.ndarray  # (n_el, q)
 
-    @property
-    def q(self):
-        return self.points.shape[1]
-
 
 @functools.lru_cache(maxsize=None)
 def gauss_rule(n_el, q):

@@ -19,6 +19,7 @@ from .assembly import assemble_system
 from .bsplines import BC_DIRICHLET, BC_NEUMANN, SplineSpace1D, assemble_pencil
 from .eigen import approx_eigen
 from .elasticity import assemble_elasticity, block_preconditioner
+from .expsum import ExpSumError
 from .fastdiag import build_lowrank_fd
 from .geometry import GeometryError, get_geometry
 from . import manufactured
@@ -41,7 +42,6 @@ DEFAULTS = {
         "n_el": "16",
         "load": "one",
         "tol": "1e-6",
-        "restarts": "0",
     },
     "truncation": {"max_iterations": "100"},
     "preconditioner": {"eps": "1e-1"},
@@ -142,11 +142,6 @@ def _load_function(cfg, geo):
     raise ConfigError("unknown load %r (one|zero|manufactured)" % name)
 
 
-def _tpcg_config(cfg, tol_abs):
-    return TpcgConfig(tol=tol_abs, max_iterations=_positive(
-        cfg, "truncation", "max_iterations", int, or_zero=True))
-
-
 def _assembly_eps(tol_rel):
     """Separable-fit tolerance of a solve to tol_rel: a tenth of it, and
     at least 1e-12."""
@@ -159,14 +154,12 @@ def _scalar_preconditioner(cfg, spaces):
     return build_lowrank_fd(eigs, eps_prec)
 
 
-def _solve(cfg, system, precond, tol_rel, restarts):
-    """TPCG to tol_rel * |rhs|, restarted from the iterate after a breakdown."""
-    tpcg_cfg = _tpcg_config(cfg, tol_rel * system.rhs.norm())
-    x, report = tpcg(system.op, system.rhs, precond, tpcg_cfg)
-    while report.breakdown and restarts > 0:
-        restarts -= 1
-        x, report = tpcg(system.op, system.rhs, precond, tpcg_cfg, x0=x)
-    return x, report
+def _solve(cfg, system, precond, tol_abs):
+    """TPCG on system to the absolute residual tol_abs, within
+    [truncation] max_iterations.  Returns (x, SolveReport)."""
+    tpcg_cfg = TpcgConfig(tol=tol_abs, max_iterations=_positive(
+        cfg, "truncation", "max_iterations", int, or_zero=True))
+    return tpcg(system.op, system.rhs, precond, tpcg_cfg)
 
 
 def _spaces(p, n_el, bcs):
@@ -180,18 +173,18 @@ def _spaces(p, n_el, bcs):
     return spaces
 
 
-def _scalar_cell(cfg, geo, p, n_el, tol_rel, restarts=0):
+def _scalar_cell(cfg, geo, p, n_el, tol_rel):
     """Assemble, precondition and solve one scalar Poisson problem with
     load [problem] load.  Returns (x, SolveReport, preconditioner)."""
     spaces = _spaces(p, n_el, (DD, DD, DD))
     f = _load_function(cfg, geo)
     system = assemble_system(spaces, geo, f, _assembly_eps(tol_rel))
     precond = _scalar_preconditioner(cfg, spaces)
-    x, report = _solve(cfg, system, precond, tol_rel, restarts)
+    x, report = _solve(cfg, system, precond, tol_rel * system.rhs.norm())
     return x, report, precond
 
 
-def _column_cell(cfg, geo, p, n_el, tol_rel, restarts=0):
+def _column_cell(cfg, geo, p, n_el, tol_rel):
     """Assemble, precondition and solve the elasticity column: sides free,
     bottom clamped, top displaced by [elasticity] top_value, load
     [elasticity] load.  Returns (x, SolveReport, preconditioner)."""
@@ -215,7 +208,7 @@ def _column_cell(cfg, geo, p, n_el, tol_rel, restarts=0):
         dirichlet=((2, 2, 0, 0.0), (2, 2, 1, top)),
     )
     precond = block_preconditioner(spaces, lam, mu, eps_prec)
-    x, report = _solve(cfg, system, precond, tol_rel, restarts)
+    x, report = _solve(cfg, system, precond, tol_rel * system.rhs.norm())
     return x, report, precond
 
 
@@ -238,8 +231,7 @@ def _run_one(cfg, command, cell):
     p = _positive(cfg, "problem", "p", int)
     n_el = _positive(cfg, "problem", "n_el", int)
     tol_rel = _positive(cfg, "problem", "tol", float)
-    restarts = _positive(cfg, "problem", "restarts", int, or_zero=True)
-    x, report, _ = cell(cfg, geo, p, n_el, tol_rel, restarts)
+    x, report, _ = cell(cfg, geo, p, n_el, tol_rel)
     buf = io.StringIO()
     report.to_csv(buf)
     _emit(buf.getvalue(), cfg["output"]["csv"].strip())
@@ -324,15 +316,13 @@ def cmd_convergence(cfg):
 
         system = assemble_system(spaces, geo, f, 1e-6)
         rhs_norm = system.rhs.norm()
-        boot_cfg = _tpcg_config(cfg, 1e-4 * rhs_norm)
-        x, report = tpcg(system.op, system.rhs, precond, boot_cfg)
+        x, report = _solve(cfg, system, precond, 1e-4 * rhs_norm)
         l2_est, _ = error_norms(x, spaces, geo, manufactured.u)
 
         tol_abs = l2_est / 100.0
         system = assemble_system(
             spaces, geo, f, _assembly_eps(tol_abs / rhs_norm))
-        final_cfg = _tpcg_config(cfg, tol_abs)
-        x, report = tpcg(system.op, system.rhs, precond, final_cfg)
+        x, report = _solve(cfg, system, precond, tol_abs)
         all_converged = all_converged and report.converged
 
         l2, h1 = error_norms(x, spaces, geo, manufactured.u,
@@ -385,7 +375,6 @@ P = ("--p", "problem.p", int, "spline degree")
 N_EL = ("--n-el", "problem.n_el", int, "elements per direction")
 TOL = ("--tol", "problem.tol", float, "relative residual target")
 LOAD = ("--load", "problem.load", str, "one|zero|manufactured")
-RESTARTS = ("--restarts", "problem.restarts", int, "restarts after breakdown")
 SOLVER = [
     ("--eps-prec", "preconditioner.eps", float, "low-rank inverse accuracy"),
     ("--max-iterations", "truncation.max_iterations", int, None),
@@ -397,10 +386,10 @@ SWEEP_P = ("--sweep-p", "sweep.p", str, "p grid, e.g. 2,3")
 LAM = ("--lam", "elasticity.lam", float, "first Lame coefficient")
 MU = ("--mu", "elasticity.mu", float, "second Lame coefficient")
 FLAGS = {
-    "solve": [GEOMETRY, P, N_EL, TOL, LOAD, RESTARTS] + SOLVER,
+    "solve": [GEOMETRY, P, N_EL, TOL, LOAD] + SOLVER,
     "convergence": [GEOMETRY, P, LEVELS] + SOLVER,
     "precond-study": [GEOMETRY, TOL, LOAD, SWEEP_N_EL, SWEEP_P] + SOLVER,
-    "elasticity": [GEOMETRY, P, N_EL, TOL, RESTARTS, LAM, MU] + SOLVER,
+    "elasticity": [GEOMETRY, P, N_EL, TOL, LAM, MU] + SOLVER,
 }
 COMMANDS = {
     "solve": (cmd_solve, "single scalar benchmark solve"),
@@ -450,8 +439,13 @@ def main(argv=None):
             return EXIT_CONFIG
         return COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
+        message = str(exc)
+    except ExpSumError as exc:
+        # no exponential sum of at most expsum.R_CAP terms meets the target
+        message = "[preconditioner] eps = %s cannot be met: %s" % (
+            cfg["preconditioner"]["eps"].strip(), exc)
+    print("config error: %s" % message, file=sys.stderr)
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

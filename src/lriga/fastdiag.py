@@ -149,14 +149,17 @@ def build_lowrank_fd(eigs, eps_rel, weights=None):
             (the separable-coefficient case, e.g. elasticity diagonal blocks).
 
     Raises:
-        FastDiagError: on a negative eigenvalue or a non-positive sum.
+        FastDiagError: on a direction with no eigenvalue (a space that keeps
+            no basis function), a negative eigenvalue or a non-positive sum.
         ValueError: if eps_rel <= 0.
         ExpSumError: if the rank floor exceeds ``expsum.R_CAP``.
     """
     if weights is None:
         weights = (1.0, 1.0, 1.0)
     lam = [w * np.asarray(e.lambdas, dtype=float) for w, e in zip(weights, eigs)]
-    for v in lam:
+    for k, v in enumerate(lam):
+        if v.size == 0:
+            raise FastDiagError("direction %d keeps no basis function" % k)
         if np.min(v) < -1e-12 * max(np.max(v), 1.0):
             raise FastDiagError("negative eigenvalue in a direction pencil")
     P = LowRankFD(list(eigs), lam, eps_rel)

@@ -113,8 +113,9 @@ class SolveReport:
                 k, self.res_norms[k], ranks, self.eps_history[k]))
 
 
-def tpcg(op, rhs, precond, cfg, x0=None):
-    """Solve op @ x = rhs with preconditioner precond; returns (x, SolveReport).
+def tpcg(op, rhs, precond, cfg):
+    """Solve op @ x = rhs with preconditioner precond from x = 0; returns
+    (x, SolveReport).
 
     One loop serves scalar and block problems: vectors are TuckerTensor3
     or BlockTuckerVector and are handled only through their vector
@@ -130,12 +131,12 @@ def tpcg(op, rhs, precond, cfg, x0=None):
     """
     t0 = time.perf_counter()
     report = SolveReport(tol=cfg.tol, rhs_norm=rhs.norm())
-    x = rhs.zeros_like() if x0 is None else x0
+    x = rhs.zeros_like()
     eps = EPS0
     scale = report.rhs_norm * precond.spectral_ratio
     eps_min = 0.1 * cfg.tol / scale if scale > 0.0 else 0.0
 
-    r = rhs if x0 is None else rhs - op.matvec(x)
+    r = rhs
     res = r.norm()
     report.record(res, x, r, r, eps)  # no direction yet: rp holds r0's rank
     k = 0

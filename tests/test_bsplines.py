@@ -159,7 +159,7 @@ def quad_oracle_matrix(space, dr, dc, wfun, q=20):
     rule = gauss_rule(space.n_el, q)
     A = np.zeros((space.n, space.n))
     for e in range(space.n_el):
-        for k in range(rule.q):
+        for k in range(rule.points.shape[1]):
             eta, wt = rule.points[e, k], rule.weights[e, k]
             vr = space.collocation_matrix([eta], deriv=dr).toarray()[0]
             vc = space.collocation_matrix([eta], deriv=dc).toarray()[0]
@@ -187,7 +187,7 @@ def test_weighted_rhs_vs_oracle():
     rule = gauss_rule(space.n_el, 20)
     ref = np.zeros(space.n)
     for e in range(space.n_el):
-        for k in range(rule.q):
+        for k in range(rule.points.shape[1]):
             eta, wt = rule.points[e, k], rule.weights[e, k]
             vals = space.collocation_matrix([eta]).toarray()[0]
             x = 2 * eta - 1

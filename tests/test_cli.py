@@ -9,12 +9,16 @@ import pytest
 
 import lriga
 from lriga import cli
+from lriga.assembly import assemble_system
 from lriga.cli import (
+    EXIT_BREAKDOWN,
     EXIT_CONFIG,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     SCALED_DOWN_HEADER,
     main,
 )
+from lriga.tucker import TuckerOperator3
 
 
 def run(argv):
@@ -36,6 +40,31 @@ def test_solve_smoke_cube_exits_zero(tmp_path, capsys):
     final_res = float(lines[-1].split(",")[1])
     first_res = float(lines[1].split(",")[1])
     assert final_res <= 1e-6 * first_res * 10  # tol is relative to the rhs
+
+
+def test_iteration_budget_spent_exits_one(tmp_path, capsys):
+    # not the unit cube: there the exact inverse solves in one iteration
+    code = run([
+        "solve", "--geometry", "quarter_annulus", "--n-el", "4",
+        "--max-iterations", "1", "--csv", str(tmp_path / "run.csv"),
+    ])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "converged=False" in capsys.readouterr().out
+
+
+def test_breakdown_exits_three(tmp_path, monkeypatch, capsys):
+    def negated_system(*args):
+        system = assemble_system(*args)
+        system.op = TuckerOperator3(-system.op.core, system.op.factors)
+        return system
+
+    monkeypatch.setattr(cli, "assemble_system", negated_system)
+    code = run([
+        "solve", "--geometry", "unit_cube", "--p", "2", "--n-el", "4",
+        "--csv", str(tmp_path / "run.csv"),
+    ])
+    assert code == EXIT_BREAKDOWN
+    assert "iterations=0 converged=False" in capsys.readouterr().out
 
 
 def test_annulus_iterations_flat_within_band(tmp_path):
@@ -218,8 +247,9 @@ def test_unreadable_config_is_config_error(tmp_path, capsys):
     ("[truncation]\neps0 = 1e-2\n", "truncation.eps0"),
     ("[preconditioner]\nr_cap = 64\n", "preconditioner.r_cap"),
     ("[assembly]\neps = 1e-7\n", "[assembly]"),
+    ("[problem]\nrestarts = 1\n", "problem.restarts"),
 ], ids=["typo key", "unknown section", "removed eps_min", "removed eps0",
-        "removed r_cap", "removed assembly"])
+        "removed r_cap", "removed assembly", "removed restarts"])
 @pytest.mark.parametrize("top_level", [False, True],
                          ids=["subcommand -c", "top-level -c"])
 def test_unknown_config_entry_is_config_error(ini, named, top_level,
@@ -327,6 +357,8 @@ def test_subcommand_reads_every_key_its_flags_set(argv, tmp_path,
 @pytest.mark.parametrize("argv", [
     ["elasticity", "--load", "zero"],
     ["convergence", "--restarts", "3"],
+    ["solve", "--n-el", "2", "--restarts", "-2"],
+    ["elasticity", "--n-el", "2", "--restarts", "-2"],
     ["convergence", "--load", "zero"],
     ["precond-study", "--p", "2"],
     ["solve", "--out-dir", "tables"],
@@ -346,7 +378,7 @@ def test_removed_flag_is_rejected(argv, capsys):
     ["precond-study", "--sweep-n-el", "4", "--sweep-p", "0"],
     ["convergence", "--levels", "-1"],
     ["solve", "--n-el", "2", "--max-iterations", "-3"],
-    ["solve", "--n-el", "2", "--restarts", "-2"],
+    ["solve", "--n-el", "2", "--eps-prec", "0"],
     ["solve", "--n-el", "2", "--tol", "nan"],
 ])
 def test_out_of_range_value_is_config_error(argv, capsys):
@@ -363,6 +395,23 @@ def test_space_with_no_kept_function_is_config_error(argv, capsys):
     # p = 1 on one element with two Dirichlet ends keeps no basis function
     assert run(argv) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # the rank floor passes; the fit, run when R_P is read, fails
+    ["precond-study", "--sweep-n-el", "4", "--sweep-p", "2",
+     "--eps-prec", "1e-30"],
+    # the a-priori rank floor fails when the preconditioner is built
+    ["solve", "--n-el", "8", "--eps-prec", "1e-200"],
+    ["elasticity", "--n-el", "4", "--lam", "0.5", "--mu", "0.4",
+     "--eps-prec", "1e-200"],
+], ids=["precond-study", "solve", "elasticity"])
+def test_unreachable_preconditioner_eps_is_config_error(argv, tmp_path,
+                                                        capsys):
+    assert run(argv + ["--csv", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [preconditioner] eps = ")
+    assert "no exponential sum" in err
 
 
 def test_table_mode_checks_lame_parameters(tmp_path, capsys):

@@ -13,7 +13,7 @@ from lriga.bsplines import (
 from lriga.eigen import approx_eigen
 from lriga.elasticity import block_preconditioner
 from lriga.expsum import ExpSumError
-from lriga.fastdiag import build_lowrank_fd
+from lriga.fastdiag import FastDiagError, build_lowrank_fd
 from lriga.geometry import get_geometry
 from lriga.tpcg import TpcgConfig, tpcg
 from lriga import tucker
@@ -152,6 +152,17 @@ def test_expsum_failure_propagates():
     # 144 terms, above expsum.R_CAP = 128, so no fit runs
     with pytest.raises(ExpSumError):
         build_lowrank_fd(eigs, 1e-60)
+
+
+def test_direction_with_no_basis_function_raises():
+    # p = 1 on one element between two Dirichlet ends keeps no function
+    empty = SplineSpace1D(1, 1, bc=(D, D))
+    none = approx_eigen(empty, assemble_pencil(empty))
+    some = _eigs(*_cube(2, 4))[0]
+    with pytest.raises(FastDiagError, match="direction 2 keeps no basis"):
+        build_lowrank_fd([some, some, none], 1e-1)
+    with pytest.raises(FastDiagError, match="direction 0 keeps no basis"):
+        build_lowrank_fd([none] * 3, 1e-1)
 
 
 def test_bad_eps_rel_raises_at_construction():

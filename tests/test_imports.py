@@ -75,32 +75,38 @@ def definitions(source):
 
 
 def references(source, strings=False):
-    """Every name ``source`` reads, as a name, an attribute or an import
-    alias; with ``strings``, its string constants too (the benchmark names
-    the functions it times by string)."""
-    refs = set()
+    """(names, attributes) that ``source`` reads: names are read as a
+    name or an import alias, attributes after a dot; with ``strings``, its
+    string constants count as both (the benchmark names the functions it
+    times by string)."""
+    names, attrs = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
-            refs.update({node.name, node.asname})
+            names.update({node.name, node.asname})
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
-            refs.add(node.value)
-    return refs
+            names.add(node.value)
+            attrs.add(node.value)
+    return names, attrs
 
 
 def unreferenced(sources, bench_sources=()):
-    """Qualified names defined in ``sources`` that no source refers to."""
-    refs = set()
-    for source in sources:
-        refs |= references(source)
-    for source in bench_sources:
-        refs |= references(source, strings=True)
+    """Qualified names defined in ``sources`` that no source refers to.
+
+    A function or class counts as referred to by any read of its name, a
+    method or property only by an attribute read or a benchmark string: a
+    local variable of the same name does not call it."""
+    refs = [references(source) for source in sources]
+    refs += [references(source, strings=True) for source in bench_sources]
+    attrs = set().union(*(a for _, a in refs))
+    either = attrs.union(*(n for n, _ in refs))
     return [qual for source in sources
-            for qual, name in definitions(source) if name not in refs]
+            for qual, name in definitions(source)
+            if name not in (attrs if "." in qual else either)]
 
 
 def test_dead_code_checker_flags_unreferenced():
@@ -112,15 +118,19 @@ def test_dead_code_checker_flags_unreferenced():
         "        return helper()\n"
         "    def never(self):\n"
         "        pass\n"
+        "    def shadowed(self):\n"
+        "        pass\n"
         "def helper():\n"
-        "    return Used().called()\n"
+        "    shadowed = 1\n"
+        "    return Used().called() + shadowed\n"
         "def timed():\n"
         "    pass\n"
         "def orphan():\n"
         "    pass\n"
     )
     bench = 'TARGETS = [("pkg.mod", "timed")]\n'
-    assert unreferenced([source], [bench]) == ["Used.never", "orphan"]
+    assert unreferenced([source], [bench]) == [
+        "Used.never", "Used.shadowed", "orphan"]
 
 
 def test_no_code_without_a_caller():

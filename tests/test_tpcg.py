@@ -24,6 +24,7 @@ from lriga.tpcg import (
     tpcg,
 )
 from lriga.tucker import (
+    TuckerOperator3,
     TuckerTensor3,
     compression_percent,
     to_dense,
@@ -194,6 +195,20 @@ def test_nonconvergence_is_flagged():
     x, report = tpcg(system.op, system.rhs, lowrank_pc(spaces), cfg)
     assert not report.converged
     assert report.iterations == 2
+
+
+def test_negative_operator_is_a_breakdown():
+    # -A has p^T (-A) p < 0 on the first direction: flagged, not raised
+    spaces = make_spaces(2, 4)
+    system = assemble_system(spaces, get_geometry("unit_cube"), one, 1e-7)
+    negated = TuckerOperator3(-system.op.core, system.op.factors)
+    cfg = TpcgConfig.relative(1e-6, system.rhs.norm())
+    x, report = tpcg(negated, system.rhs, lowrank_pc(spaces), cfg)
+    assert report.breakdown
+    assert not report.converged
+    assert report.iterations == 0
+    assert len(report.res_norms) == 1
+    assert x.norm() == 0.0
 
 
 def test_csv_round_trip():
