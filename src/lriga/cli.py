@@ -95,11 +95,14 @@ def _get(cfg, section, key, conv):
     if raw == "":
         raise ConfigError("missing required key [%s] %s" % (section, key))
     try:
-        return conv(raw)
+        value = conv(raw)
+        if not np.all(np.isfinite(value)):
+            raise ValueError("not finite")
     except ValueError as exc:
         raise ConfigError(
             "bad value for [%s] %s: %r (%s)" % (section, key, raw, exc)
         )
+    return value
 
 
 def _positive(cfg, section, key, conv, or_zero=False):
@@ -174,20 +177,18 @@ def _spaces(p, n_el, bcs):
 
 
 def _scalar_cell(cfg, geo, p, n_el, tol_rel):
-    """Assemble, precondition and solve one scalar Poisson problem with
-    load [problem] load.  Returns (x, SolveReport, preconditioner)."""
+    """Assemble and precondition one scalar Poisson problem with load
+    [problem] load.  Returns (system, preconditioner)."""
     spaces = _spaces(p, n_el, (DD, DD, DD))
     f = _load_function(cfg, geo)
     system = assemble_system(spaces, geo, f, _assembly_eps(tol_rel))
-    precond = _scalar_preconditioner(cfg, spaces)
-    x, report = _solve(cfg, system, precond, tol_rel * system.rhs.norm())
-    return x, report, precond
+    return system, _scalar_preconditioner(cfg, spaces)
 
 
 def _column_cell(cfg, geo, p, n_el, tol_rel):
-    """Assemble, precondition and solve the elasticity column: sides free,
-    bottom clamped, top displaced by [elasticity] top_value, load
-    [elasticity] load.  Returns (x, SolveReport, preconditioner)."""
+    """Assemble and precondition the elasticity column: sides free, bottom
+    clamped, top displaced by [elasticity] top_value, load [elasticity]
+    load.  Returns (system, preconditioner)."""
     lam = _get(cfg, "elasticity", "lam", float)
     mu = _get(cfg, "elasticity", "mu", float)
     if lam < 0 or mu <= 0:
@@ -207,9 +208,7 @@ def _column_cell(cfg, geo, p, n_el, tol_rel):
         _assembly_eps(tol_rel),
         dirichlet=((2, 2, 0, 0.0), (2, 2, 1, top)),
     )
-    precond = block_preconditioner(spaces, lam, mu, eps_prec)
-    x, report = _solve(cfg, system, precond, tol_rel * system.rhs.norm())
-    return x, report, precond
+    return system, block_preconditioner(spaces, lam, mu, eps_prec)
 
 
 def _emit(text, path):
@@ -231,7 +230,8 @@ def _run_one(cfg, command, cell):
     p = _positive(cfg, "problem", "p", int)
     n_el = _positive(cfg, "problem", "n_el", int)
     tol_rel = _positive(cfg, "problem", "tol", float)
-    x, report, _ = cell(cfg, geo, p, n_el, tol_rel)
+    system, precond = cell(cfg, geo, p, n_el, tol_rel)
+    x, report = _solve(cfg, system, precond, tol_rel * system.rhs.norm())
     buf = io.StringIO()
     report.to_csv(buf)
     _emit(buf.getvalue(), cfg["output"]["csv"].strip())
@@ -250,8 +250,9 @@ def _run_one(cfg, command, cell):
 
 def _sweep(cfg, cell, geo, columns):
     """Solve cell over the [sweep] grid, p outer and n_el inner, at
-    [problem] tol.  columns is (CSV header, row) and row(n_el, p, report,
-    precond) formats one line.  Returns (CSV lines, all converged)."""
+    [problem] tol.  columns is (CSV header, row): row(n_el, p, precond),
+    read before the solve (so an unfittable sum fails first), returns the
+    report's line formatter.  Returns (CSV lines, all converged)."""
     header, row = columns
     n_els = _positive(cfg, "sweep", "n_el", _int_list)
     ps = _positive(cfg, "sweep", "p", _int_list)
@@ -260,20 +261,23 @@ def _sweep(cfg, cell, geo, columns):
     ok = True
     for p in ps:
         for n_el in n_els:
-            _, report, precond = cell(cfg, geo, p, n_el, tol_rel)
-            lines.append(row(n_el, p, report, precond))
+            system, precond = cell(cfg, geo, p, n_el, tol_rel)
+            line = row(n_el, p, precond)
+            _, report = _solve(cfg, system, precond,
+                               tol_rel * system.rhs.norm())
+            lines.append(line(report))
             ok = ok and report.converged
     return lines, ok
 
 
-def _precond_row(n_el, p, report, precond):
-    return "%d,%d,%.17g,%d,%.17g,%d" % (
-        n_el, p, precond.spectral_ratio, precond.R, precond.expsum.error,
-        report.iterations)
+def _precond_row(n_el, p, precond):
+    head = "%d,%d,%.17g,%d,%.17g" % (
+        n_el, p, precond.spectral_ratio, precond.R, precond.expsum.error)
+    return lambda rep: "%s,%d" % (head, rep.iterations)
 
 
-def _iterations_row(n_el, p, report, precond):
-    return "%d,%d,%d,%s" % (n_el, p, report.iterations, report.converged)
+def _iterations_row(n_el, p, precond):
+    return lambda rep: "%d,%d,%d,%s" % (n_el, p, rep.iterations, rep.converged)
 
 
 PRECOND = ("n_el,p,M_P,R_P,expsum_error,iterations", _precond_row)

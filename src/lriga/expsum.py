@@ -13,9 +13,8 @@ operators built from the sum stay positive definite) while roughly
 halving the number of terms needed for a given accuracy; terms whose
 fitted weight is exactly zero are dropped.  For each candidate rank the
 node interval is tuned by a small deterministic grid search; a rank passes
-when the measured sup-error meets the target and a finer grid confirms it.
-That fine check evaluates the sum at 100,000 points in blocks of
-BLOCK_ROWS rows, so its memory does not grow with the grid.
+when the measured sup-error meets the target and a finer grid of
+100,000 points confirms it.
 
 The accepted rank is the smallest passing one, found by a walk that
 starts at a predicted rank instead of trying every rank.  The rank an
@@ -73,38 +72,11 @@ class ExpSum:
         return len(self.weights)
 
     def __call__(self, lam):
-        lam = np.ravel(np.asarray(lam, dtype=float))
-        out = np.empty(lam.size)
-        for rows, values in _blocks(lam, self.weights, self.exponents):
-            out[rows] = values
-        return out
+        return np.exp(-np.outer(lam, self.exponents)) @ self.weights
 
 
-#: Rows of lambda evaluated at a time: the scratch of an evaluation is at
-#: most BLOCK_ROWS x R (1.3 MB at R = 40) however long the sample is.
+#: Rows per block of the fine check, whose scratch is BLOCK_ROWS x R at most.
 BLOCK_ROWS = 4096
-
-
-def _blocks(lam, weights, exponents):
-    """The sum at the 1-D sample lam, as ``(rows, values)`` pairs of at most
-    BLOCK_ROWS rows.
-
-    A block is exponentiated in place and reduced by one GEMV.  The GEMV
-    kernel sums groups of four rows in one order and leftover rows in
-    another, so blocks start at multiples of four, and a last row on its
-    own (which numpy hands to BLAS dot) joins the block before it; then
-    every value has the bits of the unblocked
-    ``exp(-outer(lam, exponents)) @ weights`` with one BLAS thread.
-    Negating the exponents before the outer product rounds like negating
-    after it.
-    """
-    start = 0
-    while start < lam.size:
-        stop = start + BLOCK_ROWS + (lam.size - start == BLOCK_ROWS + 1)
-        rows = slice(start, stop)
-        E = np.outer(lam[rows], -exponents)
-        yield rows, np.exp(E, out=E) @ weights
-        start = stop
 
 
 def _check_grid(M, n):
@@ -113,14 +85,21 @@ def _check_grid(M, n):
 
 
 def _sup_error(weights, exponents, M, n):
-    lam, target = _check_grid(M, n)
-    # block by block, so the check's scratch stays BLOCK_ROWS x R: at
-    # n = 100,000 the whole n x R matrix of a 34-term sum takes 27 MB and
-    # set the peak memory of every run.  np.maximum keeps a NaN.
-    err = 0.0
-    for rows, values in _blocks(lam, weights, exponents):
-        values -= target[rows]
+    """Sup-error against 1/lambda on the n-point check grid, BLOCK_ROWS rows
+    at a time (at n = 100,000 one n x R matrix of a 34-term sum is 27 MB).
+    The GEMV kernel sums groups of four rows in one order and leftover rows
+    in another, so blocks start at multiples of four and a lone last row
+    (numpy hands it to BLAS dot) joins the block before it: with one BLAS
+    thread each value has the bits of ``ExpSum.__call__``.  np.maximum
+    keeps a NaN."""
+    lam = np.logspace(0.0, np.log10(M), n)
+    err, start = 0.0, 0
+    while start < n:
+        stop = start + BLOCK_ROWS + (n - start == BLOCK_ROWS + 1)
+        E = np.outer(lam[start:stop], -exponents)
+        values = np.exp(E, out=E) @ weights - 1.0 / lam[start:stop]
         err = np.maximum(err, np.max(np.abs(values, out=values)))
+        start = stop
     return float(err)
 
 
@@ -193,9 +172,7 @@ def build_exp_sum(lam_min, lam_max, eps_rel):
     if not 0.0 < lam_min <= lam_max:
         raise ValueError("need 0 < lam_min <= lam_max, got lam_min = %r, "
                          "lam_max = %r" % (lam_min, lam_max))
-    M = lam_max / lam_min
-    rank_floor(M, eps_rel)
-    return _exp_sum(M, eps_rel)
+    return _exp_sum(lam_max / lam_min, eps_rel)
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,13 +244,12 @@ def _fit(M, eps_rel, r_cap):
     :class:`ExpSumError` when the floor exceeds ``r_cap`` or ``r_cap``
     itself fails.
     """
+    lo = rank_floor(M, eps_rel, r_cap)
     if M == 1.0:
         # single-point interval: omega e^{-alpha} = 1 exactly
-        es = ExpSum(np.array([np.e]), np.array([1.0]), 1.0, 0.0)
-        err = abs(float(es(np.array([1.0]))[0]) - 1.0)
-        return ExpSum(es.weights, es.exponents, 1.0, err)
+        w, al = np.array([np.e]), np.array([1.0])
+        return ExpSum(w, al, 1.0, _sup_error(w, al, 1.0, 1))
 
-    lo = rank_floor(M, eps_rel, r_cap)
     tau = eps_rel / M
 
     def passing(R):

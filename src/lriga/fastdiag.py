@@ -40,9 +40,8 @@ class LowRankFD:
         lam_min, lam_max: extreme eigenvalue sums (after direction weights).
         eps_rel: relative accuracy of the exponential sum.
         expsum: ExpSum approximating 1/lambda on [1, lam_max/lam_min],
-            fitted on first use, like ``R``, ``diag`` and ``core``.
-        diag: diag[i][j] = exp(-(alpha_j/lam_min) * Lambda_i), shape (R, n_i).
-        core: diagonal (R, R, R) core with entries omega_j / lam_min.
+            fitted on first use (also by reading ``R``); :meth:`apply_expsum`
+            forms its scalings and diagonal core from it on each call.
     """
 
     def __init__(self, eigs, lam, eps_rel):
@@ -59,19 +58,6 @@ class LowRankFD:
     @property
     def R(self):
         return self.expsum.R
-
-    @cached_property
-    def diag(self):
-        return [np.exp(-np.outer(self.expsum.exponents, v) / self.lam_min)
-                for v in self.lam]
-
-    @cached_property
-    def core(self):
-        R = self.R
-        core = np.zeros((R, R, R))
-        core[np.arange(R), np.arange(R), np.arange(R)] = (
-            self.expsum.weights / self.lam_min)
-        return core
 
     @property
     def dims(self):
@@ -119,12 +105,14 @@ class LowRankFD:
                 ``tucker.DENSE_GUARD``.
         """
         self._check(s)
-        factors = []
-        for i, e in enumerate(self.eigs):
-            Z = e.U.T @ s.factors[i]
-            blocks = [self.diag[i][j][:, None] * Z for j in range(self.R)]
-            factors.append(e.U @ np.hstack(blocks))
-        return _kron_image(self.core, factors, s.core)
+        es, factors = self.expsum, []
+        for e, v, F in zip(self.eigs, self.lam, s.factors):
+            d = np.exp(-np.outer(es.exponents, v) / self.lam_min)
+            Z = e.U.T @ F
+            factors.append(e.U @ np.hstack([dj[:, None] * Z for dj in d]))
+        core, j = np.zeros((es.R,) * 3), np.arange(es.R)
+        core[j, j, j] = es.weights / self.lam_min
+        return _kron_image(core, factors, s.core)
 
     def _check(self, s):
         if not isinstance(s, TuckerTensor3):
@@ -139,8 +127,8 @@ def build_lowrank_fd(eigs, eps_rel, weights=None):
 
     Stores the weighted eigenvalues and their extreme sums; the exponential
     sum is fitted only when an apply above the memory guard, or a reader of
-    ``expsum``, ``R``, ``diag`` or ``core``, first needs it.  Its a-priori
-    rank floor is checked here, so a target no sum can meet fails now.
+    ``expsum`` or ``R``, first needs it.  Its a-priori rank floor is checked
+    here, so a target no sum can meet fails now.
 
     Args:
         eigs: three eigendecompositions with .lambdas and an n x n matrix .U.

@@ -189,7 +189,8 @@ def tucker_add(x, y):
     other modes the factors are concatenated and the cores sit in the two
     diagonal blocks of the enlarged core.  No core exceeds ``n1 n2 n3``.
     """
-    assert x.dims == y.dims, "dimension mismatch: %s vs %s" % (x.dims, y.dims)
+    if x.dims != y.dims:
+        raise ValueError("dimension mismatch: %s vs %s" % (x.dims, y.dims))
     n, rx, ry = x.dims, x.rank, y.rank
     shared = [rx[k] + ry[k] >= n[k] for k in range(3)]
     core = np.zeros([n[k] if shared[k] else rx[k] + ry[k] for k in range(3)])
@@ -211,7 +212,8 @@ def tucker_inner(x, y):
     cores, never forming dense tensors; an ``identity(n)`` factor makes its
     Gram matrix the other factor (or nothing, when both are).
     """
-    assert x.dims == y.dims
+    if x.dims != y.dims:
+        raise ValueError("dimension mismatch: %s vs %s" % (x.dims, y.dims))
     grams = []
     for X, Y in zip(x.factors, y.factors):
         I = identity(len(X))

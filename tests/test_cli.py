@@ -398,7 +398,8 @@ def test_space_with_no_kept_function_is_config_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # the rank floor passes; the fit, run when R_P is read, fails
+    # the rank floor passes; the fit, run when the cell's R_P is read
+    # between its setup and its solve, fails
     ["precond-study", "--sweep-n-el", "4", "--sweep-p", "2",
      "--eps-prec", "1e-30"],
     # the a-priori rank floor fails when the preconditioner is built
@@ -407,11 +408,35 @@ def test_space_with_no_kept_function_is_config_error(argv, capsys):
      "--eps-prec", "1e-200"],
 ], ids=["precond-study", "solve", "elasticity"])
 def test_unreachable_preconditioner_eps_is_config_error(argv, tmp_path,
-                                                        capsys):
+                                                        monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("solved before the target was found unreachable")
+
+    monkeypatch.setattr(cli, "tpcg", no_solve)
     assert run(argv + ["--csv", str(tmp_path / "out.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: [preconditioner] eps = ")
     assert "no exponential sum" in err
+
+
+@pytest.mark.parametrize("argv, ini", [
+    (["solve", "--n-el", "2", "--tol", "inf"], ""),
+    (["elasticity", "--n-el", "2", "--lam", "nan", "--mu", "0.4"], ""),
+    (["elasticity", "--n-el", "2", "--lam", "0.5", "--mu", "nan"], ""),
+    (["elasticity", "--n-el", "2", "--lam", "inf", "--mu", "0.4"], ""),
+    (["elasticity", "--n-el", "2", "--lam", "0.5", "--mu", "0.4"],
+     "[elasticity]\nload = nan,0,0\n"),
+    (["elasticity", "--n-el", "2", "--lam", "0.5", "--mu", "0.4"],
+     "[elasticity]\ntop_value = nan\n"),
+], ids=["tol-inf", "lam-nan", "mu-nan", "lam-inf", "load-nan", "top-nan"])
+def test_non_finite_number_is_config_error(argv, ini, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.setattr(cli, "tpcg", None)  # rejected before any solve
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    code = run(argv + ["-c", str(cfg), "--csv", str(tmp_path / "out.csv")])
+    assert code == EXIT_CONFIG
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_table_mode_checks_lame_parameters(tmp_path, capsys):

