@@ -1,7 +1,9 @@
-"""Univariate B-spline spaces on [0,1]: open uniform knots, basis and
-derivative evaluation, Gauss quadrature, and weighted Galerkin matrices.
+"""Univariate B-spline spaces on [0,1]: open uniform knots, basis values and
+first derivatives, Gauss quadrature, and weighted Galerkin matrices.
 
-Basis functions follow the Cox-De Boor recursion (0/0 = 0 convention).
+Basis functions follow the Cox-De Boor recursion (0/0 = 0 convention).  The
+weighted matrices read one memoized table per ``(p, n_el, q)``, which every
+space of that degree and mesh shares whatever its boundary conditions.
 Weight functions for the weighted matrices are univariate polynomials given
 by Chebyshev coefficients on [0,1] via the affine pullback T_k(2*eta - 1).
 """
@@ -29,22 +31,17 @@ def find_span(p, n_el, eta):
     return np.minimum((np.asarray(eta) * n_el).astype(np.intp), n_el - 1) + p
 
 
-def basis_funs_all_ders(knots, p, etas, spans, n_ders):
-    """Values and derivatives of the p+1 basis functions active at each point.
-
-    Standard triangular-table algorithm (Piegl & Tiller, A2.3) run on arrays:
-    ``etas`` and ``spans`` have shape ``(N,)`` and every table entry holds
-    one value per point, computed by the same operations in the same order
-    as the one-point recurrence.  Returns an array of shape
-    ``(n_ders+1, p+1, N)`` whose entry ``[k, i]`` holds the k-th derivatives
-    of the i-th active function.
+def basis_funs(knots, p, etas, spans):
+    """Values and first derivatives, shape ``(2, p+1, N)``, of the p+1
+    basis functions active at each of N points (``etas``, ``spans``):
+    Piegl & Tiller's A2.3 (table and k = 1 step) run on arrays, each entry
+    computed by the same operations in the same order as for one point.
     """
     N = len(etas)
     left = np.empty((p, N))
     right = np.empty((p, N))
     ndu = np.empty((p + 1, p + 1, N))
-    a = np.empty((2, p + 1, N))
-    ders = np.zeros((n_ders + 1, p + 1, N))
+    ders = np.zeros((2, p + 1, N))
 
     ndu[0, 0] = 1.0
     for j in range(p):
@@ -59,33 +56,17 @@ def basis_funs_all_ders(knots, p, etas, spans, n_ders):
         ndu[j + 1, j + 1] = saved
 
     ders[0] = ndu[:, p]
-    ne = min(n_ders, p)
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, ne + 1):
-            d = 0.0
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
-
-    fac = float(p)
-    for k in range(1, ne + 1):
-        ders[k] *= fac
-        fac *= p - k
+    # function r: d = 1/ndu[p,r-1] * ndu[r-1,p-1] (r >= 1), then
+    # d += -1/ndu[p,r] * ndu[r,p-1] (r < p), then d *= p
+    ders[1, 1:] = 1.0 / ndu[p, :p] * ndu[:p, p - 1]
+    ders[1, :p] += -1.0 / ndu[p, :p] * ndu[:p, p - 1]
+    ders[1] *= p
     return ders
+
+
+def _check_orders(*derivs):
+    if any(d not in (0, 1) for d in derivs):
+        raise ValueError("derivative orders must be 0 or 1, got %r" % (derivs,))
 
 
 class SplineSpace1D:
@@ -121,7 +102,6 @@ class SplineSpace1D:
         )
         self.keep = slice(self.trim[0], self.full_dim - self.trim[1])
         self.n = self.full_dim - self.trim[0] - self.trim[1]
-        self._basis_cache = {}
 
     def __repr__(self):
         return "SplineSpace1D(p=%d, n_el=%d, bc=%s)" % (self.p, self.n_el, self.bc)
@@ -131,14 +111,15 @@ class SplineSpace1D:
         shape (len(etas), n).
 
         Raises:
-            ValueError: if a point lies outside [0, 1].
+            ValueError: if deriv is not 0 or 1 or a point is outside [0, 1].
         """
+        _check_orders(deriv)
         etas = np.atleast_1d(np.asarray(etas, dtype=float))
         bad = ~((etas >= 0.0) & (etas <= 1.0))
         if bad.any():
             raise ValueError("evaluation point %g outside [0, 1]" % etas[bad][0])
         spans = find_span(self.p, self.n_el, etas)
-        vals = basis_funs_all_ders(self.knots, self.p, etas, spans, deriv)[deriv].T
+        vals = basis_funs(self.knots, self.p, etas, spans)[deriv].T
         idx = spans[:, None] + np.arange(-self.p, 1)
         kept = (idx >= self.keep.start) & (idx < self.keep.stop)
         rows = np.broadcast_to(np.arange(len(etas))[:, None], idx.shape)
@@ -146,27 +127,6 @@ class SplineSpace1D:
             (vals[kept], (rows[kept], idx[kept] - self.keep.start)),
             shape=(len(etas), self.n),
         )
-
-    def element_basis(self, rule, deriv):
-        """Basis values at the rule's points, per element.
-
-        Returns:
-            ndarray of shape (n_el, q, p+1): values of the p+1 active
-            functions (full numbering, starting at element index).
-        """
-        n_el, q = rule.points.shape
-        assert n_el == self.n_el
-        key = (q, deriv, float(rule.points[0, 0]), float(rule.points[-1, -1]))
-        cached = self._basis_cache.get(key)
-        if cached is not None:
-            return cached
-        spans = np.repeat(np.arange(self.p, self.p + n_el), q)
-        ders = basis_funs_all_ders(
-            self.knots, self.p, rule.points.ravel(), spans, deriv
-        )
-        out = np.ascontiguousarray(ders[deriv].T).reshape(n_el, q, self.p + 1)
-        self._basis_cache[key] = out
-        return out
 
 
 @dataclass(frozen=True)
@@ -193,6 +153,26 @@ def gauss_rule(n_el, q):
     return QuadratureRule1D(pts, wts)
 
 
+@functools.lru_cache(maxsize=None)
+def element_basis(p, n_el, q):
+    """Basis values and first derivatives at the points of
+    ``gauss_rule(n_el, q)``, per element, on the full basis.
+
+    Memoized per process: one read-only array.
+
+    Returns:
+        ndarray of shape (2, n_el, q, p+1): derivative order, element,
+        point, and the p+1 active functions (full numbering, starting at
+        the element index).
+    """
+    spans = np.repeat(np.arange(p, p + n_el), q)
+    ders = basis_funs(open_uniform_knots(p, n_el), p,
+                      gauss_rule(n_el, q).points.ravel(), spans)
+    out = np.ascontiguousarray(ders.transpose(0, 2, 1)).reshape(2, n_el, q, p + 1)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class UnivariatePencil:
     """Univariate mass/stiffness pair (sparse, bandwidth p, symmetric)."""
@@ -201,10 +181,15 @@ class UnivariatePencil:
     K: sp.csr_matrix
 
 
-def _weight_values(rule, w_cheb):
-    if w_cheb is None:
-        return np.ones_like(rule.points)
-    return chebval(2.0 * rule.points - 1.0, np.asarray(w_cheb, dtype=float))
+def _quadrature(space, w_cheb):
+    """Rule, weight values and basis table of ``q = p + 1 + ceil(t_max/2)``
+    points per span, exact for a weight of Chebyshev degree ``t_max``."""
+    t_max = 0 if w_cheb is None else max(len(np.atleast_1d(w_cheb)) - 1, 0)
+    q = space.p + 1 + math.ceil(t_max / 2)
+    rule = gauss_rule(space.n_el, q)
+    wv = np.ones_like(rule.points) if w_cheb is None else chebval(
+        2.0 * rule.points - 1.0, np.asarray(w_cheb, dtype=float))
+    return rule, wv, element_basis(space.p, space.n_el, q)
 
 
 def assemble_weighted_matrix(space, deriv_row, deriv_col, w_cheb=None):
@@ -216,16 +201,15 @@ def assemble_weighted_matrix(space, deriv_row, deriv_col, w_cheb=None):
     ``full_dim`` square CSR matrix, which ``[space.keep, space.keep]``
     trims to the kept functions.  Quadrature order is chosen exact for
     the polynomial integrand.
-    """
-    p, n_el = space.p, space.n_el
-    t_max = 0 if w_cheb is None else max(len(np.atleast_1d(w_cheb)) - 1, 0)
-    q = p + 1 + math.ceil(t_max / 2)
-    rule = gauss_rule(n_el, q)
 
-    Br = space.element_basis(rule, deriv_row)
-    Bc = space.element_basis(rule, deriv_col)
-    wv = _weight_values(rule, w_cheb)
-    local = np.einsum("eqi,eqj,eq,eq->eij", Br, Bc, wv, rule.weights)
+    Raises:
+        ValueError: if a derivative order is not 0 or 1.
+    """
+    _check_orders(deriv_row, deriv_col)
+    p, n_el = space.p, space.n_el
+    rule, wv, B = _quadrature(space, w_cheb)
+    local = np.einsum("eqi,eqj,eq,eq->eij", B[deriv_row], B[deriv_col], wv,
+                      rule.weights)
 
     e = np.arange(n_el)[:, None, None]
     i = np.arange(p + 1)
@@ -240,15 +224,10 @@ def assemble_weighted_matrix(space, deriv_row, deriv_col, w_cheb=None):
 def assemble_weighted_rhs(space, w_cheb=None):
     """Load vector f[i] = int_0^1 w(eta) b_i(eta) deta on the full basis
     (length ``full_dim``; ``[space.keep]`` trims it)."""
-    p, n_el = space.p, space.n_el
-    t_max = 0 if w_cheb is None else max(len(np.atleast_1d(w_cheb)) - 1, 0)
-    q = p + 1 + math.ceil(t_max / 2)
-    rule = gauss_rule(n_el, q)
-    B = space.element_basis(rule, 0)
-    wv = _weight_values(rule, w_cheb)
-    local = np.einsum("eqi,eq,eq->ei", B, wv, rule.weights)
+    rule, wv, B = _quadrature(space, w_cheb)
+    local = np.einsum("eqi,eq,eq->ei", B[0], wv, rule.weights)
     f = np.zeros(space.full_dim)
-    np.add.at(f, np.arange(n_el)[:, None] + np.arange(p + 1), local)
+    np.add.at(f, np.arange(space.n_el)[:, None] + np.arange(space.p + 1), local)
     return f
 
 

@@ -150,8 +150,8 @@ def get_geometry(name):
         ) from None
 
 
-def metric_pieces(geo, etas):
-    """Vectorized J^-1 and det(J), the pieces every metric is built from.
+def checked_jacobian(geo, etas):
+    """Vectorized J and det(J).
 
     Raises:
         GeometryError: if det(J) <= 0 anywhere in the sample.
@@ -163,6 +163,13 @@ def metric_pieces(geo, etas):
             "geometry %r has non-positive Jacobian determinant (min %g)"
             % (geo.name, float(np.min(det)))
         )
+    return J, det
+
+
+def metric_pieces(geo, etas):
+    """Vectorized J^-1 and det(J), the pieces every metric is built from
+    (raises as :func:`checked_jacobian`)."""
+    J, det = checked_jacobian(geo, etas)
     return np.linalg.inv(J), det
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsplines import gauss_rule
-from .geometry import metric_pieces
+from .geometry import checked_jacobian
 from .truncation import truncate_dynamic, truncate_rel
 from .tucker import compression_percent, multi_mode_product
 
@@ -186,7 +186,8 @@ def error_norms(x, spaces, geo, u_exact, grad_exact=None):
         geo: GeometryMap from the parametric cube to the physical domain.
         u_exact: vectorized evaluator of the solution at physical points (...,3).
         grad_exact: vectorized physical gradient (...,3)->(...,3); when absent
-            only the L2 error is computed and the H1 slot is None.
+            only the L2 error is computed, no J^-1 is formed, and the H1
+            slot is None.
 
     Integration runs on per-element Gauss grids of degree + 2 points,
     evaluated through the factorized basis-times-factor matrices, in slabs
@@ -212,7 +213,7 @@ def error_norms(x, spaces, geo, u_exact, grad_exact=None):
         sel = slice(start, stop)
         e1, e2, e3 = np.meshgrid(pts[0], pts[1], pts[2][sel], indexing="ij")
         grid = np.stack([e1, e2, e3], axis=-1)
-        Jinv, det = metric_pieces(geo, grid)
+        J, det = checked_jacobian(geo, grid)
         phys = geo.F(grid)
         w = (wts[0][:, None, None] * wts[1][None, :, None]
              * wts[2][sel][None, None, :]) * det
@@ -227,7 +228,7 @@ def error_norms(x, spaces, geo, u_exact, grad_exact=None):
                 multi_mode_product(x.core, (val[0], der[1], val[2][sel])),
                 multi_mode_product(x.core, (val[0], val[1], der[2][sel])),
             ], axis=-1)
-            g_phys = np.einsum("...ji,...j->...i", Jinv, g_eta)
+            g_phys = np.einsum("...ji,...j->...i", np.linalg.inv(J), g_eta)
             gdiff = g_phys - np.asarray(grad_exact(phys), dtype=float)
             h1 += float(np.sum(w * np.sum(gdiff ** 2, axis=-1)))
 

@@ -78,9 +78,15 @@ def sthosvd(X, eps):
 
     Returns:
         TuckerTensor3 with orthonormal factor columns.
+
+    Raises:
+        ValueError: if X is not three-way or eps is negative or NaN.
     """
     X = np.asarray(X, dtype=float)
-    assert X.ndim == 3
+    if X.ndim != 3:
+        raise ValueError("need a 3-way tensor, got %d-way" % X.ndim)
+    if not eps >= 0:
+        raise ValueError("need eps >= 0, got %r" % (eps,))
     nrm = np.linalg.norm(X)
     if nrm == 0.0:
         return tucker_zero(X.shape)
@@ -112,6 +118,9 @@ def truncate_rel(y, eps):
     recompressed with :func:`sthosvd`.
 
     Guarantee: ``|out - y|_F <= eps * |y|_F``; output factors orthonormal.
+
+    Raises:
+        ValueError: if eps is negative or NaN (from :func:`sthosvd`).
     """
     QRs = [qr_or_identity(F) for F in y.factors]
     Z = multi_mode_product(y.core, [None if R is Q else R for Q, R in QRs])

@@ -103,13 +103,13 @@ class TuckerTensor3:
     factors: tuple
 
     def __post_init__(self):
-        assert self.core.ndim == 3
-        assert len(self.factors) == 3
+        if self.core.ndim != 3 or len(self.factors) != 3:
+            raise ValueError("need a 3-way core and three factors, got a "
+                             "%d-way core and %d" % (self.core.ndim, len(self.factors)))
         for k in range(3):
-            assert self.factors[k].shape[1] == self.core.shape[k], (
-                "factor %d has %d columns, core expects %d"
-                % (k, self.factors[k].shape[1], self.core.shape[k])
-            )
+            if self.factors[k].shape[1] != self.core.shape[k]:
+                raise ValueError("factor %d has %d columns, core expects %d"
+                                 % (k, self.factors[k].shape[1], self.core.shape[k]))
 
     @property
     def dims(self):
@@ -253,9 +253,12 @@ class TuckerOperator3:
     factors: tuple
 
     def __post_init__(self):
-        assert self.core.ndim == 3
+        if self.core.ndim != 3:
+            raise ValueError("need a 3-way core, got %d-way" % self.core.ndim)
         for k in range(3):
-            assert len(self.factors[k]) == self.core.shape[k]
+            if len(self.factors[k]) != self.core.shape[k]:
+                raise ValueError("mode %d has %d matrices, core expects %d"
+                                 % (k, len(self.factors[k]), self.core.shape[k]))
 
     @property
     def rank(self):
@@ -361,10 +364,11 @@ class BlockTuckerVector:
     components: tuple
 
     def __post_init__(self):
-        assert len(self.components) == 3
-        dims = self.components[0].dims
-        for c in self.components[1:]:
-            assert c.dims == dims, "components must share outer dims"
+        if len(self.components) != 3:
+            raise ValueError("need 3 components, got %d" % len(self.components))
+        dims = [c.dims for c in self.components]
+        if len(set(dims)) > 1:
+            raise ValueError("components must share outer dims, got %s" % dims)
 
     @property
     def dims(self):
@@ -412,9 +416,8 @@ class BlockTuckerOperator:
     blocks: tuple  # blocks[i][j] maps component j to component i
 
     def __post_init__(self):
-        assert len(self.blocks) == 3
-        for row in self.blocks:
-            assert len(row) == 3
+        if [len(row) for row in self.blocks] != [3, 3, 3]:
+            raise ValueError("need a 3x3 grid of blocks")
 
     def matvec(self, x):
         out = []

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.polynomial.chebyshev import chebval
 
+from lriga import bsplines
 from lriga.bsplines import (
     BC_DIRICHLET,
     BC_NEUMANN,
@@ -14,7 +15,8 @@ from lriga.bsplines import (
     assemble_pencil,
     assemble_weighted_matrix,
     assemble_weighted_rhs,
-    basis_funs_all_ders,
+    basis_funs,
+    element_basis,
     find_span,
     gauss_rule,
     open_uniform_knots,
@@ -219,14 +221,15 @@ def test_array_kernel_equals_scalar_oracle(n_el):
         etas = _kernel_points(p, n_el)
         spans = [util.oracle_span(p, n_el, eta) for eta in etas]
         assert find_span(p, n_el, etas).tolist() == spans
-        for n_ders in range(p + 2):
-            ours = basis_funs_all_ders(knots, p, etas, np.array(spans), n_ders)
-            ref = np.stack(
-                [util.basis_funs_all_ders(knots, p, eta, span, n_ders)
-                 for eta, span in zip(etas, spans)],
-                axis=-1,
-            )
-            assert np.array_equal(ours, ref), (p, n_ders)
+        # values and first derivatives, each one the oracle's to the bit
+        ours = basis_funs(knots, p, etas, np.array(spans))
+        ref = np.stack(
+            [util.basis_funs_all_ders(knots, p, eta, span, 1)
+             for eta, span in zip(etas, spans)],
+            axis=-1,
+        )
+        assert ours.shape == (2, p + 1, len(etas))
+        assert np.array_equal(ours, ref), p
 
 
 @pytest.mark.parametrize("n_el", [1, 2, 7, 64])
@@ -235,13 +238,13 @@ def test_element_basis_and_collocation_equal_oracle(n_el):
         space = SplineSpace1D(p, n_el)
         rule = gauss_rule(n_el, p + 2)
         etas = _kernel_points(p, n_el)
-        for deriv in range(p + 2):
+        for deriv in (0, 1):
             ref = np.array([
                 [util.basis_funs_all_ders(space.knots, p, eta, e + p, deriv)[deriv]
                  for eta in rule.points[e]]
                 for e in range(n_el)
             ])
-            assert np.array_equal(space.element_basis(rule, deriv), ref)
+            assert np.array_equal(element_basis(p, n_el, p + 2)[deriv], ref)
 
             full = np.zeros((len(etas), space.full_dim))
             for i, eta in enumerate(etas):
@@ -270,11 +273,13 @@ def test_collocation_matrix_rejects_one_bad_point():
 def test_weighted_rhs_equals_loop_accumulation(p, n_el, w_cheb):
     space = SplineSpace1D(p, n_el)
     t_max = 0 if w_cheb is None else len(w_cheb) - 1
-    rule = gauss_rule(n_el, p + 1 + math.ceil(t_max / 2))
+    q = p + 1 + math.ceil(t_max / 2)
+    rule = gauss_rule(n_el, q)
     wv = np.ones_like(rule.points) if w_cheb is None else chebval(
         2.0 * rule.points - 1.0, w_cheb
     )
-    local = np.einsum("eqi,eq,eq->ei", space.element_basis(rule, 0), wv, rule.weights)
+    local = np.einsum("eqi,eq,eq->ei", element_basis(p, n_el, q)[0], wv,
+                      rule.weights)
     ref = np.zeros(space.full_dim)
     for e in range(n_el):
         ref[e : e + p + 1] += local[e]
@@ -289,6 +294,38 @@ def test_gauss_rule_is_shared_and_read_only():
         assert np.array_equal(got, want)
         with pytest.raises(ValueError):
             got[0, 0] = 0.0
+
+
+def test_element_basis_is_shared_and_read_only(monkeypatch):
+    # one table per (p, n_el, q): the boundary conditions do not change it,
+    # so the pencils of every space of that degree and mesh evaluate the
+    # basis at most once between them
+    calls = []
+    kernel = bsplines.basis_funs
+    monkeypatch.setattr(bsplines, "basis_funs",
+                        lambda *args: calls.append(args) or kernel(*args))
+    spaces = [SplineSpace1D(3, 13, bc) for bc in (DD, NN, (BC_NEUMANN, BC_DIRICHLET))]
+    for space in spaces:
+        assemble_pencil(space)
+    assert len(calls) <= 1
+    table = element_basis(3, 13, 4)
+    assert table.shape == (2, 13, 4, 4)
+    assert all(element_basis(s.p, s.n_el, 4) is table for s in spaces)
+    assert np.array_equal(table, element_basis.__wrapped__(3, 13, 4))
+    with pytest.raises(ValueError):
+        table[0, 0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("deriv", [2, -1])
+def test_unsupported_derivative_order_raises(deriv):
+    # only values and first derivatives are evaluated; unchecked, -1 would
+    # silently read the derivative row of the two-row table
+    space = SplineSpace1D(3, 6)
+    with pytest.raises(ValueError, match="0 or 1"):
+        space.collocation_matrix([0.5], deriv=deriv)
+    for orders in ((deriv, 0), (0, deriv)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            assemble_weighted_matrix(space, *orders)
 
 
 def test_unreduced_weighted_matrix_equals_sliced():

@@ -1,7 +1,8 @@
 """Static checks of the package source: no module imports a name it never
 uses, nothing is defined that neither the package nor the benchmark
-refers to, the third-party packages it imports are the declared
-dependencies, and importing the package loads no optional heavy module."""
+refers to, no check is an ``assert``, the third-party packages it imports
+are the declared dependencies, and importing the package loads no optional
+heavy module."""
 
 import ast
 import os
@@ -140,6 +141,32 @@ def test_no_code_without_a_caller():
                if path.name != "__init__.py"]
     bench = [path.read_text() for path in sorted(BENCH.glob("*.py"))]
     assert unreferenced(sources, bench) == []
+
+
+def asserts(source):
+    """Line numbers of the ``assert`` statements in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_checker_finds_nested_asserts():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        assert x > 0, 'positive'\n"
+        "    return x  # assert in a comment\n"
+        "s = 'assert 1'\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        assert self\n"
+    )
+    assert asserts(source) == [3, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_in_package(path):
+    # python -O strips asserts, so a check written as one stops checking
+    assert asserts(path.read_text()) == []
 
 
 def third_party_imports(sources):

@@ -14,7 +14,7 @@ from lriga.bsplines import (
 )
 from lriga.eigen import approx_eigen
 from lriga.fastdiag import build_lowrank_fd
-from lriga.geometry import get_geometry
+from lriga.geometry import GeometryError, GeometryMap, get_geometry
 from lriga import manufactured as bench
 from oracle import dense_operator
 from lriga.tpcg import (
@@ -291,6 +291,28 @@ def test_error_norms_zero_vs_zero():
                          lambda p: 0.0 * p)
     assert l2 == 0.0
     assert h1 == 0.0
+
+
+def test_l2_only_error_norms_never_inverts(monkeypatch):
+    # the L2 error needs det J alone; J^-1 is formed only for the H1 error,
+    # and leaving it out changes no bit of the L2 error
+    spaces = make_spaces(2, 4)
+    geo = get_geometry("quarter_annulus")
+    rng = np.random.default_rng(29)
+    x = TuckerTensor3(rng.standard_normal((2, 2, 2)),
+                      tuple(rng.standard_normal((s.n, 2)) for s in spaces))
+    l2_ref, _ = error_norms(x, spaces, geo, bench.u, bench.grad)
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+    l2, h1 = error_norms(x, spaces, geo, bench.u)
+    assert (l2, h1, inverted) == (l2_ref, None, [])
+    error_norms(x, spaces, geo, bench.u, bench.grad)
+    assert inverted
+
+    flat = GeometryMap("flat", geo.F, lambda eta: 0.0 * geo.jac(eta))
+    with pytest.raises(GeometryError, match="non-positive"):
+        error_norms(x, spaces, flat, bench.u)
 
 
 def test_manufactured_error_drops_with_refinement():

@@ -43,6 +43,18 @@ def test_sthosvd_eps_zero_is_exact_full_rank():
     assert np.allclose(to_dense(t), X, atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [-0.5, -1e-300, np.nan])
+def test_negative_or_nan_eps_raises(eps):
+    # -0.5 once acted as 0.5, and NaN silently returned rank (1,1,1) with a
+    # 14% error; a zero tensor, which returns early, is refused as well
+    rng = np.random.default_rng(28)
+    x = random_tucker(rng, (5, 5, 5), (2, 2, 2))
+    for truncate, arg in ((truncate_rel, x), (sthosvd, to_dense(x)),
+                          (sthosvd, np.zeros((3, 3, 3)))):
+        with pytest.raises(ValueError, match="eps >= 0"):
+            truncate(arg, eps)
+
+
 def test_sthosvd_zero_tensor():
     t = sthosvd(np.zeros((4, 5, 6)), 1e-3)
     assert t.rank == (1, 1, 1)

@@ -210,20 +210,39 @@ def test_mismatched_dims_raise(combine):
 
 
 def test_mismatched_dims_raise_under_optimize_flag():
-    # python -O strips asserts; the dims check must not be one
+    # python -O strips asserts; no shape check may be one.  Under -O the
+    # first case once built a rank-(2,2,2) tensor on one-column factors and
+    # the third an operator whose core expects two mode-1 matrices.
+    malformed = [
+        "TuckerTensor3(np.ones((2, 2, 2)), (np.ones((3, 1)),) * 3)",
+        "TuckerTensor3(np.ones((2, 2)), (np.ones((3, 2)),) * 2)",
+        "TuckerOperator3(np.ones((2, 1, 1)), ((I,), (I,), (I,)))",
+        "TuckerOperator3(np.ones((2, 2)), ((I, I), (I, I), ()))",
+        "BlockTuckerVector((t((4, 4, 4)), t((4, 4, 4)), t((3, 4, 4))))",
+        "BlockTuckerVector((t((4, 4, 4)),) * 2)",
+        "BlockTuckerOperator(((op,) * 3, (op,) * 3, (op,) * 2))",
+        "BlockTuckerOperator(((op,) * 3,) * 2)",
+        "sthosvd(np.ones((3, 3)), 0.1)",
+        "tucker_add(t((4, 4, 4)), t((3, 4, 4)))",
+    ]
     src = os.path.dirname(os.path.dirname(os.path.abspath(lriga.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import numpy as np; from lriga.tucker import TuckerTensor3, "
-            "tucker_add\n"
+    code = ("import numpy as np\n"
+            "from lriga.tucker import (BlockTuckerOperator, BlockTuckerVector, "
+            "TuckerOperator3, TuckerTensor3, tucker_add)\n"
+            "from lriga.truncation import sthosvd\n"
+            "I = np.eye(2)\n"
+            "op = TuckerOperator3(np.ones((1, 1, 1)), ((I,), (I,), (I,)))\n"
             "def t(n): return TuckerTensor3(np.ones((2, 2, 2)), "
             "tuple(np.ones((k, 2)) for k in n))\n"
-            "try:\n    print(tucker_add(t((4, 4, 4)), t((3, 4, 4))).dims)\n"
-            "except ValueError:\n    print('raised')\n")
+            "for expr in %r:\n"
+            "    try:\n        eval(expr)\n        print('built', expr)\n"
+            "    except ValueError:\n        print('raised')\n" % (malformed,))
     out = subprocess.run([sys.executable, "-O", "-c", code],
                          capture_output=True, text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.splitlines() == ["raised"] * len(malformed)
 
 
 def test_identity_factor_inner_and_norm_qr_vs_dense():

@@ -108,7 +108,7 @@ def dense_kron_sum(spaces, weights):
 
 
 def basis_funs_all_ders(knots, p, eta, span, n_ders):
-    """One-point oracle for ``lriga.bsplines.basis_funs_all_ders``.
+    """One-point oracle for ``lriga.bsplines.basis_funs`` (orders 0 and 1).
 
     Values and derivatives of the p+1 basis functions active on a span, by
     the scalar triangular-table algorithm (Piegl & Tiller, A2.3); returns an
