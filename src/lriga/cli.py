@@ -20,7 +20,7 @@ from .bsplines import BC_DIRICHLET, BC_NEUMANN, SplineSpace1D, assemble_pencil
 from .eigen import approx_eigen
 from .elasticity import assemble_elasticity, block_preconditioner
 from .expsum import ExpSumError
-from .fastdiag import build_lowrank_fd
+from .fastdiag import FastDiagError, build_lowrank_fd
 from .geometry import GeometryError, get_geometry
 from . import manufactured
 from .tpcg import TpcgConfig, error_norms, tpcg
@@ -157,11 +157,13 @@ def _scalar_preconditioner(cfg, spaces):
     return build_lowrank_fd(eigs, eps_prec)
 
 
-def _solve(cfg, system, precond, tol_abs):
+def _solve(cfg, system, precond, tol_abs, diagonal_scaling=True):
     """TPCG on system to the absolute residual tol_abs, within
-    [truncation] max_iterations.  Returns (x, SolveReport)."""
+    [truncation] max_iterations; diagonal_scaling as in TpcgConfig.
+    Returns (x, SolveReport)."""
     tpcg_cfg = TpcgConfig(tol=tol_abs, max_iterations=_positive(
-        cfg, "truncation", "max_iterations", int, or_zero=True))
+        cfg, "truncation", "max_iterations", int, or_zero=True),
+        diagonal_scaling=diagonal_scaling)
     return tpcg(system.op, system.rhs, precond, tpcg_cfg)
 
 
@@ -231,7 +233,12 @@ def _run_one(cfg, command, cell):
     n_el = _positive(cfg, "problem", "n_el", int)
     tol_rel = _positive(cfg, "problem", "tol", float)
     system, precond = cell(cfg, geo, p, n_el, tol_rel)
-    x, report = _solve(cfg, system, precond, tol_rel * system.rhs.norm())
+    try:
+        x, report = _solve(cfg, system, precond, tol_rel * system.rhs.norm())
+    except FastDiagError as exc:
+        # the diagonal scaling met a non-positive diagonal: A is not SPD
+        print("numerical breakdown: %s" % exc, file=sys.stderr)
+        return EXIT_BREAKDOWN
     buf = io.StringIO()
     report.to_csv(buf)
     _emit(buf.getvalue(), cfg["output"]["csv"].strip())
@@ -250,9 +257,11 @@ def _run_one(cfg, command, cell):
 
 def _sweep(cfg, cell, geo, columns):
     """Solve cell over the [sweep] grid, p outer and n_el inner, at
-    [problem] tol.  columns is (CSV header, row): row(n_el, p, precond),
-    read before the solve (so an unfittable sum fails first), returns the
-    report's line formatter.  Returns (CSV lines, all converged)."""
+    [problem] tol, with the paper's preconditioner (no diagonal scaling),
+    so the study tables measure it.  columns is (CSV header, row):
+    row(n_el, p, precond), read before the solve (so an unfittable sum
+    fails first), returns the report's line formatter.  Returns (CSV
+    lines, all converged)."""
     header, row = columns
     n_els = _positive(cfg, "sweep", "n_el", _int_list)
     ps = _positive(cfg, "sweep", "p", _int_list)
@@ -264,7 +273,8 @@ def _sweep(cfg, cell, geo, columns):
             system, precond = cell(cfg, geo, p, n_el, tol_rel)
             line = row(n_el, p, precond)
             _, report = _solve(cfg, system, precond,
-                               tol_rel * system.rhs.norm())
+                               tol_rel * system.rhs.norm(),
+                               diagonal_scaling=False)
             lines.append(line(report))
             ok = ok and report.converged
     return lines, ok

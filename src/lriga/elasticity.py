@@ -120,6 +120,12 @@ class BlockDiagPreconditioner:
         """Largest ``lam_max / lam_min`` of the parts."""
         return max(P.spectral_ratio for P in self.parts)
 
+    def for_operator(self, op):
+        """Part ``i`` scaled for the diagonal block ``op.blocks[i][i]``
+        (see :meth:`lriga.fastdiag.LowRankFD.for_operator`)."""
+        return BlockDiagPreconditioner(tuple(
+            P.for_operator(op.blocks[i][i]) for i, P in enumerate(self.parts)))
+
     def apply(self, x):
         return BlockTuckerVector(
             tuple(P.apply(c) for P, c in zip(self.parts, x.components))

@@ -15,6 +15,12 @@ terms and the block row multiplied by U_k, then the diagonal core's terms
 are summed into an exact image with orthonormal factors, whose rank is
 min(n_k, R r_k) for R exponential terms.  The sum is fitted on first use,
 so a preconditioner that stays below the guard never fits one.
+
+Either inverse sees only the parametric cube.  :meth:`LowRankFD.for_operator`
+folds the geometry back in through a Kronecker diagonal scaling
+``H A_FD^-1 H`` (Sangalli & Tani, SISC 2016): ``H = diag(h1 (x) h2 (x) h3)``
+comes from a separable fit of ``diag(A) / diag(A_FD)`` and multiplies the
+eigenvector rows, ``U_k -> diag(h_k) U_k``, so an apply costs what it did.
 """
 
 from functools import cached_property
@@ -22,12 +28,14 @@ from functools import cached_property
 import numpy as np
 
 from . import tucker
+from .eigen import Eigen1D
 from .expsum import build_exp_sum, rank_floor
 from .tucker import TuckerTensor3, _kron_image, identity, mode_product
 
 
-class FastDiagError(RuntimeError):
-    """Raised when a fast-diagonalization setup is inconsistent."""
+class FastDiagError(ValueError):
+    """Raised when a fast-diagonalization setup is inconsistent, or its
+    diagonal scaling meets a non-positive diagonal entry."""
 
 
 class LowRankFD:
@@ -67,6 +75,18 @@ class LowRankFD:
     def spectral_ratio(self):
         """lam_max / lam_min, the right end of the exp-sum interval."""
         return self.lam_max / self.lam_min
+
+    def for_operator(self, op):
+        """This preconditioner with the diagonal scaling of ``op`` folded in:
+        ``H A_FD^-1 H`` with ``H = diag(h1 (x) h2 (x) h3)`` from
+        :func:`diagonal_scaling`, applied through the eigenvectors
+        ``diag(h_k) U_k``.  ``lam`` and so ``spectral_ratio`` stay as they
+        are; nothing is fitted or applied here.
+        """
+        h = diagonal_scaling(op, self.eigs, self.lam)
+        eigs = [Eigen1D(e.lambdas, hk[:, None] * e.U)
+                for e, hk in zip(self.eigs, h)]
+        return LowRankFD(eigs, self.lam, self.eps_rel)
 
     def apply(self, s):
         """Preconditioner applied to a Tucker tensor.
@@ -120,6 +140,50 @@ class LowRankFD:
         if s.dims != self.dims:
             raise ValueError("dims %s do not match preconditioner %s"
                              % (s.dims, self.dims))
+
+
+def diagonal_scaling(op, eigs, lam):
+    """Row scalings ``h_k = d_k^-1/2`` of a separable fit
+    ``d1 (x) d2 (x) d3`` of ``diag(op) / diag(A_FD)``.
+
+    ``A_FD`` is the weighted Kronecker sum that ``eigs`` and the weighted
+    eigenvalues ``lam`` diagonalize: with ``V = U^-1``, ``M = V^T V`` and
+    ``K = V^T diag(lam) V``, so ``diag M = sum_j V_ji^2`` and ``diag K =
+    sum_j lam_j V_ji^2``.  ``diag(op)`` is the Tucker tensor of the core and
+    the factor diagonals.  The fit takes the mode means ``m_k`` of ``L =
+    log diag(op) - log diag(A_FD)`` and sets ``log d_k = m_k - (2/3)
+    mean(L)``, so that the sum of the three holds the mean once.  ``L`` is
+    formed one mode-1 slab at a time, so no ``n1 x n2 x n3`` array exists.
+
+    Raises:
+        FastDiagError: on a non-positive entry of either diagonal, naming
+            its index (an operator with one is not SPD).
+    """
+    n1, n2, n3 = (e.n for e in eigs)
+    diags = [np.column_stack([C.diagonal() for C in Cs]) for Cs in op.factors]
+    Vsq = [np.linalg.inv(e.U) ** 2 for e in eigs]
+    dM = [W.sum(axis=0) for W in Vsq]
+    dK = [v @ W for v, W in zip(lam, Vsq)]
+    G1 = mode_product(op.core, 0, diags[0])
+    MM = np.outer(dM[1], dM[2])
+    KM = np.outer(dK[1], dM[2]) + np.outer(dM[1], dK[2])
+    means = [np.empty(n1), np.zeros(n2), np.zeros(n3)]
+    for i in range(n1):
+        a = diags[1] @ G1[i] @ diags[2].T
+        f = dK[0][i] * MM + dM[0][i] * KM
+        for name, slab in (("diag(A)", a), ("diag(A_FD)", f)):
+            if not np.all(slab > 0.0):
+                j, k = np.argwhere(~(slab > 0.0))[0]
+                raise FastDiagError("%s entry (%d, %d, %d) is %.6g, not "
+                                    "positive" % (name, i, j, k, slab[j, k]))
+        L = np.log(a) - np.log(f)
+        means[0][i] = L.mean()
+        means[1] += L.sum(axis=1)
+        means[2] += L.sum(axis=0)
+    means[1] /= n1 * n3
+    means[2] /= n1 * n2
+    third = 2.0 * float(np.mean(means[0])) / 3.0
+    return [np.exp(-0.5 * (m - third)) for m in means]
 
 
 def build_lowrank_fd(eigs, eps_rel, weights=None):

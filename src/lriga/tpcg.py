@@ -41,7 +41,10 @@ DELTA = 1e-3
 @dataclass
 class TpcgConfig:
     """Solver stopping rule: tol is the absolute residual target and
-    max_iterations the iteration budget.
+    max_iterations the iteration budget.  With diagonal_scaling the loop
+    applies ``precond.for_operator(op)``, fitted to the operator's
+    diagonal; without it, precond itself (the paper's preconditioner,
+    which the study tables use).
 
     Callers working with relative tolerances multiply by the right-hand
     side norm first.  The truncation parameters are the module constants
@@ -51,6 +54,7 @@ class TpcgConfig:
 
     tol: float
     max_iterations: int = 100
+    diagonal_scaling: bool = True
 
     @classmethod
     def relative(cls, tol_rel, rhs_norm, **kwargs):
@@ -68,6 +72,12 @@ class SolveReport:
     the search direction that step k + 1 takes (the last one taken in the
     final row); row 0, recorded before any direction exists, holds the
     rank of the initial residual in its ``ranks_p`` entry.
+
+    ``omegas`` and ``betas`` are the step lengths and direction
+    coefficients of the steps taken (``betas[j]`` forms direction j + 1);
+    ``kappa_est`` is the condition number of the preconditioned operator
+    that their Lanczos tridiagonal gives (see :func:`lanczos_kappa`), None
+    when no step was taken or the loop broke down.
     """
 
     tol: float
@@ -80,6 +90,9 @@ class SolveReport:
     ranks_r: list = field(default_factory=list)
     ranks_p: list = field(default_factory=list)
     eps_history: list = field(default_factory=list)
+    omegas: list = field(default_factory=list)
+    betas: list = field(default_factory=list)
+    kappa_est: float = None
     final_residual: float = None
     memory_compression: float = None
     wall_time: float = None
@@ -124,12 +137,16 @@ def tpcg(op, rhs, precond, cfg):
     precond ``.apply`` on the same vector type plus ``.spectral_ratio``
     (its lam_max / lam_min), which sets the dynamic truncation's floor
     ``0.1 (cfg.tol / |rhs|) / spectral_ratio``: relative, like the
-    tolerances it bounds, so the rhs scale does not matter.  Exits when
+    tolerances it bounds, so the rhs scale does not matter.  With
+    cfg.diagonal_scaling the loop applies ``precond.for_operator(op)``,
+    built once here, instead of precond.  Exits when
     the truncated residual norm drops to cfg.tol; non-convergence within
     cfg.max_iterations and loss of positivity (xi <= 0, possible through
     truncation) are flagged on the report rather than raised.
     """
     t0 = time.perf_counter()
+    if cfg.diagonal_scaling:
+        precond = precond.for_operator(op)
     report = SolveReport(tol=cfg.tol, rhs_norm=rhs.norm())
     x = rhs.zeros_like()
     eps = EPS0
@@ -143,7 +160,12 @@ def tpcg(op, rhs, precond, cfg):
     while res > cfg.tol and k < cfg.max_iterations:
         eta = BETA * cfg.tol / res
         z = _truncate(precond.apply(r), eta)
-        p = z if k == 0 else _truncate(z + (-z.inner(q) / xi) * p, eta)
+        if k == 0:
+            p = z
+        else:
+            beta = -z.inner(q) / xi
+            report.betas.append(beta)
+            p = _truncate(z + beta * p, eta)
         q = _truncate(op.matvec(p), eta)
         xi = p.inner(q)
         if k > 0:
@@ -152,6 +174,7 @@ def tpcg(op, rhs, precond, cfg):
             report.breakdown = True
             break
         omega = r.inner(p) / xi
+        report.omegas.append(omega)
         x, eps = truncate_dynamic(x, omega * p, eps, ALPHA, eps_min, DELTA)
         r = _truncate(rhs - op.matvec(x), eta)
         res = r.norm()
@@ -161,10 +184,32 @@ def tpcg(op, rhs, precond, cfg):
 
     report.iterations = k
     report.converged = res <= cfg.tol
+    if k > 0 and not report.breakdown:
+        report.kappa_est = lanczos_kappa(report.omegas, report.betas)
     report.final_residual = (rhs - op.matvec(x)).norm_qr()
     report.memory_compression = compression_percent(x)
     report.wall_time = time.perf_counter() - t0
     return x, report
+
+
+def lanczos_kappa(omegas, betas):
+    """Condition number of the preconditioned operator estimated from K
+    PCG steps: the ratio of the extreme eigenvalues (Ritz values) of the
+    K x K Lanczos tridiagonal with diagonal ``1/omega_0`` and ``1/omega_j
+    + beta_j / omega_(j-1)`` and off-diagonal ``sqrt(beta_j) / omega_(j-1)``
+    (Meurant & Strakos, Acta Numerica 2006), where ``beta_j`` forms
+    direction j.  No operator is applied.  The square root takes
+    ``|beta_j|``: beta_j > 0 in exact arithmetic, and truncation must not
+    turn the estimate into NaN.
+    """
+    w = np.asarray(omegas, dtype=float)
+    b = np.asarray(betas, dtype=float)[: len(w) - 1]
+    T = np.diag(1.0 / w)
+    T[1:, 1:] += np.diag(b / w[:-1])
+    off = np.sqrt(np.abs(b)) / w[:-1]
+    T += np.diag(off, 1) + np.diag(off, -1)
+    ritz = np.linalg.eigvalsh(T)
+    return float(ritz[-1] / ritz[0])
 
 
 def _truncate(x, eps):

@@ -19,10 +19,11 @@ Conventions used throughout the package:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 
 import numpy as np
+import scipy.sparse as sp
 
 #: Refuse to densify tensors with more entries than this (2**27 doubles = 1 GiB).
 DENSE_GUARD = 2 ** 27
@@ -188,11 +189,16 @@ def tucker_add(x, y):
     an ``identity(n)`` factor) and their cores are added there.  In the
     other modes the factors are concatenated and the cores sit in the two
     diagonal blocks of the enlarged core.  No core exceeds ``n1 n2 n3``.
+    When both operands hold ``identity(n)`` in every mode, the sum is the
+    sum of the cores.
     """
     if x.dims != y.dims:
         raise ValueError("dimension mismatch: %s vs %s" % (x.dims, y.dims))
     n, rx, ry = x.dims, x.rank, y.rank
     shared = [rx[k] + ry[k] >= n[k] for k in range(3)]
+    if all(shared) and all(U is identity(len(U))
+                           for t in (x, y) for U in t.factors):
+        return TuckerTensor3(x.core + y.core, x.factors)
     core = np.zeros([n[k] if shared[k] else rx[k] + ry[k] for k in range(3)])
     for t, off in ((x, (0, 0, 0)), (y, [0 if s else r for s, r in zip(shared, rx)])):
         C = multi_mode_product(t.core, [U if s and U is not identity(len(U)) else None
@@ -242,8 +248,8 @@ class TuckerOperator3:
     Attributes:
         core: ndarray of shape ``(R1, R2, R3)``.
         factors: tuple of three sequences of matrices; ``factors[k][i]`` maps
-            the k-th direction and may be dense, sparse, or any object
-            supporting ``@`` with a dense matrix.
+            the k-th direction and may be a dense array or a scipy sparse
+            matrix (:attr:`stacked` converts it to CSR).
 
     Acting on ``vec(x)``, the operator equals
     ``sum_{i1,i2,i3} core[i1,i2,i3] * (C3_{i3} kron C2_{i2} kron C1_{i1})``.
@@ -264,6 +270,13 @@ class TuckerOperator3:
     def rank(self):
         return self.core.shape
 
+    @cached_property
+    def stacked(self):
+        """Per mode, the matrices ``factors[k]`` stacked row-wise into one
+        ``(Rk mk) x nk`` CSR matrix, built on first use."""
+        return tuple(sp.vstack([sp.csr_matrix(C) for C in Cs], format="csr")
+                     for Cs in self.factors)
+
     def matvec(self, x):
         return tucker_matvec(self, x)
 
@@ -275,11 +288,14 @@ def tucker_matvec(op, x):
     ``[Ck_1 Xk, ..., Ck_Rk Xk]`` (``identity(nk)`` where ``Rk rk >= nk``),
     so its rank is ``(min(n1, R1 r1), min(n2, R2 r2), min(n3, R3 r3))``;
     ``kron(op.core, x.core)`` is never formed (see :func:`_kron_image`).
+    Each mode's blocks come from one product with ``op.stacked``.
     """
     factors = []
-    for k in range(3):
-        blocks = [np.asarray(C @ x.factors[k]) for C in op.factors[k]]
-        factors.append(np.hstack(blocks))
+    for S, X, R in zip(op.stacked, x.factors, op.rank):
+        # rows of slot a are C_a X; put the slots side by side
+        m, r = S.shape[0] // R, X.shape[1]
+        Y = np.asarray(S @ X).reshape(R, m, r)
+        factors.append(Y.transpose(1, 0, 2).reshape(m, R * r))
     return _kron_image(op.core, factors, x.core)
 
 

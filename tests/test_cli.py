@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit codes, CSV schemas, determinism."""
 
 import configparser
+import dataclasses
 import os
 import subprocess
 import sys
@@ -52,19 +53,40 @@ def test_iteration_budget_spent_exits_one(tmp_path, capsys):
     assert "converged=False" in capsys.readouterr().out
 
 
+def negated_system(*args):
+    system = assemble_system(*args)
+    system.op = TuckerOperator3(-system.op.core, system.op.factors)
+    return system
+
+
 def test_breakdown_exits_three(tmp_path, monkeypatch, capsys):
-    def negated_system(*args):
-        system = assemble_system(*args)
-        system.op = TuckerOperator3(-system.op.core, system.op.factors)
-        return system
+    # the loop's own breakdown flag, reached with the diagonal scaling off
+    # (the scaling refuses the negated diagonal before the loop, below)
+    def unscaled(op, rhs, precond, cfg):
+        return lriga.tpcg(op, rhs, precond,
+                          dataclasses.replace(cfg, diagonal_scaling=False))
 
     monkeypatch.setattr(cli, "assemble_system", negated_system)
+    monkeypatch.setattr(cli, "tpcg", unscaled)
     code = run([
         "solve", "--geometry", "unit_cube", "--p", "2", "--n-el", "4",
         "--csv", str(tmp_path / "run.csv"),
     ])
     assert code == EXIT_BREAKDOWN
     assert "iterations=0 converged=False" in capsys.readouterr().out
+
+
+def test_nonpositive_diagonal_exits_three(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "assemble_system", negated_system)
+    code = run([
+        "solve", "--geometry", "unit_cube", "--p", "2", "--n-el", "4",
+        "--csv", str(tmp_path / "run.csv"),
+    ])
+    assert code == EXIT_BREAKDOWN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "diag(A) entry (0, 0, 0)" in captured.err
+    assert "not positive" in captured.err
 
 
 def test_annulus_iterations_flat_within_band(tmp_path):

@@ -1,5 +1,7 @@
 """Fast-diagonalization preconditioners: exact oracle and low-rank form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from lriga.bsplines import (
 from lriga.eigen import approx_eigen
 from lriga.elasticity import assemble_elasticity, block_preconditioner
 from lriga.expsum import ExpSumError
-from lriga.fastdiag import FastDiagError, build_lowrank_fd
+from lriga.fastdiag import FastDiagError, build_lowrank_fd, diagonal_scaling
 from lriga.geometry import get_geometry
 from lriga.tpcg import TpcgConfig, tpcg
 from lriga import tucker
@@ -26,7 +28,13 @@ from lriga.tucker import (
     vec,
 )
 
-from util import ExactFD, exact_fd, random_tucker
+from util import (
+    ExactFD,
+    dense_diagonal_scaling,
+    densify_apply,
+    exact_fd,
+    random_tucker,
+)
 
 D, N = BC_DIRICHLET, BC_NEUMANN
 
@@ -251,6 +259,88 @@ def test_solve_below_guard_fits_no_sum():
     assert rep.converged and rep.iterations > 0
     for part in B.parts:
         assert "expsum" not in vars(part)
+
+
+# ------------------------------------------------------ diagonal scaling
+
+
+def _scaled_dense(P, op, eigs, weights=(1.0, 1.0, 1.0)):
+    """(dense P.for_operator(op), dense H ExactFD H) on vec-space."""
+    h = dense_diagonal_scaling(op, eigs, weights)
+    hv = np.kron(h[2], np.kron(h[1], h[0]))
+    fd = densify_apply(ExactFD(eigs, weights).apply, P.dims)
+    return (densify_apply(P.for_operator(op).apply, P.dims),
+            hv[:, None] * fd * hv[None, :])
+
+
+def test_scaled_apply_is_h_exact_fd_h():
+    spaces = (SplineSpace1D(3, 3, (D, D)), SplineSpace1D(2, 4, (D, D)),
+              SplineSpace1D(2, 5, (D, N)))
+    system = assemble_system(spaces, get_geometry("spherical_shell"),
+                             lambda pts: np.ones(pts.shape[:-1]), 1e-7)
+    eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
+    P = build_lowrank_fd(eigs, 1e-1)
+    got, want = _scaled_dense(P, system.op, eigs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the shell's diagonal is far from the cube's: the scaling is no identity
+    assert np.max(np.abs(got - densify_apply(P.apply, P.dims))) > 0.1 * np.max(
+        np.abs(want))
+    scaled = P.for_operator(system.op)
+    assert (scaled.lam, scaled.spectral_ratio) == (P.lam, P.spectral_ratio)
+    assert "expsum" not in vars(scaled) and "expsum" not in vars(P)
+
+
+def test_scaled_weighted_elasticity_parts():
+    lam, mu = 0.3 / 0.52, 1.0 / 2.6
+    spaces = (SplineSpace1D(2, 4, (N, N)), SplineSpace1D(2, 4, (N, N)),
+              SplineSpace1D(2, 5, (D, D)))
+    system = assemble_elasticity(
+        spaces, get_geometry("deformed_column"), (0.0, 0.0, -1.0), lam, mu,
+        1e-7, dirichlet=((2, 2, 0, 0.0), (2, 2, 1, -0.5)))
+    B = block_preconditioner(spaces, lam, mu, 1e-1)
+    scaled = B.for_operator(system.op)
+    assert scaled.spectral_ratio == B.spectral_ratio
+    for i, part in enumerate(B.parts):
+        weights = [2.0 * mu + lam if d == i else mu for d in range(3)]
+        got = densify_apply(scaled.parts[i].apply, part.dims)
+        _, want = _scaled_dense(part, system.op.blocks[i][i], part.eigs,
+                                weights)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_scaling_fit_allocates_less_than_one_dense_array():
+    # the fit equals the dense-diagonal oracle and never holds an
+    # n1 x n2 x n3 array (287 KB of float64 here)
+    spaces = tuple(SplineSpace1D(3, 32, (D, D)) for _ in range(3))
+    system = assemble_system(spaces, get_geometry("spherical_shell"),
+                             lambda pts: np.ones(pts.shape[:-1]), 1e-7)
+    P = build_lowrank_fd(
+        [approx_eigen(s, assemble_pencil(s)) for s in spaces], 1e-1)
+    tracemalloc.start()
+    try:
+        h = diagonal_scaling(system.op, P.eigs, P.lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n1, n2, n3 = P.dims
+    assert peak < 8 * n1 * n2 * n3
+    for got, want in zip(h, dense_diagonal_scaling(system.op, P.eigs)):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_nonpositive_diagonal_raises_with_its_index():
+    space, pencil = _cube(2, 4)
+    eigs = _eigs(space, pencil)
+    P = build_lowrank_fd(eigs, 1e-1)
+    M, K = pencil.M.toarray(), pencil.K.toarray()
+    K_zero = K.copy()
+    K_zero[2, 2] = 0.0
+    op = TuckerOperator3(np.ones((2, 1, 1)), ((K, M), (K_zero,), (M,)))
+    with pytest.raises(ValueError, match=r"diag\(A\) entry \(0, 2, 0\)"):
+        P.for_operator(op)
+    good = TuckerOperator3(np.ones((1, 1, 1)), ((K,), (M,), (M,)))
+    with pytest.raises(FastDiagError, match=r"diag\(A_FD\) entry \(0, 0, 0\)"):
+        diagonal_scaling(good, eigs, [-v for v in P.lam])
 
 
 # --------------------------------------------------------- low-rank apply

@@ -5,6 +5,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from lriga.assembly import assemble_system
 from lriga.bsplines import (
@@ -33,7 +34,12 @@ from lriga.tucker import (
     vec,
 )
 
-from util import exact_fd, residual_jump
+from util import (
+    dense_diagonal_scaling,
+    dense_kron_sum,
+    exact_fd,
+    residual_jump,
+)
 
 # the module, not the function that the package re-exports under its name
 TPCG_MODULE = importlib.import_module("lriga.tpcg")
@@ -198,17 +204,51 @@ def test_nonconvergence_is_flagged():
 
 
 def test_negative_operator_is_a_breakdown():
-    # -A has p^T (-A) p < 0 on the first direction: flagged, not raised
+    # -A has p^T (-A) p < 0 on the first direction: flagged, not raised;
+    # the diagonal scaling refuses it before the loop, naming the entry
     spaces = make_spaces(2, 4)
     system = assemble_system(spaces, get_geometry("unit_cube"), one, 1e-7)
     negated = TuckerOperator3(-system.op.core, system.op.factors)
     cfg = TpcgConfig.relative(1e-6, system.rhs.norm())
+    with pytest.raises(ValueError, match=r"diag\(A\) entry \(0, 0, 0\)"):
+        tpcg(negated, system.rhs, lowrank_pc(spaces), cfg)
+    cfg.diagonal_scaling = False
     x, report = tpcg(negated, system.rhs, lowrank_pc(spaces), cfg)
     assert report.breakdown
     assert not report.converged
     assert report.iterations == 0
     assert len(report.res_norms) == 1
+    assert report.kappa_est is None
     assert x.norm() == 0.0
+
+
+@pytest.mark.parametrize("preset", ["spherical_shell", "quarter_annulus"])
+def test_kappa_estimate_matches_dense_spectrum(preset):
+    # the Lanczos tridiagonal of the loop's own coefficients against the
+    # generalized eigenvalues of (A, P^-1), for the paper's preconditioner
+    # A_FD^-1 and the scaled H A_FD^-1 H; a tight tolerance lets the
+    # extreme Ritz values converge
+    spaces = make_spaces(3, 10)
+    system = assemble_system(spaces, get_geometry(preset), one, 1e-11)
+    P = lowrank_pc(spaces)
+    A = dense_operator(system.op)
+    A_FD = dense_kron_sum(spaces, (1.0, 1.0, 1.0))
+    h = dense_diagonal_scaling(system.op, P.eigs)
+    hv = np.kron(h[2], np.kron(h[1], h[0]))
+    kappa = {}
+    for scaled, P_inv in ((False, A_FD), (True, A_FD / np.outer(hv, hv))):
+        cfg = TpcgConfig.relative(1e-10, system.rhs.norm(),
+                                  diagonal_scaling=scaled)
+        _, report = tpcg(system.op, system.rhs, P, cfg)
+        assert report.converged
+        assert len(report.omegas) == report.iterations
+        assert len(report.betas) == report.iterations - 1
+        ev = sla.eigh(A, P_inv, eigvals_only=True)
+        exact = ev[-1] / ev[0]
+        assert abs(report.kappa_est - exact) <= 0.02 * exact, (scaled, exact)
+        kappa[scaled] = report.kappa_est
+    if preset == "spherical_shell":
+        assert kappa[True] < 0.6 * kappa[False]
 
 
 def test_csv_round_trip():

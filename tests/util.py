@@ -19,7 +19,7 @@ from lriga.tucker import (
     tucker_zero,
 )
 
-from oracle import from_dense
+from oracle import _densify, from_dense
 
 
 def unvec(x, dims):
@@ -193,14 +193,23 @@ def sthosvd_full_svd(X, eps):
 class ExactFD:
     """Exact inverse of the Kronecker sum w1 K1 (x) M2 (x) M3 + ... (dense
     path), the oracle for the fast-diagonalization preconditioner; the
-    direction weights ``w`` scale each pencil's eigenvalues."""
+    direction weights ``w`` scale each pencil's eigenvalues.  With row
+    scalings ``h`` it is ``H A_FD^-1 H``, ``H = diag(h1 (x) h2 (x) h3)``,
+    applied as three dense multiplications on either side."""
 
-    def __init__(self, eigs, weights=(1.0, 1.0, 1.0)):
+    def __init__(self, eigs, weights=(1.0, 1.0, 1.0), h=None):
         self.eigs = eigs
+        self.weights = weights
+        self.h = h
         lam = [w * np.asarray(e.lambdas) for w, e in zip(weights, eigs)]
         self.denom = (lam[0][:, None, None] + lam[1][None, :, None]
                       + lam[2][None, None, :])
         assert np.min(self.denom) > 0.0, "eigenvalue sums must be positive"
+
+    def for_operator(self, op):
+        """The same inverse scaled by :func:`dense_diagonal_scaling` of op."""
+        return ExactFD(self.eigs, self.weights,
+                       dense_diagonal_scaling(op, self.eigs, self.weights))
 
     @property
     def dims(self):
@@ -215,18 +224,44 @@ class ExactFD:
         S = np.asarray(S, dtype=float)
         if S.shape != self.dims:
             raise ValueError("expected shape %s, got %s" % (self.dims, S.shape))
-        T = S
+        H = None if self.h is None else [np.diag(h) for h in self.h]
+        T = S if H is None else multi_mode_product(S, H)
         for k, e in enumerate(self.eigs):
             T = mode_product(T, k, e.U.T)
         T = T / self.denom
         for k, e in enumerate(self.eigs):
             T = mode_product(T, k, e.U)
-        return T
+        return T if H is None else multi_mode_product(T, H)
 
     def apply(self, s):
         """Inverse applied to a Tucker tensor; returns a full-rank Tucker tensor
         (``to_dense`` refuses sizes above ``tucker.DENSE_GUARD``)."""
         return from_dense(self.apply_array(to_dense(s)))
+
+
+def dense_diagonal_scaling(op, eigs, weights=(1.0, 1.0, 1.0)):
+    """Oracle for ``lriga.fastdiag.diagonal_scaling``: the same fit of
+    ``diag(op) / diag(A_FD)`` on dense ``n1 x n2 x n3`` diagonals.
+
+    The pencils are rebuilt from the eigendecompositions, ``M = (U U^T)^-1``
+    and ``K = M U diag(lambdas) U^T M``, and the log-ratio ``L`` is fitted
+    by its mode means ``m_k`` less two thirds of its mean; returns
+    ``h_k = exp(-(m_k - 2 mean(L) / 3) / 2)``.
+    """
+    dA = np.einsum("abc,ia,jb,kc->ijk", op.core, *[
+        np.column_stack([np.diag(_densify(C)) for C in Cs])
+        for Cs in op.factors])
+    dM, dK = [], []
+    for w, e in zip(weights, eigs):
+        M = np.linalg.inv(e.U @ e.U.T)
+        dM.append(np.diag(M))
+        dK.append(w * np.diag(M @ e.U @ np.diag(e.lambdas) @ e.U.T @ M))
+    dFD = (np.einsum("i,j,k->ijk", dK[0], dM[1], dM[2])
+           + np.einsum("i,j,k->ijk", dM[0], dK[1], dM[2])
+           + np.einsum("i,j,k->ijk", dM[0], dM[1], dK[2]))
+    L = np.log(dA) - np.log(dFD)
+    modes = [L.mean(axis=(1, 2)), L.mean(axis=(0, 2)), L.mean(axis=(0, 1))]
+    return [np.exp(-0.5 * (m - 2.0 * L.mean() / 3.0)) for m in modes]
 
 
 def exact_fd(pencils):
