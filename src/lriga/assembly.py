@@ -21,7 +21,8 @@ and the fits sample a handful of point sets over and over (the Chebyshev
 grids of each degree and the Halton validation sample).  One assembly
 therefore evaluates the map through a per-call memo
 (:func:`geometry.metric_memo`): J, J^-1 and det(J) are computed once per
-distinct point set and dropped when the assembly returns.
+distinct point set, Q on its first request there, and all are dropped
+when the assembly returns.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import numpy as np
 
 from .bsplines import assemble_weighted_matrix, assemble_weighted_rhs
 from .chebfit import approximate_function, halton_sample
-from .geometry import metric_memo, metric_tensor
+from .geometry import metric_memo
 from .tucker import (
     BlockTuckerOperator,
     BlockTuckerVector,
@@ -69,13 +70,9 @@ class AssembledSystem:
     spaces: tuple
 
 
-def _metric_scale(metric):
-    """Magnitude of the metric over a 128-point low-discrepancy sample;
-    ``metric`` maps points to (J^-1, det J)."""
-    pts = halton_sample(128)
-    Jinv, det = metric(pts)
-    Q = metric_tensor(Jinv, det)
-    return float(np.max(np.abs(Q))), float(np.max(np.abs(det)))
+def _sample_max(values):
+    """Magnitude of ``values`` sampled at 128 low-discrepancy points."""
+    return float(np.max(np.abs(values(halton_sample(128)))))
 
 
 def block_operator(spaces, sf, k, l):
@@ -167,7 +164,7 @@ def assemble_form(spaces, metric, W, scale, loads, eps):
             if b > a:
                 blocks[b][a] = operator_transpose(blocks[a][b])
 
-    _, dscale = _metric_scale(metric)
+    dscale = _sample_max(lambda pts: metric(pts)[1])
     load_fits = []
     for f in loads:
         if not callable(f):
@@ -204,9 +201,9 @@ def assemble_system(spaces, geo, f, eps):
     metric = metric_memo(geo)
 
     def Q(a, b, c, e):
-        return lambda pts: metric_tensor(*metric(pts))[..., c, e]
+        return lambda pts: metric.tensor(pts)[..., c, e]
 
-    qscale, _ = _metric_scale(metric)
+    qscale = _sample_max(metric.tensor)
     return assemble_form(spaces, metric, Q, qscale, (f,), eps)
 
 

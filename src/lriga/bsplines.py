@@ -3,7 +3,9 @@ first derivatives, Gauss quadrature, and weighted Galerkin matrices.
 
 Basis functions follow the Cox-De Boor recursion (0/0 = 0 convention).  The
 weighted matrices read one memoized table per ``(p, n_el, q)``, which every
-space of that degree and mesh shares whatever its boundary conditions.
+space of that degree and mesh shares whatever its boundary conditions, and
+one memoized CSR pattern per ``(p, n_el)``, into which each matrix sums its
+element entries without building a COO matrix.
 Weight functions for the weighted matrices are univariate polynomials given
 by Chebyshev coefficients on [0,1] via the affine pullback T_k(2*eta - 1).
 """
@@ -192,6 +194,50 @@ def _quadrature(space, w_cheb):
     return rule, wv, element_basis(space.p, space.n_el, q)
 
 
+@functools.lru_cache(maxsize=None)
+def element_pattern(p, n_el):
+    """CSR pattern of the element assembly on the full basis of ``(p,
+    n_el)``, and the order in which a COO to CSR conversion sums the
+    element entries into it.
+
+    The conversion buckets the entries by row in input order, sorts each
+    row's column indices with scipy's ``sort_indices``, which need not keep
+    equal indices in input order (for p = 4 it does not), and sums equal
+    neighbours left to right.  The order is read off that very sort, run
+    once here on the entries' positions.
+
+    Memoized per process: read-only arrays, so a matrix takes copies.
+
+    Returns:
+        ``(indptr, indices, order, slot)``: int32 CSR row pointers and
+        column indices; ``order``, the local entries ``(e, i, j)`` (flat,
+        C order) in summation order; and ``slot``, the position in
+        ``indices`` that each of them is summed into.
+    """
+    full = n_el + p
+    e = np.arange(n_el)[:, None, None]
+    i = np.arange(p + 1)
+    rows = np.broadcast_to(e + i[None, :, None], (n_el, p + 1, p + 1)).ravel()
+    cols = np.broadcast_to(e + i[None, None, :], (n_el, p + 1, p + 1)).ravel()
+    by_row = np.argsort(rows, kind="stable")
+    ptr = np.zeros(full + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=full), out=ptr[1:])
+    unsorted = sp.csr_matrix((by_row.astype(float), cols[by_row], ptr),
+                             shape=(full, full))
+    unsorted.sort_indices()
+    order = unsorted.data.astype(np.intp)
+    r, c = rows[order], cols[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    slot = np.cumsum(first) - 1
+    indptr = np.zeros(full + 1, dtype=np.int32)
+    np.cumsum(np.bincount(r[first], minlength=full), out=indptr[1:])
+    indices = c[first].astype(np.int32)
+    for a in (indptr, indices, order, slot):
+        a.setflags(write=False)
+    return indptr, indices, order, slot
+
+
 def assemble_weighted_matrix(space, deriv_row, deriv_col, w_cheb=None):
     """Galerkin matrix with a polynomial weight on the full basis:
 
@@ -200,25 +246,23 @@ def assemble_weighted_matrix(space, deriv_row, deriv_col, w_cheb=None):
     for every basis function of ``space``, Dirichlet ends included: a
     ``full_dim`` square CSR matrix, which ``[space.keep, space.keep]``
     trims to the kept functions.  Quadrature order is chosen exact for
-    the polynomial integrand.
+    the polynomial integrand.  Element entries are summed into the
+    :func:`element_pattern` slots in the order of a COO to CSR
+    conversion, so the matrix is the conversion's bit for bit.
 
     Raises:
         ValueError: if a derivative order is not 0 or 1.
     """
     _check_orders(deriv_row, deriv_col)
-    p, n_el = space.p, space.n_el
     rule, wv, B = _quadrature(space, w_cheb)
     local = np.einsum("eqi,eqj,eq,eq->eij", B[deriv_row], B[deriv_col], wv,
                       rule.weights)
-
-    e = np.arange(n_el)[:, None, None]
-    i = np.arange(p + 1)
-    rows = np.broadcast_to(e + i[None, :, None], local.shape)
-    cols = np.broadcast_to(e + i[None, None, :], local.shape)
+    indptr, indices, order, slot = element_pattern(space.p, space.n_el)
+    data = np.bincount(slot, weights=local.ravel()[order],
+                       minlength=len(indices))
     full = space.full_dim
-    return sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(full, full)
-    ).tocsr()
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                         shape=(full, full))
 
 
 def assemble_weighted_rhs(space, w_cheb=None):
@@ -226,9 +270,9 @@ def assemble_weighted_rhs(space, w_cheb=None):
     (length ``full_dim``; ``[space.keep]`` trims it)."""
     rule, wv, B = _quadrature(space, w_cheb)
     local = np.einsum("eqi,eq,eq->ei", B[0], wv, rule.weights)
-    f = np.zeros(space.full_dim)
-    np.add.at(f, np.arange(space.n_el)[:, None] + np.arange(space.p + 1), local)
-    return f
+    rows = np.arange(space.n_el)[:, None] + np.arange(space.p + 1)
+    return np.bincount(rows.ravel(), weights=local.ravel(),
+                       minlength=space.full_dim)
 
 
 def assemble_pencil(space):

@@ -319,6 +319,9 @@ def cmd_convergence(cfg):
     geo = _geometry(cfg)
     p = _positive(cfg, "problem", "p", int)
     levels = _positive(cfg, "convergence", "levels", _int_list, or_zero=True)
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError("[convergence] levels must be strictly increasing, "
+                          "got %r" % levels)
 
     rows = []
     all_converged = True
@@ -343,14 +346,16 @@ def cmd_convergence(cfg):
                              manufactured.grad)
         rows.append((level, n_el, l2, h1))
 
+    # rates per halving of the mesh size: levels may skip
     lines = ["level,n_el,l2_error,h1_error,l2_rate,h1_rate"]
     for i, (level, n_el, l2, h1) in enumerate(rows):
         if i == 0:
             rates = ","
         else:
+            prev, _, l2_prev, h1_prev = rows[i - 1]
             rates = "%.17g,%.17g" % (
-                np.log2(rows[i - 1][2] / l2),
-                np.log2(rows[i - 1][3] / h1),
+                np.log2(l2_prev / l2) / (level - prev),
+                np.log2(h1_prev / h1) / (level - prev),
             )
         lines.append("%d,%d,%.17g,%.17g,%s" % (level, n_el, l2, h1, rates))
     _emit("\n".join(lines) + "\n", cfg["output"]["csv"].strip())

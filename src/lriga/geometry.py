@@ -175,26 +175,38 @@ def metric_pieces(geo, etas):
 
 def metric_memo(geo):
     """:func:`metric_pieces` of ``geo`` as ``pts -> (J^-1, det J)``,
-    evaluated once per distinct point set.
+    evaluated once per distinct point set; ``.tensor(pts)`` gives that
+    point set's :func:`metric_tensor`, computed on its first request.
 
     Meant to live for one assembly, in which many coefficients are sampled
     on the same few point sets.  Entries are keyed by the points' shape and
     a hit is confirmed by ``np.array_equal`` against the stored points; a
-    miss replaces the entry of that shape.  The shared arrays are
-    read-only.
+    miss replaces the entry of that shape, tensor included.  The shared
+    arrays are read-only.
     """
     seen = {}
 
-    def pieces(pts):
+    def entry(pts):
         pts = np.asarray(pts)
         hit = seen.get(pts.shape)
         if hit is None or not np.array_equal(hit[0], pts):
             Jinv, det = metric_pieces(geo, pts)
             Jinv.setflags(write=False)
             det.setflags(write=False)
-            hit = seen[pts.shape] = (pts.copy(), (Jinv, det))
-        return hit[1]
+            hit = seen[pts.shape] = [pts.copy(), (Jinv, det), None]
+        return hit
 
+    def pieces(pts):
+        return entry(pts)[1]
+
+    def tensor(pts):
+        hit = entry(pts)
+        if hit[2] is None:
+            hit[2] = metric_tensor(*hit[1])
+            hit[2].setflags(write=False)
+        return hit[2]
+
+    pieces.tensor = tensor
     return pieces
 
 

@@ -6,8 +6,9 @@ solver itself never imports this module.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
-from lriga.bsplines import gauss_rule
+from lriga.bsplines import _quadrature, gauss_rule
 from lriga.tucker import MemoryGuardError, TuckerTensor3
 
 #: Largest vec-space dimension the dense expansions will build.
@@ -50,6 +51,23 @@ def dense_operator(op, guard=ORACLE_GUARD):
                 if c != 0.0:
                     A += c * kron3(op.factors[0][i1], op.factors[1][i2], op.factors[2][i3])
     return A
+
+
+def coo_weighted_matrix(space, deriv_row, deriv_col, w_cheb=None):
+    """The full-basis weighted Galerkin matrix built the plain way: the
+    element matrices of ``bsplines.assemble_weighted_matrix``, scattered
+    to rows/columns ``e + i``, ``e + j`` of a COO matrix and converted to
+    CSR by scipy, which sums the duplicates."""
+    rule, wv, B = _quadrature(space, w_cheb)
+    local = np.einsum("eqi,eqj,eq,eq->eij", B[deriv_row], B[deriv_col], wv,
+                      rule.weights)
+    e = np.arange(space.n_el)[:, None, None]
+    i = np.arange(space.p + 1)
+    rows = np.broadcast_to(e + i[None, :, None], local.shape)
+    cols = np.broadcast_to(e + i[None, None, :], local.shape)
+    full = space.full_dim
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(full, full)).tocsr()
 
 
 def _quad_grid(spaces, qpts):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from lriga import assembly, geometry
 from lriga.assembly import assemble_system, dirichlet_lift
 from lriga.elasticity import assemble_elasticity
 from lriga.bsplines import (
@@ -241,3 +242,44 @@ def test_one_jacobian_per_sample_set(kind, preset):
     n = len(seen)
     assemble_counted(kind, geo)
     assert len(seen) == 2 * n
+
+
+def unmemoized_metric(geo):
+    """:func:`geometry.metric_memo`'s interface, evaluating afresh on
+    every call."""
+
+    def pieces(pts):
+        return geometry.metric_pieces(geo, pts)
+
+    pieces.tensor = lambda pts: geometry.metric_tensor(*pieces(pts))
+    return pieces
+
+
+@pytest.mark.parametrize("preset", ["quarter_annulus", "spherical_shell"])
+def test_one_metric_tensor_per_sample_set(preset, monkeypatch):
+    geo, seen = counting_map(get_geometry(preset))
+    tensors = []
+    metric_tensor = geometry.metric_tensor
+    monkeypatch.setattr(geometry, "metric_tensor",
+                        lambda *args: tensors.append(1) or metric_tensor(*args))
+    spaces = make_spaces(2, 6)
+    system = assemble_system(spaces, geo, one, 1e-7)
+    # six coefficients, each sampled on every grid its fit visits, and
+    # the scale sample: one tensor per point set
+    n = len(tensors)
+    assert 2 <= n <= len(distinct(seen))
+
+    # without the memo every coefficient computes its own tensors, to the
+    # same bits
+    monkeypatch.setattr(assembly, "metric_memo", unmemoized_metric)
+    plain = assemble_system(spaces, geo, one, 1e-7)
+    assert len(tensors) - n > 2 * n
+    assert np.array_equal(system.op.core, plain.op.core)
+    for Cs, Ds in zip(system.op.factors, plain.op.factors):
+        assert len(Cs) == len(Ds)
+        for C, D in zip(Cs, Ds):
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(C, name), getattr(D, name))
+    assert np.array_equal(system.rhs.core, plain.rhs.core)
+    for U, V in zip(system.rhs.factors, plain.rhs.factors):
+        assert np.array_equal(U, V)

@@ -23,6 +23,7 @@ from lriga.bsplines import (
 )
 
 import util
+from oracle import coo_weighted_matrix
 
 NN = (BC_NEUMANN, BC_NEUMANN)
 DD = (BC_DIRICHLET, BC_DIRICHLET)
@@ -342,3 +343,44 @@ def test_unreduced_weighted_matrix_equals_sliced():
             assert B.shape == P.shape == (space.n, space.n)
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(B, name), getattr(P, name))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_el", [1, 2, 5, 16, 64])
+def test_weighted_matrix_equals_coo_oracle(p, n_el):
+    # the cached pattern and the bincount of element entries give the
+    # arrays of a COO to CSR conversion, bit for bit
+    weights = (None, np.linspace(1.0, 0.2, 5), np.linspace(0.7, -0.3, 12))
+    for bc in (DD, NN, (BC_NEUMANN, BC_DIRICHLET)):
+        space = SplineSpace1D(p, n_el, bc)
+        for orders in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for w in weights:
+                got = assemble_weighted_matrix(space, *orders, w_cheb=w)
+                want = coo_weighted_matrix(space, *orders, w_cheb=w)
+                assert got.shape == want.shape
+                for name in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name)), name
+                    assert getattr(got, name).dtype == getattr(want, name).dtype
+
+
+def test_weighted_matrices_do_not_share_index_arrays():
+    # a matrix's index arrays are its own: writing them, or a scipy
+    # in-place operation, leaves another matrix of the same (p, n_el)
+    # and the cached pattern as they were
+    space = SplineSpace1D(3, 6)
+    A = assemble_weighted_matrix(space, 1, 1)
+    B = assemble_weighted_matrix(space, 0, 0)
+    before = [a.copy() for a in (B.indptr, B.indices)]
+    A.indices[:] = A.indices[::-1]
+    A.has_sorted_indices = False
+    A.sort_indices()
+    A.indptr[:] = 0
+    assert np.array_equal(B.indptr, before[0])
+    assert np.array_equal(B.indices, before[1])
+    C = assemble_weighted_matrix(space, 0, 0)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(C, name), getattr(B, name))
+    for a in bsplines.element_pattern(3, 6):
+        with pytest.raises(ValueError):
+            a[0] = 1

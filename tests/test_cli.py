@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lriga
@@ -194,6 +195,31 @@ def test_convergence_single_level_raw_errors_only(tmp_path):
     assert row[0] == "2" and row[1] == "4"
     assert float(row[2]) > 0 and float(row[3]) > 0
     assert row[4] == "" and row[5] == ""  # no fit from one level
+
+
+def test_convergence_rates_are_per_level(tmp_path):
+    # levels 2 and 4 are two halvings apart: the rate divides the log2
+    # error ratio by two
+    path = tmp_path / "conv.csv"
+    code = run([
+        "convergence", "--geometry", "quarter_annulus", "--p", "2",
+        "--levels", "2,4", "--csv", str(path),
+    ])
+    assert code == EXIT_OK
+    _, first, second = path.read_text().strip().split("\n")
+    e2 = [float(v) for v in first.split(",")[2:4]]
+    row = second.split(",")
+    assert row[:2] == ["4", "16"]
+    e4 = [float(v) for v in row[2:4]]
+    rates = [float(v) for v in row[4:6]]
+    assert rates == [np.log2(a / b) / 2 for a, b in zip(e2, e4)]
+    assert 1.5 < rates[0] < 2.5 and 1.2 < rates[1] < 1.8
+
+
+@pytest.mark.parametrize("levels", ["3,2", "2,2"])
+def test_convergence_levels_not_increasing_is_config_error(levels, capsys):
+    assert run(["convergence", "--levels", levels]) == EXIT_CONFIG
+    assert "[convergence] levels" in capsys.readouterr().err
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):

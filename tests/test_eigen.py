@@ -2,9 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from lriga.bsplines import BC_DIRICHLET, BC_NEUMANN, SplineSpace1D, assemble_pencil
+from lriga import eigen
+from lriga.bsplines import (
+    BC_DIRICHLET,
+    BC_NEUMANN,
+    SplineSpace1D,
+    UnivariatePencil,
+    assemble_pencil,
+)
 from lriga.eigen import Eigen1D, approx_eigen, exact_eigen
+from lriga.elasticity import block_preconditioner
+from lriga.fastdiag import build_lowrank_fd
 
 D, N = BC_DIRICHLET, BC_NEUMANN
 ALL_BC = [(D, D), (N, N), (N, D), (D, N)]
@@ -98,3 +108,64 @@ def test_apply_empty_block():
     assert out.shape == (E.n, 0)
     out_t = E.U.T @ np.zeros((E.n, 0))
     assert out_t.shape == (E.n, 0)
+
+
+# ------------------------------------------------------------------ memo
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Empty decomposition memo; the list records every eigh call."""
+    calls = []
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(eigen, "_DECOMPOSITIONS", {})
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda *args: calls.append(args) or eigh(*args))
+    return calls
+
+
+def test_one_eigh_for_a_dirichlet_cube(eigh_calls):
+    spaces = [SplineSpace1D(3, 9) for _ in range(3)]
+    eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
+    build_lowrank_fd(eigs, 1e-1)
+    assert len(eigh_calls) == 1
+    assert eigs[1] is eigs[0] and eigs[2] is eigs[0]
+
+
+def test_one_eigh_per_distinct_column_space(eigh_calls):
+    NN, DD = (N, N), (D, D)
+    spaces = [SplineSpace1D(2, 6, bc) for bc in (NN, NN, DD)]
+    P = block_preconditioner(spaces, 0.5, 0.4, 1e-1)
+    assert len(eigh_calls) == 2
+    eigs = P.parts[0].eigs
+    assert eigs[0] is eigs[1] and eigs[2] is not eigs[0]
+
+
+def test_decomposition_is_read_only_and_equals_a_fresh_one(eigh_calls):
+    space = SplineSpace1D(3, 7)
+    pencil = assemble_pencil(space)
+    E = exact_eigen(pencil)
+    for a in (E.lambdas, E.U):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    lam, U = scipy.linalg.eigh(pencil.K.toarray(), pencil.M.toarray())
+    assert np.array_equal(E.lambdas, lam) and np.array_equal(E.U, U)
+
+
+def test_memo_keys_on_pencil_contents(eigh_calls):
+    # spaces that differ only in bc, and a pencil with one entry changed,
+    # get decompositions of their own; an equal pencil built anew does not
+    spaces = [SplineSpace1D(3, 7, bc) for bc in ALL_BC]
+    eigs = [exact_eigen(assemble_pencil(s)) for s in spaces]
+    assert len(eigh_calls) == 4
+    assert len({id(E) for E in eigs}) == 4
+    assert exact_eigen(assemble_pencil(SplineSpace1D(3, 7, (N, N)))) is eigs[1]
+    pencil = assemble_pencil(spaces[0])
+    K = pencil.K.copy()
+    K.data[0] *= 2.0
+    other = exact_eigen(UnivariatePencil(pencil.M, K))
+    assert len(eigh_calls) == 5
+    assert not np.array_equal(other.lambdas, eigs[0].lambdas)
+    dense = exact_eigen(UnivariatePencil(pencil.M.toarray(), K.toarray()))
+    assert len(eigh_calls) == 6
+    assert np.array_equal(dense.U, other.U)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lriga import geometry
 from lriga.geometry import (
     GeometryError,
     GeometryMap,
@@ -10,6 +11,7 @@ from lriga.geometry import (
     get_geometry,
     metric_memo,
     metric_pieces,
+    metric_tensor,
 )
 
 from util import (
@@ -113,6 +115,24 @@ def test_metric_memo_evaluates_each_point_set_once():
         Jinv_b[0, 0, 0] = 0.0
     Q, d = metric_data(base, b)
     assert np.array_equal(d, det_b)
+
+
+def test_metric_memo_computes_each_tensor_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geometry, "metric_tensor",
+                        lambda *args: calls.append(1) or metric_tensor(*args))
+    geo = get_geometry("spherical_shell")
+    metric = metric_memo(geo)
+    rng = np.random.default_rng(6)
+    a, b = rng.uniform(0, 1, (2, 30, 3))
+    Q = metric.tensor(a)
+    assert metric.tensor(a.copy()) is Q and len(calls) == 1
+    assert np.array_equal(Q, metric_tensor(*metric_pieces(geo, a)))
+    with pytest.raises(ValueError):
+        Q[0, 0, 0] = 0.0
+    # another point set of the same shape replaces the entry, tensor too
+    assert np.array_equal(metric.tensor(b), metric_tensor(*metric_pieces(geo, b)))
+    assert len(calls) == 2
 
 
 def test_singular_map_raises():
