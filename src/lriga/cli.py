@@ -24,6 +24,7 @@ from .fastdiag import FastDiagError, build_lowrank_fd
 from .geometry import GeometryError, get_geometry
 from . import manufactured
 from .tpcg import TpcgConfig, error_norms, tpcg
+from .tucker import MemoryGuardError
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 1
@@ -457,7 +458,8 @@ def main(argv=None):
             parser.print_help()
             return EXIT_CONFIG
         return COMMANDS[args.command][0](cfg)
-    except ConfigError as exc:
+    except (ConfigError, MemoryGuardError) as exc:
+        # MemoryGuardError: a dense image of this size (named) is refused
         message = str(exc)
     except ExpSumError as exc:
         # no exponential sum of at most expsum.R_CAP terms meets the target

@@ -108,9 +108,8 @@ class BlockDiagPreconditioner:
     """Independent per-component applicators; off-diagonal blocks ignored.
 
     Each part is a :class:`lriga.fastdiag.LowRankFD` with its own direction
-    weights, so below the memory guard a part applies its own weighted
-    Kronecker sum's exact inverse, and fits its exponential sum only when
-    that sum is first read.
+    weights, so a part applies its own weighted Kronecker sum's exact
+    inverse, and fits its exponential sum only when that sum is first read.
     """
 
     parts: tuple
@@ -137,9 +136,9 @@ def block_preconditioner(spaces, lam, mu, eps_rel):
 
     Component i uses the parametric (identity-geometry) diagonal block,
     a Kronecker sum whose direction-i stiffness is weighted 2 mu + lam
-    and the transversal ones mu; each inverse is the fast-diagonalization
-    applicator, with an exponential sum at relative accuracy eps_rel above
-    the memory guard.
+    and the transversal ones mu; each inverse is the exact
+    fast-diagonalization apply.  ``eps_rel`` is the accuracy of each part's
+    exponential sum, which only a reader of ``expsum`` or ``R`` fits.
     """
     eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
     parts = []

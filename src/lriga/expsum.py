@@ -71,9 +71,6 @@ class ExpSum:
     def R(self):
         return len(self.weights)
 
-    def __call__(self, lam):
-        return np.exp(-np.outer(lam, self.exponents)) @ self.weights
-
 
 #: Rows per block of the fine check, whose scratch is BLOCK_ROWS x R at most.
 BLOCK_ROWS = 4096
@@ -90,8 +87,8 @@ def _sup_error(weights, exponents, M, n):
     The GEMV kernel sums groups of four rows in one order and leftover rows
     in another, so blocks start at multiples of four and a lone last row
     (numpy hands it to BLAS dot) joins the block before it: with one BLAS
-    thread each value has the bits of ``ExpSum.__call__``.  np.maximum
-    keeps a NaN."""
+    thread each value has the bits of the unblocked evaluation,
+    ``expsum_values`` in ``tests/util.py``.  np.maximum keeps a NaN."""
     lam = np.logspace(0.0, np.log10(M), n)
     err, start = 0.0, 0
     while start < n:

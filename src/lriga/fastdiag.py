@@ -4,19 +4,18 @@ Fast diagonalization inverts a Kronecker sum through the eigenvectors of
 its three univariate pencils and the sums lam1+lam2+lam3 of their
 eigenvalues.  Each direction's exact eigenvector matrix U_k is computed
 once at setup (see :mod:`lriga.eigen`), so one pass in that basis is the
-inverse itself: whenever the dense image fits under ``tucker.DENSE_GUARD``
-the preconditioner multiplies the input by U_k^T, divides by the
-eigenvalue sums and multiplies by U_k, with identity factors at the cap.
+inverse itself: the preconditioner multiplies the input by U_k^T, divides
+by the eigenvalue sums and multiplies by U_k, with identity factors at the
+cap.  That exact inverse is the only apply; an input whose dense image
+exceeds ``tucker.DENSE_GUARD`` is refused.
 
-Above the guard the low-rank version replaces 1/(lam1+lam2+lam3) by an
-exponential sum, which turns the inverse into a short sum of Kronecker
-products: each factor is multiplied by U_k^T, scaled by the R exponential
-terms and the block row multiplied by U_k, then the diagonal core's terms
-are summed into an exact image with orthonormal factors, whose rank is
-min(n_k, R r_k) for R exponential terms.  The sum is fitted on first use,
-so a preconditioner that stays below the guard never fits one.
+The paper replaces 1/(lam1+lam2+lam3) by an exponential sum, so that the
+inverse becomes a short sum of Kronecker products.  No apply uses it: every
+image it gave was at the cap ``R r_k >= n_k`` anyway.  The sum is still
+fitted on demand, when ``expsum`` or ``R`` is first read, for the tables
+that report its rank and error; a solve fits none.
 
-Either inverse sees only the parametric cube.  :meth:`LowRankFD.for_operator`
+The inverse sees only the parametric cube.  :meth:`LowRankFD.for_operator`
 folds the geometry back in through a Kronecker diagonal scaling
 ``H A_FD^-1 H`` (Sangalli & Tani, SISC 2016): ``H = diag(h1 (x) h2 (x) h3)``
 comes from a separable fit of ``diag(A) / diag(A_FD)`` and multiplies the
@@ -30,7 +29,7 @@ import numpy as np
 from . import tucker
 from .eigen import Eigen1D
 from .expsum import build_exp_sum, rank_floor
-from .tucker import TuckerTensor3, _kron_image, identity, mode_product
+from .tucker import TuckerTensor3, identity, mode_product
 
 
 class FastDiagError(ValueError):
@@ -39,8 +38,7 @@ class FastDiagError(ValueError):
 
 
 class LowRankFD:
-    """Fast-diagonalization preconditioner in Tucker form: exact below the
-    memory guard, an exponential sum above it.
+    """Exact fast-diagonalization preconditioner in Tucker form.
 
     Attributes:
         eigs: per-direction eigendecompositions (:class:`lriga.eigen.Eigen1D`).
@@ -48,8 +46,8 @@ class LowRankFD:
         lam_min, lam_max: extreme eigenvalue sums (after direction weights).
         eps_rel: relative accuracy of the exponential sum.
         expsum: ExpSum approximating 1/lambda on [1, lam_max/lam_min],
-            fitted on first use (also by reading ``R``); :meth:`apply_expsum`
-            forms its scalings and diagonal core from it on each call.
+            fitted on first use (also by reading ``R``); the apply never
+            reads it.
     """
 
     def __init__(self, eigs, lam, eps_rel):
@@ -89,17 +87,21 @@ class LowRankFD:
         return LowRankFD(eigs, self.lam, self.eps_rel)
 
     def apply(self, s):
-        """Preconditioner applied to a Tucker tensor.
-
-        While ``n1 n2 n3 <= tucker.DENSE_GUARD`` this is the exact inverse
+        """Preconditioner applied to a Tucker tensor: the exact inverse
         ``Y = s.core x_k (U_k^T F_k)``, divided slab by slab by the weighted
         eigenvalue sums and returned as ``Y x_k U_k`` with identity factors
-        (rank (n1, n2, n3)).  Above the guard it is :meth:`apply_expsum`.
+        (rank (n1, n2, n3)).
+
+        Raises:
+            MemoryGuardError: if ``n1 n2 n3 > tucker.DENSE_GUARD``, before
+                any mode product.
         """
         self._check(s)
         n1, n2, n3 = self.dims
         if n1 * n2 * n3 > tucker.DENSE_GUARD:
-            return self.apply_expsum(s)
+            raise tucker.MemoryGuardError(
+                "preconditioner image %d x %d x %d exceeds guard %d"
+                % (n1, n2, n3, tucker.DENSE_GUARD))
         Y = s.core
         for k, e in enumerate(self.eigs):
             Y = mode_product(Y, k, e.U.T @ s.factors[k])
@@ -110,29 +112,6 @@ class LowRankFD:
         for k, e in enumerate(self.eigs):
             Y = mode_product(Y, k, e.U)
         return TuckerTensor3(Y, tuple(identity(n) for n in self.dims))
-
-    def apply_expsum(self, s):
-        """Exponential-sum preconditioner applied to a Tucker tensor.
-
-        Each factor F becomes the R scaled blocks U diag(d_j) U^T F side by
-        side (term index slow); the image of the diagonal core is summed term
-        by term without forming its Kronecker product with the input core.
-        The result is exact, has orthonormal factors and rank
-        (min(n1, R r1), min(n2, R r2), min(n3, R r3)).
-
-        Raises:
-            MemoryGuardError: if the image core would exceed
-                ``tucker.DENSE_GUARD``.
-        """
-        self._check(s)
-        es, factors = self.expsum, []
-        for e, v, F in zip(self.eigs, self.lam, s.factors):
-            d = np.exp(-np.outer(es.exponents, v) / self.lam_min)
-            Z = e.U.T @ F
-            factors.append(e.U @ np.hstack([dj[:, None] * Z for dj in d]))
-        core, j = np.zeros((es.R,) * 3), np.arange(es.R)
-        core[j, j, j] = es.weights / self.lam_min
-        return _kron_image(core, factors, s.core)
 
     def _check(self, s):
         if not isinstance(s, TuckerTensor3):
@@ -189,14 +168,16 @@ def diagonal_scaling(op, eigs, lam):
 def build_lowrank_fd(eigs, eps_rel, weights=None):
     """Fast-diagonalization preconditioner from three eigendecompositions.
 
-    Stores the weighted eigenvalues and their extreme sums; the exponential
-    sum is fitted only when an apply above the memory guard, or a reader of
-    ``expsum`` or ``R``, first needs it.  Its a-priori rank floor is checked
-    here, so a target no sum can meet fails now.
+    Stores the weighted eigenvalues and their extreme sums.  The apply is
+    the exact inverse and fits no exponential sum; one is fitted only when a
+    reader of ``expsum`` or ``R`` (the tables that report it) first needs
+    it.  Its a-priori rank floor is checked here, so a target no sum can
+    meet fails now.
 
     Args:
         eigs: three eigendecompositions with .lambdas and an n x n matrix .U.
-        eps_rel: relative accuracy of the exponential-sum inverse.
+        eps_rel: relative accuracy of the exponential sum (not of the
+            apply, which is exact).
         weights: optional positive per-direction scalings of the eigenvalues
             (the separable-coefficient case, e.g. elasticity diagonal blocks).
 

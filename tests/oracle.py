@@ -1,15 +1,17 @@
 """Brute-force dense reference implementations.
 
 Everything here materializes full matrices or tensors and is only meant for
-validating the low-rank kernels on small problems (tests, debugging).  The
-solver itself never imports this module.
+validating the low-rank kernels on small problems (tests, debugging), except
+``expsum_apply``: the paper's exponential-sum preconditioner in Tucker form,
+kept as the reference its tests apply.  The solver itself never imports
+this module.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from lriga.bsplines import _quadrature, gauss_rule
-from lriga.tucker import MemoryGuardError, TuckerTensor3
+from lriga.tucker import MemoryGuardError, TuckerTensor3, _kron_image
 
 #: Largest vec-space dimension the dense expansions will build.
 ORACLE_GUARD = 4096
@@ -51,6 +53,34 @@ def dense_operator(op, guard=ORACLE_GUARD):
                 if c != 0.0:
                     A += c * kron3(op.factors[0][i1], op.factors[1][i2], op.factors[2][i3])
     return A
+
+
+def expsum_apply(P, s):
+    """The paper's exponential-sum preconditioner ``P`` (a
+    :class:`lriga.fastdiag.LowRankFD`) applied to a Tucker tensor ``s``.
+
+    1/(lam1+lam2+lam3) is replaced by the sum's R terms, so the inverse is
+    a sum of R Kronecker products (Sangalli & Tani, SISC 2016; Braess &
+    Hackbusch, IMA J. Numer. Anal. 2005).  Each factor F becomes the R
+    scaled blocks U diag(d_j) U^T F side by side (term index slow); the
+    image of the diagonal core is summed term by term without forming its
+    Kronecker product with the input core.  The result is exact, has
+    orthonormal factors and rank
+    (min(n1, R r1), min(n2, R r2), min(n3, R r3)).
+
+    Raises:
+        MemoryGuardError: if the image core would exceed
+            ``tucker.DENSE_GUARD``.
+    """
+    P._check(s)
+    es, factors = P.expsum, []
+    for e, v, F in zip(P.eigs, P.lam, s.factors):
+        d = np.exp(-np.outer(es.exponents, v) / P.lam_min)
+        Z = e.U.T @ F
+        factors.append(e.U @ np.hstack([dj[:, None] * Z for dj in d]))
+    core, j = np.zeros((es.R,) * 3), np.arange(es.R)
+    core[j, j, j] = es.weights / P.lam_min
+    return _kron_image(core, factors, s.core)
 
 
 def coo_weighted_matrix(space, deriv_row, deriv_col, w_cheb=None):

@@ -25,7 +25,7 @@ from lriga.expsum import build_exp_sum
 from lriga.fastdiag import build_lowrank_fd
 from lriga.geometry import get_geometry
 from lriga import manufactured as bench
-from oracle import dense_operator
+from oracle import dense_operator, expsum_apply
 from lriga.tpcg import TpcgConfig, error_norms, tpcg
 from lriga.tucker import (
     TuckerTensor3,
@@ -132,7 +132,7 @@ def test_criterion_04_spectral_sandwich():
         assert tuple(s.n for s in spaces) == (6, 6, 6)
         eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
         P = build_lowrank_fd(eigs, 1e-1)
-        Pd = densify_apply(P.apply_expsum, (6, 6, 6))
+        Pd = densify_apply(lambda s: expsum_apply(P, s), (6, 6, 6))
         Dd = dense_kron_sum(spaces, (1.0, 1.0, 1.0))
         ev = np.linalg.eigvals(Pd @ Dd)
         if np.max(np.abs(ev.imag)) > 1e-8:

@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import lriga
-from lriga import cli
+from lriga import cli, tucker
 from lriga.assembly import assemble_system
 from lriga.cli import (
     EXIT_BREAKDOWN,
@@ -465,6 +466,20 @@ def test_unreachable_preconditioner_eps_is_config_error(argv, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("config error: [preconditioner] eps = ")
     assert "no exponential sum" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n-el", "4"],
+    ["elasticity", "--n-el", "2", "--lam", "0.5", "--mu", "0.4"],
+], ids=["solve", "elasticity"])
+def test_memory_guard_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    # a problem whose dense images the guard refuses ends with exit 2 and
+    # the refused shape on stderr, not with a traceback
+    monkeypatch.setattr(tucker, "DENSE_GUARD", 7)
+    assert run(argv + ["--csv", str(tmp_path / "out.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.match(r"config error: .*\d+ x \d+ x \d+ exceeds guard 7$",
+                    err), err
 
 
 @pytest.mark.parametrize("argv, ini", [

@@ -15,11 +15,12 @@ from lriga.bsplines import (
 from lriga.eigen import approx_eigen
 from lriga.elasticity import assemble_elasticity, block_preconditioner
 from lriga.expsum import ExpSumError
+from lriga import fastdiag
 from lriga.fastdiag import FastDiagError, build_lowrank_fd, diagonal_scaling
 from lriga.geometry import get_geometry
 from lriga.tpcg import TpcgConfig, tpcg
 from lriga import tucker
-from oracle import from_dense, kron3
+from oracle import expsum_apply, from_dense, kron3
 from lriga.tucker import (
     TuckerOperator3,
     identity,
@@ -33,6 +34,7 @@ from util import (
     dense_diagonal_scaling,
     densify_apply,
     exact_fd,
+    expsum_values,
     random_tucker,
 )
 
@@ -148,7 +150,7 @@ def test_weighted_directions_shift_interval():
     assert P.lam_min == pytest.approx(sum(np.min(v) for v in lam))
     sums = (lam[0][:, None, None] + lam[1][None, :, None]
             + lam[2][None, None, :]).ravel()
-    vals = sums * (P.expsum(sums / P.lam_min) / P.lam_min)
+    vals = sums * (expsum_values(P.expsum, sums / P.lam_min) / P.lam_min)
     assert np.all(np.abs(vals - 1.0) <= 1e-1 + 1e-12)
 
 
@@ -218,22 +220,24 @@ def test_exact_apply_matches_weighted_elasticity_parts():
         _assert_exact(part, ExactFD(part.eigs, weights))
 
 
-def test_apply_above_guard_is_the_expsum_image(monkeypatch):
-    # n = 32 and 2R < n, so a rank-(1, 1, 1) or (1, 2, 1) input has an
-    # exp-sum image below the lowered guard
-    space, pencil = _cube(2, 32)
+def test_apply_above_guard_raises(monkeypatch):
+    # the exact inverse is the only apply: above the guard it is refused,
+    # naming the dims and the guard, before any mode product runs
+    space, pencil = _cube(2, 8)
     P = build_lowrank_fd(_eigs(space, pencil), 1e-1)
     n1, n2, n3 = P.dims
-    assert 2 * P.R < n2
-    rng = np.random.default_rng(8)
-    inputs = [random_tucker(rng, P.dims, r) for r in ((1, 1, 1), (1, 2, 1))]
+    t = random_tucker(np.random.default_rng(8), P.dims, (1, 2, 1))
     monkeypatch.setattr(tucker, "DENSE_GUARD", n1 * n2 * n3 - 1)
-    for t in inputs:
-        got, want = P.apply(t), P.apply_expsum(t)
-        assert got.rank != P.dims
-        assert np.array_equal(got.core, want.core)
-        for F, G in zip(got.factors, want.factors):
-            assert np.array_equal(F, G)
+
+    def no_product(*args):
+        raise AssertionError("mode product above the guard")
+
+    monkeypatch.setattr(fastdiag, "mode_product", no_product)
+    with pytest.raises(tucker.MemoryGuardError,
+                       match=r"%d x %d x %d exceeds guard %d"
+                       % (n1, n2, n3, n1 * n2 * n3 - 1)):
+        P.apply(t)
+    assert "expsum" not in vars(P)
 
 
 def test_solve_below_guard_fits_no_sum():
@@ -343,7 +347,7 @@ def test_nonpositive_diagonal_raises_with_its_index():
         diagonal_scaling(good, eigs, [-v for v in P.lam])
 
 
-# --------------------------------------------------------- low-rank apply
+# ------------------------------------- exp-sum apply (oracle.expsum_apply)
 
 
 def test_apply_matches_dense_kron_oracle():
@@ -353,7 +357,7 @@ def test_apply_matches_dense_kron_oracle():
     dense_P = _dense_lowrank(P)
     rng = np.random.default_rng(2)
     t = random_tucker(rng, (space.n,) * 3, (2, 3, 2))
-    out = P.apply_expsum(t)
+    out = expsum_apply(P, t)
     expect = dense_P @ vec(to_dense(t))
     got = vec(to_dense(out))
     assert np.max(np.abs(got - expect)) < 1e-10 * np.max(np.abs(expect))
@@ -365,7 +369,7 @@ def test_apply_rank_is_product():
     P = build_lowrank_fd(eigs, 1e-1)
     rng = np.random.default_rng(3)
     t = random_tucker(rng, (space.n,) * 3, (2, 3, 1))
-    out = P.apply_expsum(t)
+    out = expsum_apply(P, t)
     # exact image, QR-reduced: rank min(n_k, R r_k), orthonormal factors
     n = space.n
     assert out.rank == (min(n, 2 * P.R), min(n, 3 * P.R), min(n, 1 * P.R))
@@ -378,21 +382,29 @@ def test_image_core_guard(monkeypatch):
     # refuses it before anything of that size is allocated
     space, pencil = _cube(2, 4)
     n = space.n
-    P = build_lowrank_fd(_eigs(space, pencil), 1e-1)
     t = random_tucker(np.random.default_rng(7), (n,) * 3, (1, 1, 1))
     op = TuckerOperator3(np.ones((2, 1, 1)),
                          tuple((pencil.K,) * r for r in (2, 1, 1)))
-    pc_core = min(n, P.R) ** 3
-    monkeypatch.setattr(tucker, "DENSE_GUARD", pc_core)
-    assert P.apply_expsum(t).core.size == pc_core
-    monkeypatch.setattr(tucker, "DENSE_GUARD", pc_core - 1)
-    with pytest.raises(tucker.MemoryGuardError):
-        P.apply_expsum(t)
     monkeypatch.setattr(tucker, "DENSE_GUARD", 2 * 1 * 1)
     assert tucker.tucker_matvec(op, t).core.size == 2
     monkeypatch.setattr(tucker, "DENSE_GUARD", 1)
     with pytest.raises(tucker.MemoryGuardError):
         tucker.tucker_matvec(op, t)
+
+
+def test_expsum_image_core_guard(monkeypatch):
+    # the exp-sum image goes through the same guard: the core of a
+    # rank-(1, 1, 1) input has min(n, R)^3 entries
+    space, pencil = _cube(2, 4)
+    n = space.n
+    P = build_lowrank_fd(_eigs(space, pencil), 1e-1)
+    t = random_tucker(np.random.default_rng(7), (n,) * 3, (1, 1, 1))
+    pc_core = min(n, P.R) ** 3
+    monkeypatch.setattr(tucker, "DENSE_GUARD", pc_core)
+    assert expsum_apply(P, t).core.size == pc_core
+    monkeypatch.setattr(tucker, "DENSE_GUARD", pc_core - 1)
+    with pytest.raises(tucker.MemoryGuardError):
+        expsum_apply(P, t)
 
 
 def test_apply_linear():
@@ -435,7 +447,7 @@ def test_lowrank_approaches_exact_fd():
     fd = ExactFD(eigs)
     rng = np.random.default_rng(5)
     t = random_tucker(rng, (space.n,) * 3, (2, 2, 2))
-    got = to_dense(P.apply_expsum(t))
+    got = to_dense(expsum_apply(P, t))
     expect = fd.apply_array(to_dense(t))
     assert np.max(np.abs(got - expect)) < 1e-5 * np.max(np.abs(expect))
 
@@ -469,7 +481,7 @@ def test_equal_ratio_preconditioners_share_the_sum_and_scale():
     assert P2.lam_min == 2.0 * P1.lam_min
     x = random_tucker(np.random.default_rng(5), P1.dims, (2, 3, 2))
     # doubling every eigenvalue leaves the scalings' bits and halves the core
-    z1, z2 = P1.apply_expsum(x), P2.apply_expsum(x)
+    z1, z2 = expsum_apply(P1, x), expsum_apply(P2, x)
     assert np.array_equal(2.0 * z2.core, z1.core)
     for F1, F2 in zip(z1.factors, z2.factors):
         assert np.array_equal(F1, F2)

@@ -215,9 +215,9 @@ def test_declared_dependencies_match_imports():
 
 @pytest.mark.parametrize("code, module", [
     # scipy.optimize (about 15 MB) serves only the exponential-sum fit,
-    # which a solve below the memory guard never runs
+    # which no solve runs: the apply is the exact inverse at every size
     ("import lriga", "scipy.optimize"),
-    # nor does a CLI solve or elasticity run below it (summary line muted)
+    # nor does a CLI solve or elasticity run (summary line muted)
     ("import io, os, lriga.cli as c; sys.stdout = io.StringIO(); "
      "assert c.main(['solve', '--n-el', '4', '--csv', os.devnull]) == 0; "
      "sys.stdout = sys.__stdout__", "scipy.optimize"),

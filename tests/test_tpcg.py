@@ -34,6 +34,7 @@ from lriga.tucker import (
     vec,
 )
 
+from test_elasticity import solve_column
 from util import (
     dense_diagonal_scaling,
     dense_kron_sum,
@@ -141,14 +142,30 @@ def test_eps0_independence_on_cube(monkeypatch):
     assert diff <= 10.0 * cfg.tol
 
 
+def dense_residual(op, rhs, x):
+    """``|rhs - A x|`` with every block of ``op`` expanded densely."""
+    blocks = op.blocks if hasattr(op, "blocks") else [[op]]
+    A = np.block([[dense_operator(b) for b in row] for row in blocks])
+
+    def flat(t):
+        parts = t.components if hasattr(t, "components") else (t,)
+        return np.concatenate([vec(to_dense(c)) for c in parts])
+
+    return np.linalg.norm(flat(rhs) - A @ flat(x))
+
+
 @pytest.mark.parametrize("tol_rel", [1e-8, 1e-10])
-def test_final_residual_matches_dense(tol_rel):
+@pytest.mark.parametrize("solve, args", [
+    (solve_poisson, ("quarter_annulus", 2, 8)),
+    (solve_poisson, ("spherical_shell", 3, 5)),
+    (solve_column, (2, 3)),
+], ids=["quarter_annulus", "spherical_shell", "deformed_column"])
+def test_final_residual_matches_dense(solve, args, tol_rel):
     # near convergence f - A x is a difference of nearly equal tensors; the
     # reported norm must still agree with the dense residual
-    system, x, report, cfg = solve_poisson("quarter_annulus", 2, 8, tol_rel)
+    system, x, report, cfg = solve(*args, tol_rel)
     assert report.converged
-    A = dense_operator(system.op)
-    dense = np.linalg.norm(vec(to_dense(system.rhs)) - A @ vec(to_dense(x)))
+    dense = dense_residual(system.op, system.rhs, x)
     assert abs(report.final_residual - dense) <= 1e-2 * dense
     assert report.final_residual <= cfg.tol
 

@@ -269,6 +269,12 @@ def exact_fd(pencils):
     return ExactFD([exact_eigen(pc) for pc in pencils])
 
 
+def expsum_values(es, lam):
+    """The exponential sum ``es`` evaluated at the points ``lam``:
+    ``sum_j omega_j exp(-alpha_j lam)``, as one matrix-vector product."""
+    return np.exp(-np.outer(lam, es.exponents)) @ es.weights
+
+
 def best_for_rank_full_grid(R, M, tau):
     """Oracle for ``lriga.expsum._best_for_rank``: the same grid search,
     refitting the coarse winner again in the refine pass."""
