@@ -237,7 +237,7 @@ def _run_one(cfg, command, cell):
     try:
         x, report = _solve(cfg, system, precond, tol_rel * system.rhs.norm())
     except FastDiagError as exc:
-        # the diagonal scaling met a non-positive diagonal: A is not SPD
+        # fitting the preconditioner met a non-positive diagonal: A is not SPD
         print("numerical breakdown: %s" % exc, file=sys.stderr)
         return EXIT_BREAKDOWN
     buf = io.StringIO()

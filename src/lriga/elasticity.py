@@ -120,8 +120,10 @@ class BlockDiagPreconditioner:
         return max(P.spectral_ratio for P in self.parts)
 
     def for_operator(self, op):
-        """Part ``i`` scaled for the diagonal block ``op.blocks[i][i]``
-        (see :meth:`lriga.fastdiag.LowRankFD.for_operator`)."""
+        """Part ``i`` fitted to the diagonal block ``op.blocks[i][i]``:
+        ``H_i V D_i^-1 V^T H_i`` with ``D_i = diag(V^T A_ii V)`` (see
+        :meth:`lriga.fastdiag.LowRankFD.for_operator`); the direction
+        weights then set only the spectral ratio."""
         return BlockDiagPreconditioner(tuple(
             P.for_operator(op.blocks[i][i]) for i, P in enumerate(self.parts)))
 

@@ -42,9 +42,12 @@ DELTA = 1e-3
 class TpcgConfig:
     """Solver stopping rule: tol is the absolute residual target and
     max_iterations the iteration budget.  With diagonal_scaling the loop
-    applies ``precond.for_operator(op)``, fitted to the operator's
-    diagonal; without it, precond itself (the paper's preconditioner,
-    which the study tables use).
+    applies ``precond.for_operator(op)``, fitted to the operator: ``H V
+    D^-1 V^T H``, which divides by ``D = diag(V^T A V)`` in the
+    fast-diagonalization eigenbasis ``V`` and scales by a separable fit
+    ``H`` of ``diag(A)``; without it, precond itself (the paper's
+    preconditioner, which divides by the eigenvalue sums and which the
+    study tables use).
 
     Callers working with relative tolerances multiply by the right-hand
     side norm first.  The truncation parameters are the module constants
@@ -138,8 +141,9 @@ def tpcg(op, rhs, precond, cfg):
     (its lam_max / lam_min), which sets the dynamic truncation's floor
     ``0.1 (cfg.tol / |rhs|) / spectral_ratio``: relative, like the
     tolerances it bounds, so the rhs scale does not matter.  With
-    cfg.diagonal_scaling the loop applies ``precond.for_operator(op)``,
-    built once here, instead of precond.  Exits when
+    cfg.diagonal_scaling the loop applies ``precond.for_operator(op)``
+    (``H V D^-1 V^T H``, see :class:`TpcgConfig`), built once here,
+    instead of precond.  Exits when
     the truncated residual norm drops to cfg.tol; non-convergence within
     cfg.max_iterations and loss of positivity (xi <= 0, possible through
     truncation) are flagged on the report rather than raised.

@@ -235,12 +235,13 @@ def column_system(p, n_el, eps, faces=COLUMN_FACES):
 
 
 def solve_column(p, n_el, tol_rel=1e-6, eps=None, max_iterations=100,
-                 faces=COLUMN_FACES):
+                 faces=COLUMN_FACES, diagonal_scaling=True):
     eps = max(tol_rel * 1e-1, 1e-12) if eps is None else eps
     system = column_system(p, n_el, eps, faces)
     P = block_preconditioner(system.spaces, LAM, MU, 1e-1)
     cfg = TpcgConfig.relative(
-        tol_rel, system.rhs.norm(), max_iterations=max_iterations
+        tol_rel, system.rhs.norm(), max_iterations=max_iterations,
+        diagonal_scaling=diagonal_scaling
     )
     x, report = tpcg(system.op, system.rhs, P, cfg)
     return system, x, report, cfg

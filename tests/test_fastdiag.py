@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from lriga.assembly import assemble_system
 from lriga.bsplines import (
@@ -20,7 +21,7 @@ from lriga.fastdiag import FastDiagError, build_lowrank_fd, diagonal_scaling
 from lriga.geometry import get_geometry
 from lriga.tpcg import TpcgConfig, tpcg
 from lriga import tucker
-from oracle import expsum_apply, from_dense, kron3
+from oracle import dense_operator, expsum_apply, from_dense, kron3
 from lriga.tucker import (
     TuckerOperator3,
     identity,
@@ -29,12 +30,14 @@ from lriga.tucker import (
     vec,
 )
 
+from test_elasticity import LAM, MU, column_system
 from util import (
     ExactFD,
-    dense_diagonal_scaling,
+    dense_scaled_fd,
     densify_apply,
     exact_fd,
     expsum_values,
+    kron_fd_scaling,
     random_tucker,
 )
 
@@ -268,33 +271,34 @@ def test_solve_below_guard_fits_no_sum():
 # ------------------------------------------------------ diagonal scaling
 
 
-def _scaled_dense(P, op, eigs, weights=(1.0, 1.0, 1.0)):
-    """(dense P.for_operator(op), dense H ExactFD H) on vec-space."""
-    h = dense_diagonal_scaling(op, eigs, weights)
-    hv = np.kron(h[2], np.kron(h[1], h[0]))
-    fd = densify_apply(ExactFD(eigs, weights).apply, P.dims)
-    return (densify_apply(P.for_operator(op).apply, P.dims),
-            hv[:, None] * fd * hv[None, :])
+def _shell_system(spaces):
+    return assemble_system(spaces, get_geometry("spherical_shell"),
+                           lambda pts: np.ones(pts.shape[:-1]), 1e-7)
 
 
 def test_scaled_apply_is_h_exact_fd_h():
+    # for_operator is H V D^-1 V^T H with D = diag(V^T A V), against the
+    # dense oracle built from the dense operator
     spaces = (SplineSpace1D(3, 3, (D, D)), SplineSpace1D(2, 4, (D, D)),
               SplineSpace1D(2, 5, (D, N)))
-    system = assemble_system(spaces, get_geometry("spherical_shell"),
-                             lambda pts: np.ones(pts.shape[:-1]), 1e-7)
+    system = _shell_system(spaces)
     eigs = [approx_eigen(s, assemble_pencil(s)) for s in spaces]
     P = build_lowrank_fd(eigs, 1e-1)
-    got, want = _scaled_dense(P, system.op, eigs)
+    scaled = P.for_operator(system.op)
+    got = densify_apply(scaled.apply, P.dims)
+    want = dense_scaled_fd(dense_operator(system.op), eigs).P
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    # the shell's diagonal is far from the cube's: the scaling is no identity
+    # the shell is far from the cube: the fitted preconditioner is not the
+    # paper's
     assert np.max(np.abs(got - densify_apply(P.apply, P.dims))) > 0.1 * np.max(
         np.abs(want))
-    scaled = P.for_operator(system.op)
     assert (scaled.lam, scaled.spectral_ratio) == (P.lam, P.spectral_ratio)
     assert "expsum" not in vars(scaled) and "expsum" not in vars(P)
 
 
 def test_scaled_weighted_elasticity_parts():
+    # each part is fitted to its own diagonal block; its direction weights
+    # still set the spectral ratio
     lam, mu = 0.3 / 0.52, 1.0 / 2.6
     spaces = (SplineSpace1D(2, 4, (N, N)), SplineSpace1D(2, 4, (N, N)),
               SplineSpace1D(2, 5, (D, D)))
@@ -305,31 +309,35 @@ def test_scaled_weighted_elasticity_parts():
     scaled = B.for_operator(system.op)
     assert scaled.spectral_ratio == B.spectral_ratio
     for i, part in enumerate(B.parts):
-        weights = [2.0 * mu + lam if d == i else mu for d in range(3)]
         got = densify_apply(scaled.parts[i].apply, part.dims)
-        _, want = _scaled_dense(part, system.op.blocks[i][i], part.eigs,
-                                weights)
+        want = dense_scaled_fd(dense_operator(system.op.blocks[i][i]),
+                               part.eigs).P
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_scaling_fit_allocates_less_than_one_dense_array():
-    # the fit equals the dense-diagonal oracle and never holds an
-    # n1 x n2 x n3 array (287 KB of float64 here)
+    # for_operator equals the Kronecker-diagonal oracle, keeps no
+    # n1 x n2 x n3 array and never allocates one (287 KB of float64 here)
     spaces = tuple(SplineSpace1D(3, 32, (D, D)) for _ in range(3))
-    system = assemble_system(spaces, get_geometry("spherical_shell"),
-                             lambda pts: np.ones(pts.shape[:-1]), 1e-7)
+    system = _shell_system(spaces)
     P = build_lowrank_fd(
         [approx_eigen(s, assemble_pencil(s)) for s in spaces], 1e-1)
     tracemalloc.start()
     try:
-        h = diagonal_scaling(system.op, P.eigs, P.lam)
+        scaled = P.for_operator(system.op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     n1, n2, n3 = P.dims
     assert peak < 8 * n1 * n2 * n3
-    for got, want in zip(h, dense_diagonal_scaling(system.op, P.eigs)):
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+    divisor = scaled.divisor
+    assert all(a.size < n1 * n2 * n3
+               for a in (divisor.core,) + divisor.factors)
+    D_want, h = kron_fd_scaling(system.op, P.eigs)
+    D_got = to_dense(divisor)
+    assert np.max(np.abs(D_got - D_want)) <= 1e-12 * np.max(np.abs(D_want))
+    for e, fitted, hk in zip(P.eigs, scaled.eigs, h):
+        np.testing.assert_allclose(fitted.U, hk[:, None] * e.U, rtol=1e-12)
 
 
 def test_nonpositive_diagonal_raises_with_its_index():
@@ -345,6 +353,18 @@ def test_nonpositive_diagonal_raises_with_its_index():
     good = TuckerOperator3(np.ones((1, 1, 1)), ((K,), (M,), (M,)))
     with pytest.raises(FastDiagError, match=r"diag\(A_FD\) entry \(0, 0, 0\)"):
         diagonal_scaling(good, eigs, [-v for v in P.lam])
+
+
+def test_nonpositive_divisor_raises_with_its_index():
+    # diag(A) and diag(A_FD) are positive, but K - 12 M has the Rayleigh
+    # quotient lam_0 - 12 < 0 on the first eigenvector: D(0, 0, 0) is not
+    space, pencil = _cube(2, 4)
+    P = build_lowrank_fd(_eigs(space, pencil), 1e-1)
+    M, K = pencil.M.toarray(), pencil.K.toarray()
+    op = TuckerOperator3(np.ones((1, 1, 1)), ((K - 12.0 * M,), (M,), (M,)))
+    assert np.all(np.diag(K - 12.0 * M) > 0.0)
+    with pytest.raises(FastDiagError, match=r"^D entry \(0, 0, 0\) is -2\.1"):
+        P.for_operator(op)
 
 
 # ------------------------------------- exp-sum apply (oracle.expsum_apply)
@@ -470,6 +490,56 @@ def test_cube_preconditioned_spectrum_tight(p):
     ev = ev.real
     assert np.min(ev) > 0
     assert np.max(ev) / np.min(ev) <= (2.0 if p == 2 else 5.0)
+
+
+def _kappa(A, P):
+    """Condition number of P A from the dense eigh(A, P^-1)."""
+    ev = sla.eigh(A, np.linalg.inv(P), eigvals_only=True)
+    return ev[-1] / ev[0]
+
+
+@pytest.mark.parametrize("preset, bound", [
+    ("quarter_annulus", 2.5), ("spherical_shell", 3.5)])
+def test_default_preconditioner_kappa(preset, bound):
+    # H V D^-1 V^T H at p = 3, n_el = 8; the eigenvalue-sum divisor with
+    # the same kind of scaling gave 6.56 (annulus) and 6.26 (shell)
+    spaces = tuple(SplineSpace1D(3, 8, (D, D)) for _ in range(3))
+    system = assemble_system(spaces, get_geometry(preset),
+                             lambda pts: np.ones(pts.shape[:-1]), 1e-7)
+    P = build_lowrank_fd(_eigs(spaces[0], assemble_pencil(spaces[0])), 1e-1)
+    scaled = P.for_operator(system.op)
+    kappa = _kappa(dense_operator(system.op),
+                   densify_apply(scaled.apply, P.dims))
+    assert kappa < bound
+
+
+def test_default_block_preconditioner_kappa_column():
+    # the column's coupling bounds it (exact block Jacobi: 6.40), but each
+    # part fitted to its block still gains on the eigenvalue-sum parts (7.00)
+    system = column_system(2, 4, 1e-7)
+    B = block_preconditioner(system.spaces, LAM, MU, 1e-1)
+    scaled = B.for_operator(system.op)
+    A = np.block([[dense_operator(b) for b in row] for row in system.op.blocks])
+    P = sla.block_diag(*[densify_apply(part.apply, part.dims)
+                         for part in scaled.parts])
+    assert _kappa(A, P) < 7.0
+
+
+def test_cube_default_preconditioner_is_exact_inverse():
+    # on the unit cube V^T A V is the diagonal of eigenvalue sums, so D
+    # equals them, the fit gives H = 1 and P A = I
+    spaces = tuple(SplineSpace1D(3, 5, (D, D)) for _ in range(3))
+    system = assemble_system(spaces, get_geometry("unit_cube"),
+                             lambda pts: np.ones(pts.shape[:-1]), 1e-7)
+    P = build_lowrank_fd(_eigs(spaces[0], assemble_pencil(spaces[0])), 1e-1)
+    scaled = P.for_operator(system.op)
+    sums = to_dense(fastdiag.eigenvalue_sums(P.lam))
+    np.testing.assert_allclose(to_dense(scaled.divisor), sums, rtol=1e-12)
+    for h in diagonal_scaling(system.op, P.eigs, scaled.divisor):
+        np.testing.assert_allclose(h, 1.0, rtol=1e-12)
+    A = dense_operator(system.op)
+    PA = densify_apply(scaled.apply, P.dims) @ A
+    assert np.max(np.abs(PA - np.eye(len(A)))) <= 1e-10
 
 
 def test_equal_ratio_preconditioners_share_the_sum_and_scale():

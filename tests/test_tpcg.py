@@ -36,8 +36,8 @@ from lriga.tucker import (
 
 from test_elasticity import solve_column
 from util import (
-    dense_diagonal_scaling,
     dense_kron_sum,
+    dense_scaled_fd,
     exact_fd,
     residual_jump,
 )
@@ -60,13 +60,15 @@ def lowrank_pc(spaces, eps=1e-1):
     return build_lowrank_fd(eigs, eps)
 
 
-def solve_poisson(preset, p, n_el, tol_rel=1e-6, precond=None):
+def solve_poisson(preset, p, n_el, tol_rel=1e-6, precond=None,
+                  diagonal_scaling=True):
     spaces = make_spaces(p, n_el)
     geo = get_geometry(preset)
     system = assemble_system(spaces, geo, one, max(tol_rel * 1e-1, 1e-12))
     if precond is None:
         precond = lowrank_pc(spaces)
-    cfg = TpcgConfig.relative(tol_rel, system.rhs.norm())
+    cfg = TpcgConfig.relative(tol_rel, system.rhs.norm(),
+                              diagonal_scaling=diagonal_scaling)
     x, report = tpcg(system.op, system.rhs, precond, cfg)
     return system, x, report, cfg
 
@@ -154,16 +156,20 @@ def dense_residual(op, rhs, x):
     return np.linalg.norm(flat(rhs) - A @ flat(x))
 
 
-@pytest.mark.parametrize("tol_rel", [1e-8, 1e-10])
+@pytest.mark.parametrize("tol_rel, diagonal_scaling", [
+    pytest.param(tol, scaled, id=str(tol) + ("" if scaled else "-paper"))
+    for tol in (1e-6, 1e-8, 1e-10) for scaled in (True, False)])
 @pytest.mark.parametrize("solve, args", [
     (solve_poisson, ("quarter_annulus", 2, 8)),
     (solve_poisson, ("spherical_shell", 3, 5)),
     (solve_column, (2, 3)),
 ], ids=["quarter_annulus", "spherical_shell", "deformed_column"])
-def test_final_residual_matches_dense(solve, args, tol_rel):
+def test_final_residual_matches_dense(solve, args, tol_rel, diagonal_scaling):
     # near convergence f - A x is a difference of nearly equal tensors; the
-    # reported norm must still agree with the dense residual
-    system, x, report, cfg = solve(*args, tol_rel)
+    # reported norm must still agree with the dense residual, with either
+    # preconditioner
+    system, x, report, cfg = solve(*args, tol_rel,
+                                   diagonal_scaling=diagonal_scaling)
     assert report.converged
     dense = dense_residual(system.op, system.rhs, x)
     assert abs(report.final_residual - dense) <= 1e-2 * dense
@@ -243,17 +249,16 @@ def test_negative_operator_is_a_breakdown():
 def test_kappa_estimate_matches_dense_spectrum(preset):
     # the Lanczos tridiagonal of the loop's own coefficients against the
     # generalized eigenvalues of (A, P^-1), for the paper's preconditioner
-    # A_FD^-1 and the scaled H A_FD^-1 H; a tight tolerance lets the
-    # extreme Ritz values converge
+    # A_FD^-1 and the default H V D^-1 V^T H (its dense oracle); a tight
+    # tolerance lets the extreme Ritz values converge
     spaces = make_spaces(3, 10)
     system = assemble_system(spaces, get_geometry(preset), one, 1e-11)
     P = lowrank_pc(spaces)
     A = dense_operator(system.op)
     A_FD = dense_kron_sum(spaces, (1.0, 1.0, 1.0))
-    h = dense_diagonal_scaling(system.op, P.eigs)
-    hv = np.kron(h[2], np.kron(h[1], h[0]))
     kappa = {}
-    for scaled, P_inv in ((False, A_FD), (True, A_FD / np.outer(hv, hv))):
+    for scaled, P_inv in ((False, A_FD),
+                          (True, dense_scaled_fd(A, P.eigs).P_inv)):
         cfg = TpcgConfig.relative(1e-10, system.rhs.norm(),
                                   diagonal_scaling=scaled)
         _, report = tpcg(system.op, system.rhs, P, cfg)

@@ -1,5 +1,7 @@
 """Shared helpers: random low-rank test instances and oracles."""
 
+from collections import namedtuple
+
 import numpy as np
 from numpy.polynomial import polynomial as P
 from numpy.polynomial.chebyshev import chebvander
@@ -193,31 +195,31 @@ def sthosvd_full_svd(X, eps):
 class ExactFD:
     """Exact inverse of the Kronecker sum w1 K1 (x) M2 (x) M3 + ... (dense
     path), the oracle for the fast-diagonalization preconditioner; the
-    direction weights ``w`` scale each pencil's eigenvalues.  With row
-    scalings ``h`` it is ``H A_FD^-1 H``, ``H = diag(h1 (x) h2 (x) h3)``,
-    applied as three dense multiplications on either side."""
+    direction weights ``w`` scale each pencil's eigenvalues.  With a dense
+    divisor ``denom`` in place of the eigenvalue sums and row scalings
+    ``h`` it is ``H V D^-1 V^T H``, ``V = U1 (x) U2 (x) U3`` and ``H =
+    diag(h1 (x) h2 (x) h3)``, applied as dense multiplications on either
+    side."""
 
-    def __init__(self, eigs, weights=(1.0, 1.0, 1.0), h=None):
+    def __init__(self, eigs, weights=(1.0, 1.0, 1.0), h=None, denom=None):
         self.eigs = eigs
         self.weights = weights
         self.h = h
         lam = [w * np.asarray(e.lambdas) for w, e in zip(weights, eigs)]
-        self.denom = (lam[0][:, None, None] + lam[1][None, :, None]
-                      + lam[2][None, None, :])
-        assert np.min(self.denom) > 0.0, "eigenvalue sums must be positive"
+        sums = (lam[0][:, None, None] + lam[1][None, :, None]
+                + lam[2][None, None, :])
+        assert np.min(sums) > 0.0, "eigenvalue sums must be positive"
+        self.spectral_ratio = float(np.max(sums) / np.min(sums))
+        self.denom = sums if denom is None else denom
 
     def for_operator(self, op):
-        """The same inverse scaled by :func:`dense_diagonal_scaling` of op."""
-        return ExactFD(self.eigs, self.weights,
-                       dense_diagonal_scaling(op, self.eigs, self.weights))
+        """The inverse fitted to op by :func:`kron_fd_scaling`."""
+        D, h = kron_fd_scaling(op, self.eigs)
+        return ExactFD(self.eigs, self.weights, h, D)
 
     @property
     def dims(self):
         return tuple(e.n for e in self.eigs)
-
-    @property
-    def spectral_ratio(self):
-        return float(np.max(self.denom) / np.min(self.denom))
 
     def apply_array(self, S):
         """Inverse applied to a dense coefficient array of shape dims."""
@@ -239,29 +241,57 @@ class ExactFD:
         return from_dense(self.apply_array(to_dense(s)))
 
 
-def dense_diagonal_scaling(op, eigs, weights=(1.0, 1.0, 1.0)):
-    """Oracle for ``lriga.fastdiag.diagonal_scaling``: the same fit of
-    ``diag(op) / diag(A_FD)`` on dense ``n1 x n2 x n3`` diagonals.
-
-    The pencils are rebuilt from the eigendecompositions, ``M = (U U^T)^-1``
-    and ``K = M U diag(lambdas) U^T M``, and the log-ratio ``L`` is fitted
-    by its mode means ``m_k`` less two thirds of its mean; returns
-    ``h_k = exp(-(m_k - 2 mean(L) / 3) / 2)``.
-    """
-    dA = np.einsum("abc,ia,jb,kc->ijk", op.core, *[
-        np.column_stack([np.diag(_densify(C)) for C in Cs])
-        for Cs in op.factors])
-    dM, dK = [], []
-    for w, e in zip(weights, eigs):
-        M = np.linalg.inv(e.U @ e.U.T)
-        dM.append(np.diag(M))
-        dK.append(w * np.diag(M @ e.U @ np.diag(e.lambdas) @ e.U.T @ M))
-    dFD = (np.einsum("i,j,k->ijk", dK[0], dM[1], dM[2])
-           + np.einsum("i,j,k->ijk", dM[0], dK[1], dM[2])
-           + np.einsum("i,j,k->ijk", dM[0], dM[1], dK[2]))
+def log_fit(dA, dFD):
+    """The separable fit of ``lriga.fastdiag.diagonal_scaling`` on dense
+    ``n1 x n2 x n3`` diagonals: the log-ratio ``L = log dA - log dFD`` is
+    fitted by its mode means ``m_k`` less two thirds of its mean; returns
+    ``h_k = exp(-(m_k - 2 mean(L) / 3) / 2)``."""
     L = np.log(dA) - np.log(dFD)
     modes = [L.mean(axis=(1, 2)), L.mean(axis=(0, 2)), L.mean(axis=(0, 1))]
     return [np.exp(-0.5 * (m - 2.0 * L.mean() / 3.0)) for m in modes]
+
+
+def kron_fd_scaling(op, eigs):
+    """Oracle for ``LowRankFD.for_operator`` at sizes where no dense
+    operator fits: ``(D, h)`` with ``D = diag(V^T op V)`` and the fit
+    :func:`log_fit` of ``diag(op)`` against ``diag(V^-T D V^-1)``, each an
+    ``n1 x n2 x n3`` array summed term by term over the Tucker operator's
+    core from the dense per-direction matrices ``U^T C U``, ``diag(C)`` and
+    ``U^-1``."""
+    def summed(per_mode):
+        return np.einsum("abc,ia,jb,kc->ijk", op.core, *per_mode,
+                         optimize=True)
+
+    dA = summed([np.column_stack([np.diag(_densify(C)) for C in Cs])
+                 for Cs in op.factors])
+    D = summed([np.column_stack([np.diag(e.U.T @ _densify(C) @ e.U)
+                                 for C in Cs])
+                for e, Cs in zip(eigs, op.factors)])
+    W2 = [np.linalg.inv(e.U) ** 2 for e in eigs]
+    dFD = np.einsum("ijk,ia,jb,kc->abc", D, *W2, optimize=True)
+    return D, log_fit(dA, dFD)
+
+
+DenseFD = namedtuple("DenseFD", "P P_inv")
+
+
+def dense_scaled_fd(A, eigs):
+    """Oracle for ``LowRankFD.for_operator`` from the dense operator ``A``
+    (vec-space, colexicographic): with ``V = kron(U3, U2, U1)``, ``D =
+    diag(V^T A V)``, ``h`` the :func:`log_fit` of ``diag(A)`` against
+    ``diag(V^-T D V^-1)`` and ``H = diag(h1 (x) h2 (x) h3)``, returns ``P = H
+    V D^-1 V^T H`` and its inverse ``H^-1 V^-T D V^-1 H^-1``."""
+    dims = tuple(e.n for e in eigs)
+    V = np.kron(eigs[2].U, np.kron(eigs[1].U, eigs[0].U))
+    Ui = [np.linalg.inv(e.U) for e in eigs]
+    W = np.kron(Ui[2], np.kron(Ui[1], Ui[0]))  # V^-1
+    D = np.sum(V * (A @ V), axis=0)
+    dFD = (W ** 2).T @ D
+    h = log_fit(unvec(np.diag(A), dims), unvec(dFD, dims))
+    hv = np.kron(h[2], np.kron(h[1], h[0]))
+    P = hv[:, None] * ((V / D) @ V.T) * hv[None, :]
+    P_inv = ((W.T * D) @ W) / np.outer(hv, hv)
+    return DenseFD(P, P_inv)
 
 
 def exact_fd(pencils):
